@@ -123,15 +123,15 @@ fn n100k_monitored_captured() -> (
             .unwrap_or(0)
     ));
     std::fs::create_dir_all(&dir).expect("create capture scratch dir");
-    let (s, r, alerts, cap) = e9_large_monitored(
+    let out = e9_large_monitored(
         100_000,
         17,
         N100K_SOURCES,
-        Some(ParallelConfig::per_thread(bench_threads())),
-        Some(&dir),
+        ParallelConfig::per_thread(bench_threads()),
+        &dir,
     );
     let _ = std::fs::remove_dir_all(&dir);
-    (s, r, alerts, cap.expect("capture telemetry"))
+    out
 }
 
 struct Kernel {

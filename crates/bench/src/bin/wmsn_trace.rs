@@ -6,7 +6,7 @@
 //! "what is node K's energy timeline".
 //!
 //! ```text
-//! wmsn-trace record  <out> [seed] [rounds] [--bin|--seg]  # run E1 (SPR, 40 sensors) traced
+//! wmsn-trace record  <out> [seed] [rounds]         # run E1 (SPR, 40 sensors) into a capture
 //! wmsn-trace summary <trace>                        # event counts; exits 1 on parse errors
 //! wmsn-trace path    <trace> <origin> <msg_id>
 //! wmsn-trace drop    <trace> <seq>
@@ -19,8 +19,8 @@
 //! wmsn-trace alerts  <trace>                        # just the alert JSONL stream
 //! wmsn-trace top     <trace> [k]                    # k busiest nodes by tx (default 10)
 //! wmsn-trace index   <capture>                      # segment directory of a segmented capture
-//! wmsn-trace pack    <in> <out> [segment_frames]    # jsonl/flat-bin → segmented capture
-//! wmsn-trace convert <in> <out>                     # bin/segmented→jsonl or jsonl→bin
+//! wmsn-trace pack    <in> <out> [segment_frames]    # JSONL → segmented capture
+//! wmsn-trace convert <in> <out>                     # segmented capture → JSONL
 //! ```
 //!
 //! `health --window` and `explain` resume the detector bank from the
@@ -34,15 +34,16 @@
 //! frame reads into them fail loudly) with checkpoints re-embedded so
 //! windowed queries over retained ranges keep working.
 //!
-//! Every query accepts **any of the three formats**: the input is
-//! sniffed by its first bytes (flat binary captures open with the
-//! `WMSNTRB` magic, segmented captures with `WMSNTRS`, JSONL with `{`).
-//! JSONL and flat binary replay through the in-memory [`Replay`];
-//! segmented captures answer through the streaming scan layer in
-//! `wmsn_trace::capture` — segment-at-a-time decode with index-driven
-//! segment skipping, so a query over a multi-gigabyte capture holds one
-//! segment in memory. Both paths print identical records byte for byte
-//! (pinned in CI by the streaming-vs-in-memory parity step).
+//! The binary trace format is the segmented `.wcap` capture: `record`
+//! writes one, `convert` exports it to JSONL (the only JSONL writer),
+//! and `pack` turns JSONL back into a capture. Every query accepts a
+//! capture or JSONL — the input is sniffed by its first bytes (captures
+//! open with the `WMSNTRS` magic) — and runs the same
+//! `wmsn_trace::replay` query code over either: a capture through
+//! segment-at-a-time decode with index-driven segment skipping (a query
+//! over a multi-gigabyte capture holds one segment in memory), JSONL
+//! through the in-memory [`Replay`]. Both print identical records byte
+//! for byte (pinned in CI by the JSONL-vs-capture parity step).
 //!
 //! A segmented capture whose trailer records `frames_dropped > 0` was
 //! recorded through a ring under `DropNewest` backpressure — the file
@@ -56,12 +57,11 @@
 //!
 //! All output is structured records (one flat JSON object per line).
 //! Malformed traces and missing messages exit non-zero through one
-//! helper (`die_load`) that always reports the path plus the JSONL line
-//! or byte offset of the failure — which is what the CI step relies on.
+//! helper (`die_load`) that always reports the path, and for JSONL the
+//! line of the failure — which is what the CI step relies on.
 
-use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use wmsn_core::builder::build_spr;
 use wmsn_core::drivers::SprDriver;
 use wmsn_core::params::{FieldParams, GatewayParams, TrafficParams};
@@ -69,19 +69,17 @@ use wmsn_health::{
     alerts_in_window, compact_capture, explain_alert, replay_window, CompactionPolicy, HealthAlert,
     HealthConfig, HealthMonitor, WindowReplayStats,
 };
-use wmsn_trace::frame::write_header;
 use wmsn_trace::replay::MessagePath;
 use wmsn_trace::{
-    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, encode_frame,
-    is_binary_capture, is_segmented_capture, log_error, log_record, tag_name, BinarySink,
-    BinaryTraceReader, CaptureConfig, CaptureReader, CaptureSink, JsonlSink, Replay, ScanFilter,
-    TraceEvent, TraceSink, DEFAULT_SEGMENT_FRAMES, TAG_COUNT,
+    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, is_segmented_capture,
+    log_error, log_record, tag_name, CaptureConfig, CaptureReader, CaptureSink, EventSource,
+    Replay, ScanFilter, ScanStats, TraceEvent, DEFAULT_SEGMENT_FRAMES, TAG_COUNT,
 };
 use wmsn_util::json::Json;
 
 fn usage() -> ! {
     println!(
-        "usage: wmsn-trace record  <out> [seed] [rounds] [--bin|--seg]\n\
+        "usage: wmsn-trace record  <out> [seed] [rounds]\n\
          \x20      wmsn-trace summary <trace>\n\
          \x20      wmsn-trace path    <trace> <origin> <msg_id>\n\
          \x20      wmsn-trace drop    <trace> <seq>\n\
@@ -96,58 +94,42 @@ fn usage() -> ! {
          \x20      wmsn-trace index   <capture>\n\
          \x20      wmsn-trace pack    <in> <out> [segment_frames]\n\
          \x20      wmsn-trace convert <in> <out>\n\
-         (<trace> may be JSONL, a flat binary capture or a segmented\n\
-         \x20capture; the format is sniffed)"
+         (<trace> may be a segmented capture or JSONL; the format is\n\
+         \x20sniffed)"
     );
     std::process::exit(2);
 }
 
 /// The one load/IO-error exit path: every failure to open, read, parse
-/// or write a trace reports the same record shape — path, the JSONL
-/// `line` or byte `offset` of the failure when known, and the error —
-/// then exits 1.
-fn die_load(path: &str, line: Option<u64>, offset: Option<u64>, error: String) -> ! {
-    let mut fields = vec![("path", Json::from(path.to_string()))];
-    if let Some(l) = line {
-        fields.push(("line", Json::from(l)));
-    }
-    if let Some(o) = offset {
-        fields.push(("offset", Json::from(o)));
-    }
-    fields.push(("error", Json::from(error)));
-    log_error("trace_load_error", fields);
+/// or write a trace reports the same record shape — path and error (a
+/// JSONL error names its line) — then exits 1.
+fn die_load(path: &str, error: String) -> ! {
+    log_error(
+        "trace_load_error",
+        vec![
+            ("path", Json::from(path.to_string())),
+            ("error", Json::from(error)),
+        ],
+    );
     std::process::exit(1);
 }
 
-/// Trace file formats the CLI understands, sniffed from the first
-/// bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Format {
-    Jsonl,
-    Binary,
-    Segmented,
-}
-
-fn sniff(path: &str) -> Format {
+/// Whether `path` holds a segmented capture (JSONL otherwise), sniffed
+/// from its first 8 bytes. An unreadable file counts as JSONL and lets
+/// the real open report the error.
+fn is_capture(path: &str) -> bool {
     let mut head = [0u8; 8];
-    let Ok(mut f) = File::open(path) else {
-        return Format::Jsonl; // let the real open report the error
-    };
-    let n = f.read(&mut head).unwrap_or(0);
-    if is_segmented_capture(&head[..n]) {
-        Format::Segmented
-    } else if is_binary_capture(&head[..n]) {
-        Format::Binary
-    } else {
-        Format::Jsonl
-    }
+    let n = File::open(path)
+        .and_then(|mut f| f.read(&mut head))
+        .unwrap_or(0);
+    is_segmented_capture(&head[..n])
 }
 
 /// Open a segmented capture, validating footer and directory. If the
 /// trailer records ring drops, warn on stderr before any query output:
 /// the capture is a partial sample and must never be silently trusted.
 fn open_capture(path: &str) -> CaptureReader<BufReader<File>> {
-    let r = CaptureReader::open(path).unwrap_or_else(|e| die_load(path, None, None, e));
+    let r = CaptureReader::open(path).unwrap_or_else(|e| die_load(path, e));
     if r.frames_dropped() > 0 {
         log_error(
             "capture_dropped_frames",
@@ -168,35 +150,11 @@ fn open_capture(path: &str) -> CaptureReader<BufReader<File>> {
     r
 }
 
-/// Stream the frames of a flat binary capture, reporting the byte
-/// offset of any corrupt frame.
-fn for_each_binary_event(path: &str, mut f: impl FnMut(TraceEvent, u64, u64)) {
-    let file = File::open(path).unwrap_or_else(|e| die_load(path, None, None, e.to_string()));
-    let mut r = BinaryTraceReader::new(BufReader::new(file))
-        .unwrap_or_else(|e| die_load(path, None, Some(0), e));
-    loop {
-        match r.next_frame() {
-            Ok(Some((ev, at, key))) => f(ev, at, key),
-            Ok(None) => return,
-            Err(e) => die_load(path, None, Some(r.byte_offset()), e),
-        }
-    }
-}
-
-/// Stream the events of a JSONL trace, reporting the 1-based line
-/// number of any malformed line.
-fn for_each_jsonl_event(path: &str, mut f: impl FnMut(TraceEvent)) {
-    let file = File::open(path).unwrap_or_else(|e| die_load(path, None, None, e.to_string()));
-    for (lineno, line) in BufReader::new(file).lines().enumerate() {
-        let line =
-            line.unwrap_or_else(|e| die_load(path, Some(lineno as u64 + 1), None, e.to_string()));
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = TraceEvent::from_json_line(&line)
-            .unwrap_or_else(|e| die_load(path, Some(lineno as u64 + 1), None, e));
-        f(ev);
-    }
+/// Decode a JSONL trace; a malformed line exits with its 1-based line
+/// number.
+fn load_jsonl(path: &str) -> Replay {
+    let file = File::open(path).unwrap_or_else(|e| die_load(path, e.to_string()));
+    Replay::from_reader(BufReader::new(file)).unwrap_or_else(|e| die_load(path, e))
 }
 
 fn parse_u64(s: &str, what: &'static str) -> u64 {
@@ -212,23 +170,47 @@ fn parse_u64(s: &str, what: &'static str) -> u64 {
     })
 }
 
-/// Load a JSONL or flat-binary trace fully into the in-memory replay
-/// engine. Segmented captures never come through here — their queries
-/// stream (see the module docs).
-fn load(path: &str) -> Replay {
-    let mut events = Vec::new();
-    match sniff(path) {
-        Format::Binary => for_each_binary_event(path, |ev, _, _| events.push(ev)),
-        _ => for_each_jsonl_event(path, |ev| events.push(ev)),
+/// A trace opened for querying.
+enum Source {
+    /// A segmented capture: answers through its index, one segment at
+    /// a time.
+    Capture(CaptureReader<BufReader<File>>),
+    /// JSONL, decoded into memory.
+    Jsonl(Replay),
+}
+
+impl EventSource for Source {
+    fn tag_counts(&self) -> [u64; TAG_COUNT] {
+        match self {
+            Source::Capture(r) => r.tag_counts(),
+            Source::Jsonl(r) => r.tag_counts(),
+        }
     }
-    Replay::from_events(&events)
+
+    fn scan<F: FnMut(&TraceEvent, u64, u64)>(
+        &mut self,
+        filter: &ScanFilter,
+        f: F,
+    ) -> Result<ScanStats, String> {
+        match self {
+            Source::Capture(r) => r.scan(filter, f),
+            Source::Jsonl(r) => r.scan(filter, f),
+        }
+    }
+}
+
+/// Open any trace as a query source, by its sniffed format.
+fn open_source(path: &str) -> Source {
+    if is_capture(path) {
+        Source::Capture(open_capture(path))
+    } else {
+        Source::Jsonl(load_jsonl(path))
+    }
 }
 
 /// Run the E1 kernel (SPR over 40 uniformly deployed sensors, three
-/// gateways) with a file sink installed, for `rounds` rounds. `format`
-/// selects JSONL, the flat fixed-frame binary sink, or the segmented
-/// capture sink.
-fn record(out: &str, seed: u64, rounds: u32, format: Format) {
+/// gateways) into a segmented capture for `rounds` rounds.
+fn record(out: &str, seed: u64, rounds: u32) {
     let field = FieldParams::default_uniform(40, seed);
     let scen = build_spr(
         &field,
@@ -236,101 +218,49 @@ fn record(out: &str, seed: u64, rounds: u32, format: Format) {
         TrafficParams::default(),
     );
     let mut driver = SprDriver::new(scen);
-    let sink: Box<dyn TraceSink> = match format {
-        Format::Jsonl => {
-            let file =
-                File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-            Box::new(JsonlSink::new(BufWriter::new(file)))
-        }
-        Format::Binary => {
-            let file =
-                File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-            Box::new(BinarySink::new(BufWriter::new(file)))
-        }
-        Format::Segmented => Box::new(
-            CaptureSink::create(out, CaptureConfig::default())
-                .unwrap_or_else(|e| die_load(out, None, None, e.to_string())),
-        ),
-    };
-    driver.scenario.world.set_trace_sink(sink);
+    let sink = CaptureSink::create(out, CaptureConfig::default())
+        .unwrap_or_else(|e| die_load(out, e.to_string()));
+    driver.scenario.world.set_trace_sink(Box::new(sink));
     for _ in 0..rounds {
         driver.run_round();
     }
-    let mut sink = driver
+    let cap = driver
         .scenario
         .world
         .take_trace_sink()
-        .expect("sink was installed");
-    let lines = match format {
-        Format::Jsonl => sink
-            .as_any()
-            .downcast_ref::<JsonlSink<BufWriter<File>>>()
-            .map(JsonlSink::lines_written)
-            .unwrap_or(0),
-        Format::Binary => sink
-            .as_any()
-            .downcast_ref::<BinarySink<BufWriter<File>>>()
-            .map(BinarySink::frames_written)
-            .unwrap_or(0),
-        Format::Segmented => {
-            let cap = sink
-                .as_any_mut()
-                .downcast_mut::<CaptureSink>()
-                .and_then(CaptureSink::finalize)
-                .unwrap_or_else(|| die_load(out, None, None, "capture write failed".into()));
-            cap.frames
-        }
-    };
+        .and_then(|mut sink| sink.as_any_mut().downcast_mut::<CaptureSink>()?.finalize())
+        .unwrap_or_else(|| die_load(out, "capture write failed".into()));
     let m = driver.scenario.world.metrics();
     log_record(
         "trace_written",
         vec![
             ("path", Json::from(out.to_string())),
-            (
-                "format",
-                Json::from(match format {
-                    Format::Jsonl => "jsonl",
-                    Format::Binary => "binary",
-                    Format::Segmented => "segmented",
-                }),
-            ),
             ("seed", Json::from(seed)),
             ("rounds", Json::from(u64::from(rounds))),
-            ("lines", Json::from(lines)),
+            ("frames", Json::from(cap.frames)),
             ("originated", Json::from(m.originated)),
             ("delivered", Json::from(m.unique_deliveries())),
         ],
     );
 }
 
-/// Repack a JSONL or flat-binary trace into a segmented capture. Flat
-/// binary frames keep their causal `(at, key)` stamps; JSONL carries no
-/// causal keys, so events are stamped `at = t, key = 0` (exactly as
-/// `convert` does in the jsonl→bin direction).
+/// Pack a JSONL trace into a segmented capture. JSONL carries no causal
+/// keys, so events are stamped `at = t, key = 0`.
 fn pack(input: &str, out: &str, segment_frames: usize) {
-    let file = File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
+    if is_capture(input) {
+        die_load(input, "input is already a segmented capture".into());
+    }
+    let file = File::create(out).unwrap_or_else(|e| die_load(out, e.to_string()));
     let mut w =
         wmsn_trace::CaptureWriter::new(BufWriter::new(file), CaptureConfig { segment_frames })
-            .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-    match sniff(input) {
-        Format::Segmented => die_load(
-            input,
-            None,
-            None,
-            "input is already a segmented capture".into(),
-        ),
-        Format::Binary => for_each_binary_event(input, |ev, at, key| {
-            w.push(&ev, at, key)
-                .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-        }),
-        Format::Jsonl => for_each_jsonl_event(input, |ev| {
-            w.push(&ev, ev.t(), 0)
-                .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-        }),
-    }
-    let (_, stats) = w
-        .finish()
-        .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
+            .unwrap_or_else(|e| die_load(out, e.to_string()));
+    load_jsonl(input)
+        .scan(&ScanFilter::all(), |ev, at, key| {
+            w.push(ev, at, key)
+                .unwrap_or_else(|e| die_load(out, e.to_string()));
+        })
+        .unwrap_or_else(|e| die_load(input, e));
+    let (_, stats) = w.finish().unwrap_or_else(|e| die_load(out, e.to_string()));
     log_record(
         "trace_packed",
         vec![
@@ -381,77 +311,43 @@ fn index(path: &str) {
     }
 }
 
-/// Translate between capture formats, direction chosen by the input's
-/// sniffed format. bin→jsonl and segmented→jsonl render each decoded
-/// frame through `TraceEvent::to_json`, producing bytes identical to a
-/// live `JsonlSink` over the same events; jsonl→bin stamps `at = t,
-/// key = 0` (JSONL carries no causal keys).
+/// Export a segmented capture to JSONL: each decoded frame renders
+/// through `TraceEvent::to_json`, producing bytes identical to a live
+/// `JsonlSink` over the same events.
 fn convert(input: &str, out: &str) {
-    let from = sniff(input);
-    let mut events = 0u64;
-    match from {
-        Format::Binary | Format::Segmented => {
-            let file =
-                File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-            let mut w = BufWriter::new(file);
-            let mut emit = |ev: &TraceEvent| {
-                writeln!(w, "{}", ev.to_json())
-                    .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-                events += 1;
-            };
-            match from {
-                Format::Binary => for_each_binary_event(input, |ev, _, _| emit(&ev)),
-                _ => {
-                    let mut r = open_capture(input);
-                    r.scan(&ScanFilter::all(), |ev, _, _| emit(ev))
-                        .unwrap_or_else(|e| die_load(input, None, None, e));
-                }
-            }
-            w.flush()
-                .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-        }
-        Format::Jsonl => {
-            let dst =
-                File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-            let mut w = BufWriter::new(dst);
-            write_header(&mut w).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-            for_each_jsonl_event(input, |ev| {
-                w.write_all(&encode_frame(&ev, ev.t(), 0))
-                    .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-                events += 1;
-            });
-            w.flush()
-                .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-        }
+    if !is_capture(input) {
+        die_load(
+            input,
+            "convert reads a segmented capture (JSONL is the export format)".into(),
+        );
     }
+    let mut r = open_capture(input);
+    let file = File::create(out).unwrap_or_else(|e| die_load(out, e.to_string()));
+    let mut w = BufWriter::new(file);
+    let mut events = 0u64;
+    r.scan(&ScanFilter::all(), |ev, _, _| {
+        writeln!(w, "{}", ev.to_json()).unwrap_or_else(|e| die_load(out, e.to_string()));
+        events += 1;
+    })
+    .unwrap_or_else(|e| die_load(input, e));
+    w.flush().unwrap_or_else(|e| die_load(out, e.to_string()));
     log_record(
         "trace_converted",
         vec![
             ("input", Json::from(input.to_string())),
             ("output", Json::from(out.to_string())),
-            (
-                "direction",
-                Json::from(match from {
-                    Format::Binary => "bin_to_jsonl",
-                    Format::Segmented => "segmented_to_jsonl",
-                    Format::Jsonl => "jsonl_to_bin",
-                }),
-            ),
             ("events", Json::from(events)),
         ],
     );
 }
 
-// Query printing is shared between the in-memory `Replay` path and the
-// streaming capture path so the two are byte-identical by construction
-// (and verified byte-for-byte by the CI parity step).
-
-fn print_summary(path: &str, events: u64, counts: BTreeMap<String, u64>) {
+fn summary(path: &str) {
+    let counts = capture_counts(&open_source(path));
     log_record(
         "trace_summary",
         vec![
             ("path", Json::from(path.to_string())),
-            ("events", Json::from(events)),
+            ("events", Json::from(counts.values().sum::<u64>())),
         ],
     );
     for (ev, n) in counts {
@@ -459,19 +355,6 @@ fn print_summary(path: &str, events: u64, counts: BTreeMap<String, u64>) {
             "trace_count",
             vec![("ev", Json::from(ev)), ("count", Json::from(n))],
         );
-    }
-}
-
-fn summary(path: &str) {
-    match sniff(path) {
-        Format::Segmented => {
-            let r = open_capture(path);
-            print_summary(path, r.frames(), capture_counts(&r));
-        }
-        _ => {
-            let r = load(path);
-            print_summary(path, r.len() as u64, r.counts());
-        }
     }
 }
 
@@ -519,25 +402,14 @@ fn print_path(origin: u64, msg_id: u64, found: Option<MessagePath>) {
 }
 
 fn path_query(path: &str, origin: u64, msg_id: u64) {
-    let found = match sniff(path) {
-        Format::Segmented => {
-            let mut r = open_capture(path);
-            capture_path_of(&mut r, origin, msg_id)
-                .unwrap_or_else(|e| die_load(path, None, None, e))
-        }
-        _ => load(path).path_of(origin, msg_id),
-    };
+    let found = capture_path_of(&mut open_source(path), origin, msg_id)
+        .unwrap_or_else(|e| die_load(path, e));
     print_path(origin, msg_id, found);
 }
 
 fn drop_query(path: &str, seq: u64) {
-    let drops = match sniff(path) {
-        Format::Segmented => {
-            let mut r = open_capture(path);
-            capture_drops_of_seq(&mut r, seq).unwrap_or_else(|e| die_load(path, None, None, e))
-        }
-        _ => load(path).drops_of_seq(seq),
-    };
+    let drops =
+        capture_drops_of_seq(&mut open_source(path), seq).unwrap_or_else(|e| die_load(path, e));
     log_record(
         "drop_summary",
         vec![("seq", Json::from(seq)), ("drops", Json::from(drops.len()))],
@@ -555,13 +427,8 @@ fn drop_query(path: &str, seq: u64) {
 }
 
 fn energy_query(path: &str, node: u64) {
-    let timeline = match sniff(path) {
-        Format::Segmented => {
-            let mut r = open_capture(path);
-            capture_energy_of(&mut r, node).unwrap_or_else(|e| die_load(path, None, None, e))
-        }
-        _ => load(path).energy_of(node),
-    };
+    let timeline =
+        capture_energy_of(&mut open_source(path), node).unwrap_or_else(|e| die_load(path, e));
     log_record(
         "energy_summary",
         vec![
@@ -582,22 +449,14 @@ fn energy_query(path: &str, node: u64) {
 }
 
 /// Stream a recorded trace through the health monitor, event by event —
-/// the offline twin of installing the monitor as the world's sink.
-/// Accepts all three capture formats; the detector bank sees the same
-/// event sequence whichever sink recorded it, and no format ever
-/// materialises the full event list (segmented captures stream one
-/// segment at a time).
+/// the offline twin of installing the monitor as the world's sink. The
+/// detector bank sees the same event sequence whichever format holds
+/// the trace.
 fn monitor_file(path: &str) -> HealthMonitor {
     let mut monitor = HealthMonitor::with_config(HealthConfig::default());
-    match sniff(path) {
-        Format::Segmented => {
-            let mut r = open_capture(path);
-            r.scan(&ScanFilter::all(), |ev, _, _| monitor.observe(ev))
-                .unwrap_or_else(|e| die_load(path, None, None, e));
-        }
-        Format::Binary => for_each_binary_event(path, |ev, _, _| monitor.observe(&ev)),
-        Format::Jsonl => for_each_jsonl_event(path, |ev| monitor.observe(&ev)),
-    }
+    open_source(path)
+        .scan(&ScanFilter::all(), |ev, _, _| monitor.observe(ev))
+        .unwrap_or_else(|e| die_load(path, e));
     monitor.finalize();
     monitor
 }
@@ -668,11 +527,9 @@ fn log_replay_stats(path: &str, stats: &WindowReplayStats) {
 /// byte-identical whether the replay resumed from a checkpoint or
 /// (`--full-scan`) from genesis.
 fn health_window(path: &str, lo: u64, hi: u64, full_scan: bool) {
-    if sniff(path) != Format::Segmented {
+    if !is_capture(path) {
         die_load(
             path,
-            None,
-            None,
             "health --window needs a segmented capture (the segment \
              directory drives checkpoint seek and segment skipping)"
                 .to_string(),
@@ -680,7 +537,7 @@ fn health_window(path: &str, lo: u64, hi: u64, full_scan: bool) {
     }
     let mut r = open_capture(path);
     let (monitor, stats) = replay_window(&mut r, lo, hi, HealthConfig::default(), full_scan)
-        .unwrap_or_else(|e| die_load(path, None, None, e));
+        .unwrap_or_else(|e| die_load(path, e));
     for a in alerts_in_window(&monitor, lo, hi) {
         println!("{}", a.to_json());
     }
@@ -692,11 +549,9 @@ fn health_window(path: &str, lo: u64, hi: u64, full_scan: bool) {
 /// its stamp. An integer argument indexes the capture's embedded alert
 /// stream; anything else must be the alert's JSON line.
 fn explain(path: &str, which: &str, span: u64, full_scan: bool) {
-    if sniff(path) != Format::Segmented {
+    if !is_capture(path) {
         die_load(
             path,
-            None,
-            None,
             "explain needs a segmented capture (the segment directory \
              drives checkpoint seek and segment skipping)"
                 .to_string(),
@@ -707,8 +562,6 @@ fn explain(path: &str, which: &str, span: u64, full_scan: bool) {
         let Some(line) = r.alerts_jsonl().lines().nth(idx) else {
             die_load(
                 path,
-                None,
-                None,
                 format!(
                     "alert index {idx} out of range: the capture embeds {} alerts \
                      (record it through a checkpointing sink, or pass the alert's \
@@ -717,12 +570,12 @@ fn explain(path: &str, which: &str, span: u64, full_scan: bool) {
                 ),
             );
         };
-        HealthAlert::from_json_line(line).unwrap_or_else(|e| die_load(path, None, None, e))
+        HealthAlert::from_json_line(line).unwrap_or_else(|e| die_load(path, e))
     } else {
-        HealthAlert::from_json_line(which).unwrap_or_else(|e| die_load(path, None, None, e))
+        HealthAlert::from_json_line(which).unwrap_or_else(|e| die_load(path, e))
     };
     let (forensics, stats) = explain_alert(&mut r, alert, span, HealthConfig::default(), full_scan)
-        .unwrap_or_else(|e| die_load(path, None, None, e));
+        .unwrap_or_else(|e| die_load(path, e));
     print!("{}", forensics.report());
     log_replay_stats(path, &stats);
 }
@@ -736,7 +589,7 @@ fn compact(input: &str, out: &str, policy: CompactionPolicy) {
         HealthConfig::default(),
         policy,
     )
-    .unwrap_or_else(|e| die_load(input, None, None, e));
+    .unwrap_or_else(|e| die_load(input, e));
     log_record(
         "compact",
         vec![
@@ -808,19 +661,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("record") => {
-            let mut rest: Vec<&String> = args[1..].iter().collect();
-            let mut format = Format::Jsonl;
-            if rest.iter().any(|s| s.as_str() == "--bin") {
-                format = Format::Binary;
-            }
-            if rest.iter().any(|s| s.as_str() == "--seg") {
-                format = Format::Segmented;
-            }
-            rest.retain(|s| s.as_str() != "--bin" && s.as_str() != "--seg");
-            let Some(out) = rest.first() else { usage() };
-            let seed = rest.get(1).map_or(11, |s| parse_u64(s, "seed"));
-            let rounds = rest.get(2).map_or(1, |s| parse_u64(s, "rounds")) as u32;
-            record(out, seed, rounds, format);
+            let Some(out) = args.get(1) else { usage() };
+            let seed = args.get(2).map_or(11, |s| parse_u64(s, "seed"));
+            let rounds = args.get(3).map_or(1, |s| parse_u64(s, "rounds")) as u32;
+            record(out, seed, rounds);
         }
         Some("summary") => {
             let Some(path) = args.get(1) else { usage() };

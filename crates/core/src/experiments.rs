@@ -2121,13 +2121,7 @@ pub fn e9_event_stats_monitored_ring(n: usize, seed: u64) -> (u64, usize, wmsn_t
             .as_any_mut()
             .downcast_mut::<wmsn_trace::RingSink>()
             .expect("the installed sink is the ring");
-        let s = ring.stats();
-        agg.frames_written += s.frames_written;
-        agg.frames_dropped += s.frames_dropped;
-        agg.blocked_us += s.blocked_us;
-        agg.peak_chunks = agg.peak_chunks.max(s.peak_chunks);
-        agg.capacity_chunks = s.capacity_chunks;
-        agg.chunk_frames = s.chunk_frames;
+        agg.add(&ring.stats());
     }
     (events, peak, agg)
 }
@@ -2184,136 +2178,71 @@ pub fn e9_large_monitored_inline(n: usize, seed: u64, sources: usize) -> E9Large
     e9_large_round(&mut scen, base, sources)
 }
 
-/// Monitored large-scale round: the sharded kernel with one ring
-/// pipeline per shard buffering `(at, key, event)` frames off the
-/// simulation threads, then a single [`wmsn_health::HealthMonitor`]
-/// consuming the causally merged stream. The merge order is the
-/// reference emission order, so the monitor's verdicts are
+/// Monitored large-scale round on the sharded kernel. Each shard hosts
+/// one ring pipeline whose drain thread streams the shard's frames to a
+/// segmented capture `shard-<i>.wcap` under `capture_dir`; after the
+/// run a single [`wmsn_health::HealthMonitor`] consumes the k-way
+/// [`wmsn_trace::merge_captures`] merge of those files. The merge order
+/// is the reference emission order, so the monitor's verdicts are
 /// deterministic and kernel-independent — the detector bank never has
-/// to reason about shard interleaving. With `parallel = None` the
-/// reference kernel runs with one ring draining straight into the
-/// monitor (no merge step needed: a single stream is already in
-/// order).
-///
-/// With `capture_dir = Some(dir)` the trace stream is additionally (or,
-/// on the sharded kernel, *instead of* being buffered in memory)
-/// streamed to segmented capture files under `dir`: the reference
-/// kernel's single ring drains into the monitor and a
-/// [`wmsn_trace::CaptureSink`] side by side (`capture.wcap`), while the
-/// sharded kernel writes one `shard-<i>.wcap` per shard from its drain
-/// threads and the monitor consumes the k-way
-/// [`wmsn_trace::merge_captures_with`] merge of those files — same
-/// causal order as the in-memory merge, so the alert stream is
-/// unchanged, but peak memory drops from every-frame-resident to one
-/// segment per shard.
+/// to reason about shard interleaving — and peak memory is one segment
+/// per shard rather than every frame.
 ///
 /// Returns the round summary, the aggregate ring telemetry, the total
-/// alerts the monitor raised, and the capture telemetry when a
-/// `capture_dir` was given.
+/// alerts the monitor raised, and the aggregate capture telemetry.
 pub fn e9_large_monitored(
     n: usize,
     seed: u64,
     sources: usize,
-    parallel: Option<ParallelConfig>,
-    capture_dir: Option<&std::path::Path>,
+    parallel: ParallelConfig,
+    capture_dir: &std::path::Path,
 ) -> (
     E9LargeSummary,
     wmsn_trace::RingStats,
     u64,
-    Option<wmsn_trace::CaptureStats>,
+    wmsn_trace::CaptureStats,
 ) {
     let (mut scen, base) = e9_large_scenario(n, seed);
     scen.world.set_unicast_fast_path(true);
-    match parallel {
-        None => {
-            let mut sinks: Vec<Box<dyn wmsn_trace::TraceSink + Send>> = vec![Box::new(
-                wmsn_health::HealthMonitor::with_config(wmsn_health::HealthConfig::default()),
-            )];
-            if let Some(dir) = capture_dir {
-                let sink = wmsn_trace::CaptureSink::create(
-                    dir.join("capture.wcap"),
-                    wmsn_trace::CaptureConfig::default(),
-                )
-                .expect("create capture file");
-                sinks.push(Box::new(sink));
-            }
-            scen.world.set_trace_sink(wmsn_trace::RingSink::boxed(
-                wmsn_trace::RingConfig::default(),
-                sinks,
-            ));
-            let summary = e9_large_round(&mut scen, base, sources);
-            let mut sink = scen.world.take_trace_sink().expect("ring sink installed");
-            let ring = sink
-                .as_any_mut()
-                .downcast_mut::<wmsn_trace::RingSink>()
-                .expect("the installed sink is the ring");
-            let stats = ring.stats();
-            let alerts = ring
-                .with_sink_mut::<wmsn_health::HealthMonitor, _>(|m| {
-                    m.finalize();
-                    m.alerts().len() as u64
-                })
-                .expect("the ring drains into the monitor");
-            let cap = capture_dir.map(|_| {
-                ring.with_sink_mut::<wmsn_trace::CaptureSink, _>(|c| {
-                    c.set_frames_dropped(stats.frames_dropped);
-                    c.finalize()
-                })
-                .expect("the ring drains into the capture sink")
-                .expect("capture finalizes cleanly")
-            });
-            (summary, stats, alerts, cap)
-        }
-        Some(p) => {
-            let mut positions = scen.sensor_positions.clone();
-            positions.extend_from_slice(&scen.gateway_positions);
-            positions.push(scen.world.node(base).pos);
-            let assignment = strip_shards(&positions, scen.range_m, p.shards);
-            let mut scen = scen.map_world(|w| ShardedWorld::from_world(w, assignment, p.threads));
-            let mut monitor =
-                wmsn_health::HealthMonitor::with_config(wmsn_health::HealthConfig::default());
-            if let Some(dir) = capture_dir {
-                let paths = scen
-                    .world
-                    .install_capture_sinks(
-                        wmsn_trace::RingConfig::default(),
-                        wmsn_trace::CaptureConfig::default(),
-                        dir,
-                    )
-                    .expect("create per-shard capture files");
-                let summary = e9_large_round(&mut scen, base, sources);
-                let (stats, cap) = scen
-                    .world
-                    .finish_capture_sinks()
-                    .expect("capture sinks installed and finalized");
-                // One streamed pass over the k-way merge of the shard
-                // captures, in the same causal order the in-memory
-                // merge produces: one segment per shard resident.
-                let mut cursors: Vec<_> = paths
-                    .iter()
-                    .map(|p| wmsn_trace::CaptureCursor::open(p).expect("open shard capture"))
-                    .collect();
-                wmsn_trace::merge_captures_with(&mut cursors, |ev| monitor.observe(ev))
-                    .expect("merge shard captures");
-                monitor.finalize();
-                (summary, stats, monitor.alerts().len() as u64, Some(cap))
-            } else {
-                scen.world
-                    .install_ring_sinks(wmsn_trace::RingConfig::default());
-                let summary = e9_large_round(&mut scen, base, sources);
-                let (frames, stats) = scen
-                    .world
-                    .finish_ring_frames()
-                    .expect("ring sinks installed");
-                // One streamed pass in the merged causal order: the monitor
-                // only needs the order, not a materialised gigabyte-scale
-                // merged Vec.
-                wmsn_trace::merge_keyed_events_with(frames, |ev| monitor.observe(ev));
-                monitor.finalize();
-                (summary, stats, monitor.alerts().len() as u64, None)
-            }
-        }
+    let mut positions = scen.sensor_positions.clone();
+    positions.extend_from_slice(&scen.gateway_positions);
+    positions.push(scen.world.node(base).pos);
+    let assignment = strip_shards(&positions, scen.range_m, parallel.shards);
+    let mut scen = scen.map_world(|w| ShardedWorld::from_world(w, assignment, parallel.threads));
+    let paths: Vec<_> = (0..scen.world.shard_count())
+        .map(|i| capture_dir.join(format!("shard-{i}.wcap")))
+        .collect();
+    scen.world.install_shard_sinks(|i| {
+        let sink = wmsn_trace::CaptureSink::create(&paths[i], wmsn_trace::CaptureConfig::default())
+            .expect("create shard capture file");
+        wmsn_trace::RingSink::boxed(wmsn_trace::RingConfig::default(), vec![Box::new(sink)])
+    });
+    let summary = e9_large_round(&mut scen, base, sources);
+    let mut stats = wmsn_trace::RingStats::default();
+    let mut cap = wmsn_trace::CaptureStats::default();
+    for mut sink in scen
+        .world
+        .take_shard_sinks()
+        .expect("shard sinks installed")
+    {
+        let (s, c) = sink
+            .as_any_mut()
+            .downcast_mut::<wmsn_trace::RingSink>()
+            .and_then(wmsn_trace::RingSink::finalize_capture)
+            .expect("each shard ring finalizes its capture");
+        stats.add(&s);
+        cap.add(&c);
+        // Dropping the sink closes the ring and joins its drain.
     }
+    let readers = paths
+        .iter()
+        .map(wmsn_trace::CaptureReader::open)
+        .collect::<Result<Vec<_>, _>>()
+        .expect("open shard captures");
+    let mut monitor = wmsn_health::HealthMonitor::with_config(wmsn_health::HealthConfig::default());
+    wmsn_trace::merge_captures(readers, |ev| monitor.observe(ev)).expect("merge shard captures");
+    monitor.finalize();
+    (summary, stats, monitor.alerts().len() as u64, cap)
 }
 
 #[cfg(test)]

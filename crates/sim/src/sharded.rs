@@ -68,9 +68,7 @@ use crate::node::{Ctx, NodeState};
 use crate::time::SimTime;
 use crate::world::{RemoteEvent, World};
 use std::sync::Mutex;
-use wmsn_trace::capture::{CaptureConfig, CaptureSink, CaptureStats};
-use wmsn_trace::ring::{merge_keyed_events, FrameBufferSink, RingConfig, RingSink, RingStats};
-use wmsn_trace::{KeyedBufferSink, TraceEvent};
+use wmsn_trace::TraceSink;
 use wmsn_util::pool::bsp_run;
 use wmsn_util::{NodeId, NodeRole, Point};
 
@@ -161,7 +159,7 @@ impl ShardedWorld {
     ///
     /// Panics if the world was already started, has pending events, has
     /// a trace sink installed (install per-shard sinks afterwards via
-    /// [`ShardedWorld::install_trace_sinks`]), or uses a non-ideal
+    /// [`ShardedWorld::install_shard_sinks`]), or uses a non-ideal
     /// medium (see module docs for why loss/collisions/CSMA are outside
     /// the equivalence envelope).
     pub fn from_world(world: World, assignment: Vec<u16>, threads: usize) -> Self {
@@ -175,7 +173,7 @@ impl ShardedWorld {
         );
         assert!(
             world.core.trace.is_none(),
-            "install per-shard sinks via ShardedWorld::install_trace_sinks, not on the donor world"
+            "install per-shard sinks via ShardedWorld::install_shard_sinks, not on the donor world"
         );
         assert_eq!(
             assignment.len(),
@@ -494,157 +492,29 @@ impl ShardedWorld {
             .behavior_as(id)
     }
 
-    /// Install one [`KeyedBufferSink`] per shard. Retrieve the merged
-    /// stream with [`ShardedWorld::take_merged_trace`].
-    pub fn install_trace_sinks(&mut self) {
-        for cell in &mut self.shards {
-            cell.0.set_trace_sink(Box::new(KeyedBufferSink::new()));
-        }
-    }
-
-    /// Remove the per-shard sinks and merge their captures into the
-    /// byte-exact JSONL stream a single-threaded traced run produces
-    /// (sorted by `(at, key, capture index)` — see
-    /// [`wmsn_trace::merge_keyed_traces`]). `None` if
-    /// [`ShardedWorld::install_trace_sinks`] was never called.
-    pub fn take_merged_trace(&mut self) -> Option<String> {
-        let mut sinks = Vec::with_capacity(self.shards.len());
-        for cell in &mut self.shards {
-            let sink = cell.0.take_trace_sink()?;
-            let sink = sink
-                .as_any()
-                .downcast_ref::<KeyedBufferSink>()
-                .expect("install_trace_sinks installs KeyedBufferSink");
-            sinks.push(KeyedBufferSink {
-                entries: sink.entries.clone(),
-            });
-        }
-        Some(wmsn_trace::merge_keyed_traces(sinks))
-    }
-
-    /// Install one ring pipeline per shard: each shard's hot path only
-    /// copies `TraceEvent` frames into its own bounded ring, and a
-    /// per-shard drain thread buffers them (with their causal `(at,
-    /// key)` stamps) off the simulation threads. Retrieve the merged
-    /// stream with [`ShardedWorld::finish_ring_sinks`].
-    ///
-    /// Rings are strictly per-shard — a shard's world is the sole
-    /// producer on its ring — so the SPSC discipline holds no matter
-    /// which pool worker executes the shard in a given window.
-    pub fn install_ring_sinks(&mut self, cfg: RingConfig) {
-        for cell in &mut self.shards {
-            cell.0
-                .set_trace_sink(RingSink::boxed(cfg, vec![Box::new(FrameBufferSink::new())]));
-        }
-    }
-
-    /// Stop the per-shard ring pipelines and merge their frames by
-    /// `(at, key, capture index)` — the same total order
-    /// [`ShardedWorld::take_merged_trace`] uses for JSONL — into the
-    /// exact event sequence a single-threaded traced run emits, plus
-    /// aggregate ring telemetry (counters summed, peak occupancy
-    /// maxed). `None` if [`ShardedWorld::install_ring_sinks`] was never
-    /// called.
-    pub fn finish_ring_sinks(&mut self) -> Option<(Vec<TraceEvent>, RingStats)> {
-        let (frames, agg) = self.finish_ring_frames()?;
-        Some((merge_keyed_events(frames), agg))
-    }
-
-    /// Install one ring pipeline per shard draining into a
-    /// [`wmsn_trace::CaptureSink`] that streams the shard's frames to a
-    /// segmented capture file `shard-<i>.wcap` under `dir` — the
-    /// disk-backed variant of [`ShardedWorld::install_ring_sinks`]:
-    /// same per-shard SPSC discipline, but frames land on disk (encoded
-    /// and written on the drain thread) instead of accumulating in
-    /// memory. Returns the per-shard capture paths, in shard order;
-    /// merge them after the run with `wmsn_trace::merge_captures_with`.
-    pub fn install_capture_sinks(
-        &mut self,
-        cfg: RingConfig,
-        capture_cfg: CaptureConfig,
-        dir: &std::path::Path,
-    ) -> std::io::Result<Vec<std::path::PathBuf>> {
-        let mut paths = Vec::with_capacity(self.shards.len());
+    /// Install one trace sink per shard, built by `make(shard_index)`.
+    /// Each shard's world emits its own events, stamped with their
+    /// causal `(at, key)`, into its sink; a sink that keeps the stamps
+    /// (a `FrameBufferSink`, or a `CaptureSink` — typically behind a
+    /// per-shard `RingSink`, whose SPSC discipline holds because a
+    /// shard's world is its only producer) can be merged back into the
+    /// reference emission order with `wmsn_trace::merge_frame_buffers`
+    /// or `wmsn_trace::merge_captures`.
+    pub fn install_shard_sinks(&mut self, mut make: impl FnMut(usize) -> Box<dyn TraceSink>) {
         for (i, cell) in self.shards.iter_mut().enumerate() {
-            let path = dir.join(format!("shard-{i}.wcap"));
-            let sink = CaptureSink::create(&path, capture_cfg)?;
-            cell.0
-                .set_trace_sink(RingSink::boxed(cfg, vec![Box::new(sink)]));
-            paths.push(path);
+            cell.0.set_trace_sink(make(i));
         }
-        Ok(paths)
     }
 
-    /// Stop the per-shard capture pipelines: barrier each ring, record
-    /// its drop count in the capture trailer, finalize the footer, and
-    /// return aggregate ring telemetry plus aggregate capture telemetry
-    /// (frames/segments/bytes summed). `None` if
-    /// [`ShardedWorld::install_capture_sinks`] was never called or any
-    /// capture hit a write error (its file is untrustworthy).
-    pub fn finish_capture_sinks(&mut self) -> Option<(RingStats, CaptureStats)> {
-        let mut agg = RingStats::default();
-        let mut cap = CaptureStats::default();
-        for cell in &mut self.shards {
-            // take_trace_sink flushes, which for a RingSink is the
-            // barrier: the drain has delivered everything on return.
-            let mut sink = cell.0.take_trace_sink()?;
-            let ring = sink
-                .as_any_mut()
-                .downcast_mut::<RingSink>()
-                .expect("install_capture_sinks installs RingSink");
-            let s = ring.stats();
-            let shard_cap = ring.with_sink_mut::<CaptureSink, _>(|c| {
-                c.set_frames_dropped(s.frames_dropped);
-                c.finalize()
-            })?;
-            let shard_cap = shard_cap?;
-            agg.frames_written += s.frames_written;
-            agg.frames_dropped += s.frames_dropped;
-            agg.blocked_us += s.blocked_us;
-            agg.peak_chunks = agg.peak_chunks.max(s.peak_chunks);
-            agg.capacity_chunks = s.capacity_chunks;
-            agg.chunk_frames = s.chunk_frames;
-            cap.frames += shard_cap.frames;
-            cap.segments += shard_cap.segments;
-            cap.bytes += shard_cap.bytes;
-            cap.frames_dropped += shard_cap.frames_dropped;
-            // Dropping the sink closes the ring and joins its drain.
-        }
-        Some((agg, cap))
-    }
-
-    /// Like [`ShardedWorld::finish_ring_sinks`], but hand back the raw
-    /// per-shard `(at, key, event)` captures without merging. Callers
-    /// that only need one ordered pass over the merged stream — feeding
-    /// a detector bank, serialising to a file — should pass these to
-    /// `wmsn_trace::merge_keyed_events_with` instead of materialising
-    /// the merged `Vec` (a gigabyte of fresh pages at n=100k).
-    #[allow(clippy::type_complexity)]
-    pub fn finish_ring_frames(&mut self) -> Option<(Vec<Vec<(u64, u64, TraceEvent)>>, RingStats)> {
-        let mut shard_frames = Vec::with_capacity(self.shards.len());
-        let mut agg = RingStats::default();
-        for cell in &mut self.shards {
-            // take_trace_sink flushes, which for a RingSink is the
-            // barrier: the drain has delivered everything on return.
-            let mut sink = cell.0.take_trace_sink()?;
-            let ring = sink
-                .as_any_mut()
-                .downcast_mut::<RingSink>()
-                .expect("install_ring_sinks installs RingSink");
-            let entries = ring
-                .with_sink_mut::<FrameBufferSink, _>(|b| std::mem::take(&mut b.entries))
-                .expect("ring drains into FrameBufferSink");
-            let s = ring.stats();
-            agg.frames_written += s.frames_written;
-            agg.frames_dropped += s.frames_dropped;
-            agg.blocked_us += s.blocked_us;
-            agg.peak_chunks = agg.peak_chunks.max(s.peak_chunks);
-            agg.capacity_chunks = s.capacity_chunks;
-            agg.chunk_frames = s.chunk_frames;
-            shard_frames.push(entries);
-            // Dropping the sink closes the ring and joins its drain.
-        }
-        Some((shard_frames, agg))
+    /// Take the per-shard sinks back, in shard order. Each is flushed
+    /// on the way out — for a `RingSink` that is the drain barrier, so
+    /// its downstream sinks have seen every frame. `None` if
+    /// [`ShardedWorld::install_shard_sinks`] was never called.
+    pub fn take_shard_sinks(&mut self) -> Option<Vec<Box<dyn TraceSink>>> {
+        self.shards
+            .iter_mut()
+            .map(|cell| cell.0.take_trace_sink())
+            .collect()
     }
 
     /// Total events processed across all shards. **Not** equivalent to
@@ -853,9 +723,22 @@ mod tests {
 
         let assignment: Vec<u16> = (0..10).map(|i| (i % 2) as u16).collect();
         let mut sw = ShardedWorld::from_world(line_world(10), assignment, 2);
-        sw.install_trace_sinks();
+        sw.install_shard_sinks(|_| Box::new(wmsn_trace::FrameBufferSink::new()));
         sw.run_until(500_000);
-        let got = sw.take_merged_trace().unwrap();
+        let buffers = sw
+            .take_shard_sinks()
+            .unwrap()
+            .into_iter()
+            .map(|mut sink| {
+                let b = sink
+                    .as_any_mut()
+                    .downcast_mut::<wmsn_trace::FrameBufferSink>();
+                std::mem::take(&mut b.unwrap().entries)
+            })
+            .collect();
+        let mut got = String::new();
+        wmsn_trace::merge_frame_buffers(buffers, |ev| got.push_str(&format!("{}\n", ev.to_json())))
+            .unwrap();
         assert_eq!(&got, want, "merged shard trace must be byte-identical");
     }
 

@@ -1,21 +1,16 @@
-//! Disk-backed segmented trace captures with a block index.
+//! Disk-backed segmented trace captures with a block index — the one
+//! on-disk binary trace format.
 //!
-//! The flat binary capture (see [`crate::frame`]) is just header +
-//! frames: reading *anything* out of it means decoding every frame, and
-//! the only practical consumer pattern at n=100k scale —
-//! [`crate::frame::read_binary_trace`] — materialises tens of millions
-//! of events in memory. This module is the scale-ready form: the same
-//! 64-byte frames, grouped into fixed-size **segments**, with a
-//! per-segment index entry and a footer that lets a reader seek — so
-//! queries run in O(one segment) memory and skip whole segments the
-//! index proves irrelevant.
+//! A capture holds the 64-byte frames of [`crate::frame`], grouped into
+//! fixed-size **segments**, with a per-segment index entry and a footer
+//! that lets a reader seek — so queries run in O(one segment) memory
+//! and skip whole segments the index proves irrelevant.
 //!
 //! # File layout (version 2, little-endian)
 //!
 //! ```text
 //! header    16 B  CAPTURE_MAGIC (8) · version u32 · frame_len u32
-//! segment   N×64 B back-to-back frames (frame codec identical to the
-//!                 flat capture — PR 7's encode/decode is reused as-is)
+//! segment   N×64 B back-to-back frames ([`crate::frame`]'s codec)
 //! ...             (last segment may hold fewer than segment_frames)
 //! extension       optional (absent iff trailer ext_offset == 0):
 //!                   EXT_MAGIC (8) · checkpoints u32 · alerts_len u32
@@ -76,17 +71,16 @@
 
 use crate::event::TraceEvent;
 use crate::frame::{decode_frame, encode_frame, event_tag, tag_name, FRAME_LEN, TAG_COUNT};
-use crate::replay::{DropRecord, MessagePath, PathHop};
+use crate::merge::Frame;
+use crate::replay::EventSource;
 use crate::sink::TraceSink;
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use wmsn_util::NodeId;
 
-/// Magic bytes opening a segmented trace capture (`S` = segmented; the
-/// flat capture uses `WMSNTRB\0`).
+/// Magic bytes opening a segmented trace capture.
 pub const CAPTURE_MAGIC: [u8; 8] = *b"WMSNTRS\0";
 /// Magic bytes closing the capture trailer.
 pub const TRAILER_MAGIC: [u8; 8] = *b"WMSNTRF\0";
@@ -99,8 +93,7 @@ pub const CAPTURE_VERSION: u32 = 2;
 /// Sentinel `offset` of a compacted segment's directory entry: the
 /// index entry is intact but the frame data has been removed.
 pub const COMPACTED_OFFSET: u64 = u64::MAX;
-/// Size of the capture header, bytes (same shape as the flat capture:
-/// magic, version, frame length).
+/// Size of the capture header, bytes (magic, version, frame length).
 pub const CAPTURE_HEADER_LEN: usize = 16;
 /// Size of one segment-directory entry, bytes.
 pub const SEGMENT_ENTRY_LEN: usize = 128;
@@ -141,6 +134,17 @@ pub struct CaptureStats {
     pub bytes: u64,
     /// Producer-side ring drops recorded in the trailer.
     pub frames_dropped: u64,
+}
+
+impl CaptureStats {
+    /// Fold another capture's telemetry into this aggregate (every
+    /// field sums).
+    pub fn add(&mut self, s: &CaptureStats) {
+        self.frames += s.frames;
+        self.segments += s.segments;
+        self.bytes += s.bytes;
+        self.frames_dropped += s.frames_dropped;
+    }
 }
 
 /// One segment's directory entry: where it is, what it spans, and
@@ -265,7 +269,9 @@ fn visit_event_nodes(ev: &TraceEvent, mut f: impl FnMut(NodeId)) {
     }
 }
 
-/// Whether an event mentions `id` in any of its node fields.
+/// Whether an event mentions `id` in any of its node fields. Runs once
+/// per decoded frame of a node-filtered scan, hence `#[inline]`.
+#[inline]
 fn event_mentions(ev: &TraceEvent, id: NodeId) -> bool {
     let mut hit = false;
     visit_event_nodes(ev, |n| hit |= n == id);
@@ -632,7 +638,11 @@ impl ScanFilter {
         true
     }
 
-    fn admits_frame(&self, ev: &TraceEvent, at: u64) -> bool {
+    /// Exact per-frame check. Runs once per decoded frame, so it is
+    /// `#[inline]`: scan loops are instantiated in the calling crate,
+    /// where this would otherwise stay an out-of-line call.
+    #[inline]
+    pub(crate) fn admits_frame(&self, ev: &TraceEvent, at: u64) -> bool {
         if let Some((lo, hi)) = self.at_range {
             if at < lo || at > hi {
                 return false;
@@ -975,291 +985,67 @@ impl<R: Read + Seek> CaptureReader<R> {
     }
 }
 
-// ----------------------------------------------------------- queries --
-
-/// Event counts by variant name — answered from the index alone (no
-/// frame is decoded). Identical to `Replay::counts` over the same
-/// events: the writer counts from the very events it encodes.
-pub fn capture_counts<R: Read + Seek>(r: &CaptureReader<R>) -> BTreeMap<String, u64> {
-    let mut totals = [0u64; TAG_COUNT];
-    for seg in r.segments() {
-        for (i, &c) in seg.kind_counts.iter().enumerate() {
-            totals[i] += c as u64;
-        }
-    }
-    let mut out = BTreeMap::new();
-    for (i, &n) in totals.iter().enumerate() {
-        if n > 0 {
-            out.insert(tag_name(i as u8 + 1).expect("tag in range").to_string(), n);
-        }
-    }
-    out
-}
-
-/// Streaming twin of `Replay::path_of`: reconstruct the hop-by-hop path
-/// of message `(origin, msg_id)` scanning only segments that contain
-/// forward/deliver frames mentioning `origin`.
-pub fn capture_path_of<R: Read + Seek>(
-    r: &mut CaptureReader<R>,
-    origin: u64,
-    msg_id: u64,
-) -> Result<Option<MessagePath>, String> {
-    let Ok(origin_id) = u32::try_from(origin) else {
-        return Ok(None); // node ids are u32; a larger origin matches nothing
-    };
-    let filter = ScanFilter::all()
-        .with_kind_names(&["forward", "deliver"])
-        .with_node(NodeId(origin_id));
-    let mut path = MessagePath::default();
-    r.scan(&filter, |ev, _, _| match *ev {
-        TraceEvent::Forward {
-            t,
-            node,
-            origin: o,
-            msg_id: m,
-            next,
-            hops,
-        } if (o.0 as u64, m) == (origin, msg_id) => {
-            path.hops.push(PathHop {
-                t,
-                node: node.0 as u64,
-                next: next.map(|n| n.0 as u64),
-                hops: hops as u64,
-            });
-        }
-        TraceEvent::Deliver {
-            t,
-            node,
-            origin: o,
-            msg_id: m,
-            hops,
-            latency_us,
-        } if (o.0 as u64, m) == (origin, msg_id) && path.delivered.is_none() => {
-            path.delivered = Some((t, node.0 as u64, hops as u64, latency_us));
-        }
-        _ => {}
-    })?;
-    Ok(if path.hops.is_empty() && path.delivered.is_none() {
-        None
-    } else {
-        Some(path)
-    })
-}
-
-/// Streaming twin of `Replay::drops_of_seq`: every drop of frame `seq`,
-/// in file order, scanning only segments containing drop frames.
-pub fn capture_drops_of_seq<R: Read + Seek>(
-    r: &mut CaptureReader<R>,
-    seq: u64,
-) -> Result<Vec<DropRecord>, String> {
-    let filter = ScanFilter::all().with_kind_names(&["drop"]);
-    let mut out = Vec::new();
-    r.scan(&filter, |ev, _, _| {
-        if let TraceEvent::Drop {
-            t,
-            seq: s,
-            node,
-            cause,
-        } = *ev
-        {
-            if s == seq {
-                out.push((t, node.0 as u64, cause.as_str().to_string()));
+impl<R: Read + Seek> EventSource for CaptureReader<R> {
+    /// Event counts per wire tag, from the index alone: the writer
+    /// counts the very events it encodes, so no frame is decoded.
+    fn tag_counts(&self) -> [u64; TAG_COUNT] {
+        let mut totals = [0u64; TAG_COUNT];
+        for seg in &self.dir {
+            for (t, &c) in totals.iter_mut().zip(&seg.kind_counts) {
+                *t += c as u64;
             }
         }
-    })?;
-    Ok(out)
+        totals
+    }
+
+    fn scan<F: FnMut(&TraceEvent, u64, u64)>(
+        &mut self,
+        filter: &ScanFilter,
+        f: F,
+    ) -> Result<ScanStats, String> {
+        CaptureReader::scan(self, filter, f)
+    }
 }
 
-/// Streaming twin of `Replay::energy_of`: one node's cumulative energy
-/// timeline, scanning only segments containing energy frames that
-/// mention the node.
-pub fn capture_energy_of<R: Read + Seek>(
-    r: &mut CaptureReader<R>,
-    node: u64,
-) -> Result<Vec<(u64, f64)>, String> {
-    let Ok(node_id) = u32::try_from(node) else {
-        return Ok(Vec::new());
-    };
-    let filter = ScanFilter::all()
-        .with_kind_names(&["energy"])
-        .with_node(NodeId(node_id));
-    let mut out = Vec::new();
-    r.scan(&filter, |ev, _, _| {
-        if let TraceEvent::Energy {
-            t,
-            node: n,
-            consumed_j,
-        } = *ev
-        {
-            if n.0 as u64 == node {
-                out.push((t, consumed_j));
-            }
+impl<R: Read + Seek> CaptureReader<R> {
+    /// Every frame in file order, one segment resident at a time — the
+    /// pull form of [`CaptureReader::scan`] that [`crate::merge`]
+    /// merges per-shard captures from.
+    pub(crate) fn into_frames(self) -> CaptureFrames<R> {
+        CaptureFrames {
+            reader: self,
+            seg: 0,
+            frame: 0,
         }
-    })?;
-    Ok(out)
+    }
 }
 
-// ------------------------------------------------------------- merge --
-
-/// Pull-style frame cursor over a capture, for k-way merging of
-/// per-shard captures. Yields frames in `(at, key)` order.
-///
-/// A shard's event loop is time-ordered, so its capture stream is
-/// `at`-monotone by construction (a regression is a hard error — the
-/// file is not a shard capture). Within one `at` microsecond, though,
-/// the shard wheel executes events in insertion order, not key order,
-/// so a shard stream can contain *key* inversions inside an equal-`at`
-/// run. The in-memory merge ([`crate::merge_keyed_events_with`])
-/// handles those with a sort-based fallback; the cursor does the
-/// bounded-memory equivalent — it buffers one equal-`at` run at a time
-/// and stably sorts it by key (capture order kept for equal keys),
-/// which reproduces the same `(at, key, capture order)` total order
-/// without ever sorting the full stream. Memory is one segment plus
-/// the current run.
-#[derive(Debug)]
-pub struct CaptureCursor<R: Read + Seek> {
+/// Iterator returned by [`CaptureReader::into_frames`].
+pub(crate) struct CaptureFrames<R: Read + Seek> {
     reader: CaptureReader<R>,
-    seg_idx: usize,
-    frame_idx: usize,
-    /// The current equal-`at` run, key-sorted; front is the next frame.
-    run: std::collections::VecDeque<(TraceEvent, u64, u64)>,
-    /// First frame of the *next* run, read while delimiting this one.
-    pending: Option<(TraceEvent, u64, u64)>,
-    last_at: Option<u64>,
+    seg: usize,
+    frame: usize,
 }
 
-impl CaptureCursor<BufReader<File>> {
-    /// Open a capture file as a cursor.
-    pub fn open(path: impl AsRef<Path>) -> Result<CaptureCursor<BufReader<File>>, String> {
-        CaptureCursor::new(CaptureReader::open(path)?)
-    }
-}
+impl<R: Read + Seek> Iterator for CaptureFrames<R> {
+    type Item = Result<Frame, String>;
 
-impl<R: Read + Seek> CaptureCursor<R> {
-    /// Position a cursor at the reader's first frame.
-    pub fn new(reader: CaptureReader<R>) -> Result<CaptureCursor<R>, String> {
-        let mut c = CaptureCursor {
-            reader,
-            seg_idx: 0,
-            frame_idx: 0,
-            run: std::collections::VecDeque::new(),
-            pending: None,
-            last_at: None,
-        };
-        c.refill()?;
-        Ok(c)
-    }
-
-    /// The underlying reader's trailer drop count.
-    pub fn frames_dropped(&self) -> u64 {
-        self.reader.frames_dropped()
-    }
-
-    /// Next frame in raw capture order, enforcing `at` monotonicity.
-    fn raw_next(&mut self) -> Result<Option<(TraceEvent, u64, u64)>, String> {
-        loop {
-            if self.seg_idx >= self.reader.segments().len() {
-                return Ok(None);
-            }
-            let frames = self.reader.segments()[self.seg_idx].frames as usize;
-            if self.frame_idx == 0 {
-                self.reader.load_segment(self.seg_idx)?;
-            }
-            if self.frame_idx < frames {
-                let decoded = self.reader.decode_loaded(self.seg_idx, self.frame_idx)?;
-                self.frame_idx += 1;
-                if self.last_at.is_some_and(|a| decoded.1 < a) {
-                    return Err(format!(
-                        "capture `at` not monotone at segment {} frame {}",
-                        self.seg_idx,
-                        self.frame_idx - 1
-                    ));
-                }
-                self.last_at = Some(decoded.1);
-                return Ok(Some(decoded));
-            }
-            self.seg_idx += 1;
-            self.frame_idx = 0;
-        }
-    }
-
-    /// Load the next equal-`at` run and key-sort it (no-op if one is
-    /// already buffered). Maintains the invariant that `run` is
-    /// non-empty unless the capture is exhausted.
-    fn refill(&mut self) -> Result<(), String> {
-        if !self.run.is_empty() {
-            return Ok(());
-        }
-        let first = match self.pending.take() {
-            Some(f) => f,
-            None => match self.raw_next()? {
-                Some(f) => f,
-                None => return Ok(()),
-            },
-        };
-        let at = first.1;
-        let mut run = vec![first];
-        loop {
-            match self.raw_next()? {
-                Some(f) if f.1 == at => run.push(f),
-                Some(f) => {
-                    self.pending = Some(f);
-                    break;
-                }
-                None => break,
-            }
-        }
-        // Stable: equal (at, key) frames keep capture order, matching
-        // the in-memory merge's (at, key, capture index) sort key.
-        run.sort_by_key(|f| f.2);
-        self.run = run.into();
-        Ok(())
-    }
-
-    /// The `(at, key)` of the next frame, if any (no I/O).
-    pub fn peek_pos(&self) -> Option<(u64, u64)> {
-        self.run.front().map(|&(_, at, key)| (at, key))
-    }
-
-    /// Consume and return the next frame; `Ok(None)` at end of capture.
-    #[allow(clippy::type_complexity)]
-    pub fn advance(&mut self) -> Result<Option<(TraceEvent, u64, u64)>, String> {
-        let cur = self.run.pop_front();
-        if cur.is_some() {
-            self.refill()?;
-        }
-        Ok(cur)
-    }
-}
-
-/// K-way merge of per-shard capture files into the `(at, key)` total
-/// order — the disk-backed twin of
-/// [`crate::ring::merge_keyed_events_with`], same order semantics
-/// (equal `(at, key)` never spans shards, so first-minimal-cursor-wins
-/// reproduces the reference emission order; each cursor key-sorts its
-/// equal-`at` runs, the bounded-memory twin of the in-memory merge's
-/// sort fallback). Memory is one segment plus one equal-`at` run per
-/// shard. Returns the merged frame count.
-pub fn merge_captures_with<R: Read + Seek, F: FnMut(&TraceEvent)>(
-    cursors: &mut [CaptureCursor<R>],
-    mut f: F,
-) -> Result<u64, String> {
-    let mut merged = 0u64;
-    loop {
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if let Some((at, key)) = c.peek_pos() {
-                if best.is_none_or(|(ba, bk, _)| (at, key) < (ba, bk)) {
-                    best = Some((at, key, i));
+    fn next(&mut self) -> Option<Self::Item> {
+        while let Some(frames) = self.reader.dir.get(self.seg).map(|m| m.frames as usize) {
+            if self.frame == 0 {
+                if let Err(e) = self.reader.load_segment(self.seg) {
+                    return Some(Err(e));
                 }
             }
+            if self.frame < frames {
+                let decoded = self.reader.decode_loaded(self.seg, self.frame);
+                self.frame += 1;
+                return Some(decoded);
+            }
+            self.seg += 1;
+            self.frame = 0;
         }
-        let Some((_, _, i)) = best else {
-            return Ok(merged);
-        };
-        let (ev, _, _) = cursors[i].advance()?.expect("peeked frame exists");
-        f(&ev);
-        merged += 1;
+        None
     }
 }
 
@@ -1267,8 +1053,11 @@ pub fn merge_captures_with<R: Read + Seek, F: FnMut(&TraceEvent)>(
 mod tests {
     use super::*;
     use crate::frame::tests::exhaustive_events;
-    use crate::replay::Replay;
-    use crate::ring::merge_keyed_events;
+    use crate::merge::tests::oracle;
+    use crate::merge::{merge_captures, merge_frame_buffers};
+    use crate::replay::{
+        capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, Replay,
+    };
     use std::io::Cursor;
 
     /// A deterministic mixed stream: several copies of the exhaustive
@@ -1310,7 +1099,6 @@ mod tests {
         assert_eq!(stats.bytes, bytes.len() as u64);
         assert_eq!(stats.frames_dropped, 5);
         assert!(is_segmented_capture(&bytes));
-        assert!(!crate::frame::is_binary_capture(&bytes));
 
         let mut r = CaptureReader::new(Cursor::new(bytes)).expect("open");
         assert_eq!(r.frames(), frames.len() as u64);
@@ -1500,29 +1288,35 @@ mod tests {
             frames.push((ev, 1000 + i as u64, i as u64));
         }
         let events: Vec<TraceEvent> = frames.iter().map(|f| f.0).collect();
-        let replay = Replay::from_events(&events);
+        let mut replay = Replay::from_events(&events);
         let mut r = CaptureReader::new(Cursor::new(write_capture(&frames, 5))).expect("open");
 
-        assert_eq!(capture_counts(&r), replay.counts());
+        // The index-skipping reader and the unindexed in-memory source
+        // answer every query identically.
+        assert_eq!(capture_counts(&r), capture_counts(&replay));
         assert_eq!(r.frames() as usize, replay.len());
         for (origin, msg_id) in [(5u64, 9u64), (5, 99), (1, 11), (123456, 1), (u64::MAX, 0)] {
             assert_eq!(
                 capture_path_of(&mut r, origin, msg_id).expect("scan"),
-                replay.path_of(origin, msg_id),
+                capture_path_of(&mut replay, origin, msg_id).expect("scan"),
                 "path {origin}/{msg_id}"
             );
         }
+        let path = capture_path_of(&mut r, 5, 9).expect("scan").expect("found");
+        assert_eq!(path.hops.len(), 2);
+        assert_eq!(path.delivered, Some((520, 9, 2, 20)));
         for seq in [42u64, 9, u64::MAX, 7] {
             assert_eq!(
                 capture_drops_of_seq(&mut r, seq).expect("scan"),
-                replay.drops_of_seq(seq),
+                capture_drops_of_seq(&mut replay, seq).expect("scan"),
                 "drops {seq}"
             );
         }
+        assert_eq!(capture_drops_of_seq(&mut r, 42).expect("scan").len(), 2);
         for node in [7u64, 4, 2, 999, u64::MAX] {
             assert_eq!(
                 capture_energy_of(&mut r, node).expect("scan"),
-                replay.energy_of(node),
+                capture_energy_of(&mut replay, node).expect("scan"),
                 "energy {node}"
             );
         }
@@ -1530,28 +1324,29 @@ mod tests {
 
     #[test]
     fn cursor_merge_matches_in_memory_merge() {
-        // Split a causally-stamped stream across two "shards" by node
+        // Split a causally-stamped stream across two "shards" by key
         // parity — each shard's stream stays (at, key)-sorted — and
-        // check the disk merge equals the in-memory reference merge.
+        // check the disk merge and the in-memory merge both equal the
+        // stable-sort oracle.
         let frames = stream(3);
         let (a, b): (Vec<_>, Vec<_>) = frames.iter().copied().partition(|(_, _, key)| key & 1 == 0);
-        let shards: Vec<Vec<(u64, u64, TraceEvent)>> = [&a, &b]
+        let want = oracle(&[a.clone(), b.clone()]);
+        assert_eq!(want, frames.iter().map(|f| f.0).collect::<Vec<_>>());
+
+        let buffers = [&a, &b]
             .iter()
             .map(|s| s.iter().map(|&(ev, at, key)| (at, key, ev)).collect())
             .collect();
-        let want = merge_keyed_events(shards);
+        let mut in_memory = Vec::new();
+        merge_frame_buffers(buffers, |ev| in_memory.push(*ev)).expect("merge");
+        assert_eq!(in_memory, want);
 
-        let mut cursors: Vec<CaptureCursor<Cursor<Vec<u8>>>> = [&a, &b]
+        let readers = [&a, &b]
             .iter()
-            .map(|s| {
-                CaptureCursor::new(
-                    CaptureReader::new(Cursor::new(write_capture(s, 4))).expect("open"),
-                )
-                .expect("cursor")
-            })
+            .map(|s| CaptureReader::new(Cursor::new(write_capture(s, 4))).expect("open"))
             .collect();
         let mut got = Vec::new();
-        let n = merge_captures_with(&mut cursors, |ev| got.push(*ev)).expect("merge");
+        let n = merge_captures(readers, |ev| got.push(*ev)).expect("merge");
         assert_eq!(n as usize, want.len());
         assert_eq!(got, want);
     }
@@ -1579,7 +1374,7 @@ mod tests {
             ),
         ];
         let r = CaptureReader::new(Cursor::new(write_capture(&frames, 8))).expect("open");
-        let err = CaptureCursor::new(r).unwrap_err();
+        let err = merge_captures(vec![r], |_| {}).unwrap_err();
         assert!(err.contains("`at` not monotone"), "{err}");
     }
 
@@ -1587,16 +1382,16 @@ mod tests {
     fn cursor_key_sorts_equal_at_runs() {
         // A shard wheel executes same-microsecond events in insertion
         // order, so a shard capture can carry key inversions *within*
-        // an equal-`at` run. The cursor must heal those (yielding the
-        // same (at, key, capture order) total order the in-memory
-        // merge's sort fallback produces), while `at` regressions stay
-        // hard errors (previous test).
+        // an equal-`at` run. The merge must heal those into the
+        // (at, key, capture order) total order, while `at` regressions
+        // stay hard errors (previous test).
         let rx = |t: u64, seq: u64| TraceEvent::Rx {
             t,
             seq,
             node: NodeId(1),
         };
-        // at=5 run arrives with keys 9, 2, 9 — unsorted, with a dup.
+        // at=5 run arrives with keys 9, 2, 9 — unsorted, with a dup —
+        // and straddles a 2-frame segment boundary.
         let frames = vec![
             (rx(1, 0), 1, 7),
             (rx(5, 1), 5, 9),
@@ -1604,24 +1399,29 @@ mod tests {
             (rx(5, 3), 5, 9),
             (rx(8, 4), 8, 1),
         ];
-        let in_memory = merge_keyed_events(vec![frames
-            .iter()
-            .map(|&(ev, at, key)| (at, key, ev))
-            .collect()]);
         let r = CaptureReader::new(Cursor::new(write_capture(&frames, 2))).expect("open");
-        let mut c = CaptureCursor::new(r).expect("cursor");
         let mut got = Vec::new();
-        let mut last = None;
-        while let Some((ev, at, key)) = c.advance().expect("advance") {
-            assert!(last.is_none_or(|p| p <= (at, key)), "cursor output sorted");
-            last = Some((at, key));
-            got.push(ev);
-        }
-        assert_eq!(got, in_memory);
+        merge_captures(vec![r], |ev| got.push(*ev)).expect("merge");
+        assert_eq!(got, oracle(&[frames]));
         assert_eq!(
             got.iter().map(|ev| ev.t()).collect::<Vec<_>>(),
             vec![1, 5, 5, 5, 8]
         );
+        assert_eq!(got[1], rx(5, 2));
+    }
+
+    #[test]
+    fn scan_reports_the_location_of_a_corrupt_frame() {
+        let frames = stream(2);
+        let mut bytes = write_capture(&frames, 8);
+        // Corrupt the tag of frame 3 of segment 1.
+        let victim = CAPTURE_HEADER_LEN + (8 + 3) * FRAME_LEN;
+        bytes[victim + 16] = 200;
+        let mut r = CaptureReader::new(Cursor::new(bytes)).expect("the index is intact");
+        let mut seen = 0;
+        let err = r.scan(&ScanFilter::all(), |_, _, _| seen += 1).unwrap_err();
+        assert!(err.contains("segment 1 frame 3"), "{err}");
+        assert_eq!(seen, 8 + 3, "frames before the corrupt one are delivered");
     }
 
     #[test]

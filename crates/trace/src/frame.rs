@@ -1,14 +1,14 @@
 //! The binary trace frame: a fixed-size wire form of [`TraceEvent`].
 //!
-//! JSONL is the human-facing trace format; at n=100k a single round
-//! emits tens of millions of events and serialising each to a JSON
-//! object *on the simulation thread* is the dominant cost of leaving
-//! tracing on. The binary frame is the cheap form: every event encodes
-//! to exactly [`FRAME_LEN`] bytes at fixed offsets (no varints, no
-//! length prefixes), so encoding is a handful of stores and decoding is
-//! a handful of loads — cheap enough for the ring pipeline's drain
-//! thread and compact enough that a binary capture is ~30–50% the size
-//! of its JSONL twin.
+//! JSONL is the human-facing export; at n=100k a single round emits
+//! tens of millions of events and serialising each to a JSON object
+//! *on the simulation thread* is the dominant cost of leaving tracing
+//! on. The binary frame is the cheap form: every event encodes to
+//! exactly [`FRAME_LEN`] bytes at fixed offsets (no varints, no length
+//! prefixes), so encoding is a handful of stores and decoding is a
+//! handful of loads — cheap enough for the ring pipeline's drain
+//! thread and compact enough that a capture is ~30–50% the size of
+//! its JSONL export.
 //!
 //! # Frame layout (version 1, little-endian)
 //!
@@ -22,40 +22,28 @@
 //! 32      32    variant fields at fixed offsets, zero-padded
 //! ```
 //!
-//! `(at, key)` ride in the frame so per-shard binary streams can be
-//! merged back into reference emission order the same way
-//! [`crate::sink::merge_keyed_traces`] merges JSONL. Conversion from
-//! JSONL (which carries neither) stamps `at = t, key = 0`.
+//! `(at, key)` ride in the frame so per-shard capture streams can be
+//! merged back into reference emission order (see [`crate::merge`]).
+//! Packing JSONL (which carries neither) stamps `at = t, key = 0`.
 //!
 //! `Option<NodeId>` fields use a presence byte rather than a sentinel
 //! id, f64 fields are stored as IEEE-754 bits (`to_bits`), so decoding
 //! is the *exact* inverse of encoding: `decode(encode(ev)) == ev`
-//! bit-for-bit, which is what makes binary→JSONL conversion
+//! bit-for-bit, which is what makes `.wcap`→JSONL conversion
 //! byte-identical to what [`crate::JsonlSink`] writes (pinned by the
 //! golden test).
 //!
 //! # Capture file format
 //!
-//! A binary capture is a 16-byte header — [`FRAME_MAGIC`] (8 bytes),
-//! version `u32`, frame length `u32` — followed by back-to-back frames.
-//! The magic's first byte can never open a JSONL document (`{`), which
-//! is what lets the `wmsn-trace` CLI autodetect the format by sniffing
-//! the first 8 bytes.
+//! Frames reach disk only inside a segmented `.wcap` capture (see
+//! [`crate::capture`]): fixed-size segments of back-to-back frames
+//! behind a 16-byte header, indexed by a trailing directory.
 
 use crate::event::{DropCause, TraceEvent, TraceKind, TraceTier};
-use crate::sink::TraceSink;
-use std::any::Any;
-use std::io::{Read, Write};
 use wmsn_util::NodeId;
 
-/// Magic bytes opening a binary trace capture.
-pub const FRAME_MAGIC: [u8; 8] = *b"WMSNTRB\0";
-/// Binary trace format version (bumped on any layout change).
-pub const FRAME_VERSION: u32 = 1;
 /// Size of one encoded frame, bytes.
 pub const FRAME_LEN: usize = 64;
-/// Size of the capture-file header, bytes.
-pub const HEADER_LEN: usize = 16;
 
 /// Number of distinct frame tags (tags are `1..=TAG_COUNT`).
 pub const TAG_COUNT: usize = 17;
@@ -619,184 +607,6 @@ pub fn decode_frame(buf: &[u8; FRAME_LEN]) -> Result<(TraceEvent, u64, u64), Str
     Ok((ev, at, key))
 }
 
-/// Write the capture-file header.
-pub fn write_header<W: Write>(w: &mut W) -> std::io::Result<()> {
-    w.write_all(&FRAME_MAGIC)?;
-    w.write_all(&FRAME_VERSION.to_le_bytes())?;
-    w.write_all(&(FRAME_LEN as u32).to_le_bytes())
-}
-
-/// Check a capture-file header. Returns the frame length it declares.
-pub fn read_header<R: Read>(r: &mut R) -> Result<usize, String> {
-    let mut h = [0u8; HEADER_LEN];
-    r.read_exact(&mut h)
-        .map_err(|e| format!("short binary header: {e}"))?;
-    if h[0..8] != FRAME_MAGIC {
-        return Err("bad magic: not a binary trace capture".into());
-    }
-    let version = u32::from_le_bytes(h[8..12].try_into().unwrap());
-    if version != FRAME_VERSION {
-        return Err(format!(
-            "unsupported binary trace version {version} (expected {FRAME_VERSION})"
-        ));
-    }
-    let len = u32::from_le_bytes(h[12..16].try_into().unwrap()) as usize;
-    if len != FRAME_LEN {
-        return Err(format!(
-            "unsupported frame length {len} (expected {FRAME_LEN})"
-        ));
-    }
-    Ok(len)
-}
-
-/// Whether `head` (the first bytes of a file) opens a binary trace
-/// capture. 8 bytes are enough; fewer can only be JSONL or garbage.
-pub fn is_binary_capture(head: &[u8]) -> bool {
-    head.len() >= FRAME_MAGIC.len() && head[..FRAME_MAGIC.len()] == FRAME_MAGIC
-}
-
-/// Read an entire binary capture: header check, then every frame
-/// decoded to `(event, at, key)` in file order. A trailing partial
-/// frame is a hard error (truncated capture).
-pub fn read_binary_trace<R: Read>(mut r: R) -> Result<Vec<(TraceEvent, u64, u64)>, String> {
-    read_header(&mut r)?;
-    let mut out = Vec::new();
-    let mut buf = [0u8; FRAME_LEN];
-    loop {
-        match read_frame(&mut r, &mut buf)? {
-            false => break,
-            true => {
-                out.push(decode_frame(&buf).map_err(|e| format!("frame {}: {e}", out.len() + 1))?)
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Read one frame into `buf`. `Ok(false)` = clean EOF.
-fn read_frame<R: Read>(r: &mut R, buf: &mut [u8; FRAME_LEN]) -> Result<bool, String> {
-    let mut filled = 0;
-    while filled < FRAME_LEN {
-        let n = r
-            .read(&mut buf[filled..])
-            .map_err(|e| format!("read error: {e}"))?;
-        if n == 0 {
-            return if filled == 0 {
-                Ok(false)
-            } else {
-                Err(format!(
-                    "truncated capture: {filled} trailing bytes (frame is {FRAME_LEN})"
-                ))
-            };
-        }
-        filled += n;
-    }
-    Ok(true)
-}
-
-/// Streaming reader over a flat binary capture: header checked up
-/// front, then one frame per [`BinaryTraceReader::next_frame`] call —
-/// O(1) memory however large the capture, unlike
-/// [`read_binary_trace`] which materialises every event. Decode errors
-/// carry the frame's byte offset so a truncation or corruption can be
-/// reported precisely.
-#[derive(Debug)]
-pub struct BinaryTraceReader<R: Read> {
-    r: R,
-    frames_read: u64,
-}
-
-impl<R: Read> BinaryTraceReader<R> {
-    /// Check the capture header and position at the first frame.
-    pub fn new(mut r: R) -> Result<Self, String> {
-        read_header(&mut r)?;
-        Ok(BinaryTraceReader { r, frames_read: 0 })
-    }
-
-    /// Byte offset of the *next* frame (header included).
-    pub fn byte_offset(&self) -> u64 {
-        HEADER_LEN as u64 + self.frames_read * FRAME_LEN as u64
-    }
-
-    /// Frames decoded so far.
-    pub fn frames_read(&self) -> u64 {
-        self.frames_read
-    }
-
-    /// Decode the next frame; `Ok(None)` = clean EOF. Truncation and
-    /// malformed frames are hard errors.
-    #[allow(clippy::type_complexity)]
-    pub fn next_frame(&mut self) -> Result<Option<(TraceEvent, u64, u64)>, String> {
-        let mut buf = [0u8; FRAME_LEN];
-        if !read_frame(&mut self.r, &mut buf)? {
-            return Ok(None);
-        }
-        let decoded = decode_frame(&buf).map_err(|e| {
-            format!(
-                "frame {} (offset {}): {e}",
-                self.frames_read + 1,
-                self.byte_offset()
-            )
-        })?;
-        self.frames_read += 1;
-        Ok(Some(decoded))
-    }
-}
-
-/// Binary-capture sink over any writer: header first, then one
-/// [`FRAME_LEN`]-byte frame per event. The binary twin of
-/// [`crate::JsonlSink`] — write errors are likewise swallowed (tracing
-/// is best-effort and must never alter simulation behaviour).
-#[derive(Debug)]
-pub struct BinarySink<W: Write + 'static> {
-    w: W,
-    frames: u64,
-    header_ok: bool,
-}
-
-impl<W: Write + 'static> BinarySink<W> {
-    /// Wrap a writer; the header is written immediately.
-    pub fn new(mut w: W) -> Self {
-        let header_ok = write_header(&mut w).is_ok();
-        BinarySink {
-            w,
-            frames: 0,
-            header_ok,
-        }
-    }
-
-    /// Frames written so far (header excluded).
-    pub fn frames_written(&self) -> u64 {
-        self.frames
-    }
-
-    /// Unwrap the writer (flushing first).
-    pub fn into_inner(mut self) -> W {
-        let _ = self.w.flush();
-        self.w
-    }
-}
-
-impl<W: Write + 'static> TraceSink for BinarySink<W> {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.record_keyed(ev, ev.t(), 0);
-    }
-    fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
-        if self.header_ok && self.w.write_all(&encode_frame(ev, at, key)).is_ok() {
-            self.frames += 1;
-        }
-    }
-    fn flush(&mut self) {
-        let _ = self.w.flush();
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -961,37 +771,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn streaming_reader_matches_bulk_decode_and_reports_offsets() {
-        let evs = exhaustive_events();
-        let mut sink = BinarySink::new(Vec::<u8>::new());
-        for (i, ev) in evs.iter().enumerate() {
-            sink.record_keyed(ev, i as u64, i as u64 + 7);
-        }
-        let bytes = sink.into_inner();
-        let bulk = read_binary_trace(&bytes[..]).expect("bulk decode");
-        let mut streaming = BinaryTraceReader::new(&bytes[..]).expect("header");
-        let mut got = Vec::new();
-        while let Some(f) = streaming.next_frame().expect("frame") {
-            got.push(f);
-        }
-        assert_eq!(got, bulk);
-        assert_eq!(streaming.frames_read(), evs.len() as u64);
-        // A corrupted tag mid-capture is reported with its byte offset.
-        let mut bad = bytes.clone();
-        let victim = 3usize;
-        bad[HEADER_LEN + victim * FRAME_LEN + 16] = 200;
-        let mut r = BinaryTraceReader::new(&bad[..]).expect("header");
-        for _ in 0..victim {
-            r.next_frame().expect("frame").expect("present");
-        }
-        let err = r.next_frame().unwrap_err();
-        assert!(
-            err.contains(&format!("offset {}", HEADER_LEN + victim * FRAME_LEN)),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn every_variant_round_trips_bit_exactly() {
         for (i, ev) in exhaustive_events().into_iter().enumerate() {
             let frame = encode_frame(&ev, 42 + i as u64, (3u64 << 32) | i as u64);
@@ -1142,32 +921,42 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn capture_file_round_trips_and_detects_corruption() {
-        let evs = exhaustive_events();
-        let mut sink = BinarySink::new(Vec::<u8>::new());
-        for (i, ev) in evs.iter().enumerate() {
-            sink.record_keyed(ev, i as u64, 100 + i as u64);
-        }
-        assert_eq!(sink.frames_written(), evs.len() as u64);
-        let bytes = sink.into_inner();
-        assert!(is_binary_capture(&bytes));
-        assert_eq!(bytes.len(), HEADER_LEN + evs.len() * FRAME_LEN);
-        let back = read_binary_trace(&bytes[..]).expect("read capture");
-        assert_eq!(back.len(), evs.len());
-        for (i, ((ev, at, key), want)) in back.iter().zip(&evs).enumerate() {
-            assert_eq!(ev, want, "frame {i}");
-            assert_eq!((*at, *key), (i as u64, 100 + i as u64));
-        }
-        // Truncation is a hard error.
-        assert!(read_binary_trace(&bytes[..bytes.len() - 1]).is_err());
-        // Bad magic is a hard error.
-        let mut corrupt = bytes.clone();
-        corrupt[0] = b'{';
-        assert!(read_binary_trace(&corrupt[..]).is_err());
-        assert!(!is_binary_capture(&corrupt));
-        // Unknown tag is a hard error.
-        let mut badtag = bytes;
-        badtag[HEADER_LEN + 16] = 200;
-        assert!(read_binary_trace(&badtag[..]).is_err());
+    fn corrupt_frames_are_hard_decode_errors() {
+        let frame = encode_frame(
+            &TraceEvent::Drop {
+                t: 5,
+                seq: 9,
+                node: NodeId(6),
+                cause: DropCause::Loss,
+            },
+            5,
+            0,
+        );
+        assert!(decode_frame(&frame).is_ok());
+        // Unknown tag.
+        let mut bad = frame;
+        bad[16] = 200;
+        assert!(decode_frame(&bad)
+            .unwrap_err()
+            .contains("unknown frame tag"));
+        // Out-of-range enum byte (the drop cause sits after seq + node).
+        let mut bad = frame;
+        bad[32 + 8 + 4] = 99;
+        assert!(decode_frame(&bad).unwrap_err().contains("bad drop-cause"));
+        // Option presence flags are 0 or 1, nothing else.
+        let mut fwd = encode_frame(
+            &TraceEvent::Forward {
+                t: 1,
+                node: NodeId(1),
+                origin: NodeId(2),
+                msg_id: 3,
+                next: None,
+                hops: 1,
+            },
+            1,
+            0,
+        );
+        fwd[32 + 4 + 4 + 8] = 2;
+        assert!(decode_frame(&fwd).unwrap_err().contains("bad option flag"));
     }
 }

@@ -30,6 +30,7 @@ pub mod capture;
 pub mod event;
 pub mod frame;
 pub mod hist;
+pub mod merge;
 pub mod parse;
 pub mod replay;
 pub mod ring;
@@ -37,24 +38,18 @@ pub mod sink;
 pub mod structured;
 
 pub use capture::{
-    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, is_segmented_capture,
-    merge_captures_with, CaptureConfig, CaptureCursor, CaptureReader, CaptureSink, CaptureStats,
-    CaptureWriter, ScanFilter, ScanStats, SegmentMeta, CAPTURE_MAGIC, CAPTURE_VERSION,
-    COMPACTED_OFFSET, DEFAULT_SEGMENT_FRAMES, EXT_MAGIC,
+    is_segmented_capture, CaptureConfig, CaptureReader, CaptureSink, CaptureStats, CaptureWriter,
+    ScanFilter, ScanStats, SegmentMeta, CAPTURE_MAGIC, CAPTURE_VERSION, COMPACTED_OFFSET,
+    DEFAULT_SEGMENT_FRAMES, EXT_MAGIC,
 };
 pub use event::{DropCause, TraceEvent, TraceKind, TraceTier};
-pub use frame::{
-    decode_frame, encode_frame, event_tag, is_binary_capture, read_binary_trace, tag_name,
-    BinarySink, BinaryTraceReader, FRAME_LEN, FRAME_MAGIC, FRAME_VERSION, TAG_COUNT,
-};
+pub use frame::{decode_frame, encode_frame, event_tag, tag_name, FRAME_LEN, TAG_COUNT};
 pub use hist::Histogram;
+pub use merge::{merge_captures, merge_frame_buffers};
 pub use parse::{parse_line, Value};
-pub use replay::Replay;
-pub use ring::{
-    merge_keyed_events, merge_keyed_events_with, BackpressurePolicy, FrameBufferSink, RingConfig,
-    RingSink, RingStats,
+pub use replay::{
+    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, EventSource, Replay,
 };
-pub use sink::{
-    merge_keyed_traces, BufferSink, CountingSink, JsonlSink, KeyedBufferSink, NullSink, TraceSink,
-};
+pub use ring::{BackpressurePolicy, FrameBufferSink, RingConfig, RingSink, RingStats};
+pub use sink::{BufferSink, CountingSink, JsonlSink, NullSink, TraceSink};
 pub use structured::{log_error, log_record, record_line};

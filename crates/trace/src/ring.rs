@@ -8,7 +8,7 @@
 //! plus its causal `(at, key)` into a local chunk, and hands full chunks
 //! to a drain thread through a bounded [`SpscRing`]. The drain thread
 //! replays each frame into the *downstream* sinks (a `JsonlSink`, a
-//! [`crate::frame::BinarySink`], the `HealthMonitor` detector bank, …)
+//! [`crate::CaptureSink`], the `HealthMonitor` detector bank, …)
 //! exactly as the world would have — same events, same `(at, key)`s,
 //! same order — which is why the drained output is byte-identical to
 //! inline mode.
@@ -44,6 +44,7 @@
 //! drain applies them in order, the barrier makes the whole pipeline a
 //! deterministic function of the (deterministic) emission sequence.
 
+use crate::capture::{CaptureSink, CaptureStats};
 use crate::event::TraceEvent;
 use crate::sink::TraceSink;
 use std::any::Any;
@@ -112,6 +113,19 @@ pub struct RingStats {
     pub capacity_chunks: usize,
     /// Configured chunk size, frames.
     pub chunk_frames: usize,
+}
+
+impl RingStats {
+    /// Fold another ring's telemetry into this aggregate: counters
+    /// sum, peak occupancy is the maximum, configuration is copied.
+    pub fn add(&mut self, s: &RingStats) {
+        self.frames_written += s.frames_written;
+        self.frames_dropped += s.frames_dropped;
+        self.blocked_us += s.blocked_us;
+        self.peak_chunks = self.peak_chunks.max(s.peak_chunks);
+        self.capacity_chunks = s.capacity_chunks;
+        self.chunk_frames = s.chunk_frames;
+    }
 }
 
 /// Frames-produced / frames-consumed ledger behind the flush barrier.
@@ -266,6 +280,20 @@ impl RingSink {
         }
     }
 
+    /// Finish a [`CaptureSink`] this ring drains into: barrier, stamp
+    /// the ring's drop count into the capture trailer and write the
+    /// footer. Returns the ring's telemetry and the capture's; `None`
+    /// if no downstream sink is a capture or its writes failed.
+    pub fn finalize_capture(&mut self) -> Option<(RingStats, CaptureStats)> {
+        self.barrier();
+        let stats = self.stats();
+        let cap = self.with_sink_mut::<CaptureSink, _>(|c| {
+            c.set_frames_dropped(stats.frames_dropped);
+            c.finalize()
+        })??;
+        Some((stats, cap))
+    }
+
     /// Drain everything, stop the drain thread and hand back the
     /// downstream sinks plus final telemetry. Downstream sinks are
     /// *not* flushed — the caller decides (exactly as with inline
@@ -313,11 +341,10 @@ impl TraceSink for RingSink {
     }
 }
 
-/// In-memory frame sink: retains `(at, key, event)` triples. The
-/// ring-pipeline analogue of [`crate::KeyedBufferSink`] — one per shard
-/// ring; [`merge_keyed_events`] interleaves the shards back into
-/// reference emission order without ever rendering JSON on a sim
-/// thread.
+/// In-memory frame sink: retains `(at, key, event)` triples — one per
+/// shard ring; [`crate::merge_frame_buffers`] interleaves the shards
+/// back into reference emission order without ever rendering JSON on a
+/// sim thread.
 #[derive(Default, Debug)]
 pub struct FrameBufferSink {
     /// Captured frames in arrival order.
@@ -344,78 +371,6 @@ impl TraceSink for FrameBufferSink {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-/// Merge per-shard frame captures into one event sequence ordered by
-/// `(at, key, capture order)` — the same total order
-/// [`crate::merge_keyed_traces`] uses for JSONL lines, so the merged
-/// events match the unsharded run's emission order exactly.
-///
-/// Each shard's event loop executes in `(at, key)` order, so its
-/// capture stream arrives already sorted (equal pairs are consecutive
-/// frames of one executed event and keep capture order), and a key's
-/// node lives in exactly one shard, so equal `(at, key)` never spans
-/// shards. A linear k-way merge therefore reproduces the total order
-/// without a comparison sort over the full stream — which matters at
-/// the 10⁷-frame scale of the n=100k monitored round. Unsorted inputs
-/// (hand-built captures) are detected by a sortedness pre-scan and fall
-/// back to the stable sort.
-pub fn merge_keyed_events(shards: Vec<Vec<(u64, u64, TraceEvent)>>) -> Vec<TraceEvent> {
-    let mut out = Vec::with_capacity(shards.iter().map(Vec::len).sum());
-    merge_keyed_events_with(shards, |ev| out.push(*ev));
-    out
-}
-
-/// Streaming form of [`merge_keyed_events`]: visit each event in the
-/// merged `(at, key, capture order)` total order without materialising
-/// the merged sequence. At the n=100k scale the merged `Vec` is a
-/// gigabyte of fresh pages, so a consumer that only needs one ordered
-/// pass (the health monitor, a serialising sink) should take this
-/// entry point.
-pub fn merge_keyed_events_with<F: FnMut(&TraceEvent)>(
-    shards: Vec<Vec<(u64, u64, TraceEvent)>>,
-    mut f: F,
-) {
-    let sorted = shards
-        .iter()
-        .all(|s| s.windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
-    if !sorted {
-        for ev in merge_keyed_events_sorting(shards) {
-            f(&ev);
-        }
-        return;
-    }
-    let total: usize = shards.iter().map(Vec::len).sum();
-    let mut heads = vec![0usize; shards.len()];
-    for _ in 0..total {
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (s, shard) in shards.iter().enumerate() {
-            if let Some(&(at, key, _)) = shard.get(heads[s]) {
-                if best.is_none_or(|(ba, bk, _)| (at, key) < (ba, bk)) {
-                    best = Some((at, key, s));
-                }
-            }
-        }
-        let (_, _, s) = best.expect("fewer than `total` frames emitted");
-        f(&shards[s][heads[s]].2);
-        heads[s] += 1;
-    }
-}
-
-/// Sort-based fallback for [`merge_keyed_events`] when a shard stream
-/// is not `(at, key)`-sorted.
-fn merge_keyed_events_sorting(shards: Vec<Vec<(u64, u64, TraceEvent)>>) -> Vec<TraceEvent> {
-    let mut all: Vec<(u64, u64, usize, TraceEvent)> = shards
-        .into_iter()
-        .flat_map(|entries| {
-            entries
-                .into_iter()
-                .enumerate()
-                .map(|(i, (at, key, ev))| (at, key, i, ev))
-        })
-        .collect();
-    all.sort_by_key(|e| (e.0, e.1, e.2));
-    all.into_iter().map(|(_, _, _, ev)| ev).collect()
 }
 
 #[cfg(test)]
@@ -521,38 +476,22 @@ mod tests {
 
     #[test]
     fn drop_newest_accounting_is_exact_and_drained_stream_is_a_prefix() {
-        use crate::frame::{read_binary_trace, BinarySink, FRAME_LEN, HEADER_LEN};
         use std::sync::{Arc, Condvar, Mutex};
 
-        /// `Write` into a shared buffer the test can read after the
-        /// drain thread is gone.
-        #[derive(Clone)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        /// Gate in front of a binary sink: blocks the drain thread on
+        /// Gate in front of a frame buffer: blocks the drain thread on
         /// the very first frame until the producer releases it, so the
         /// producer can fill the ring to a *known* state and every
         /// subsequent chunk is deterministically dropped.
         struct GateSink {
-            inner: BinarySink<SharedBuf>,
+            inner: FrameBufferSink,
             gate: Arc<(Mutex<(bool, bool)>, Condvar)>, // (started, released)
-            seen: u64,
         }
         impl TraceSink for GateSink {
             fn record(&mut self, ev: &TraceEvent) {
                 self.record_keyed(ev, ev.t(), 0);
             }
             fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
-                if self.seen == 0 {
+                if self.inner.entries.is_empty() {
                     let (lock, cv) = &*self.gate;
                     let mut g = lock.lock().unwrap();
                     g.0 = true;
@@ -561,7 +500,6 @@ mod tests {
                         g = cv.wait(g).unwrap();
                     }
                 }
-                self.seen += 1;
                 self.inner.record_keyed(ev, at, key);
             }
             fn as_any(&self) -> &dyn Any {
@@ -575,7 +513,6 @@ mod tests {
         const CHUNK: usize = 4;
         const CAPACITY: usize = 2;
         const TOTAL: u64 = 40; // 10 full chunks
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
         let gate = Arc::new((Mutex::new((false, false)), Condvar::new()));
         let mut ring = RingSink::new(
             RingConfig {
@@ -584,12 +521,11 @@ mod tests {
                 policy: BackpressurePolicy::DropNewest,
             },
             vec![Box::new(GateSink {
-                inner: BinarySink::new(buf.clone()),
+                inner: FrameBufferSink::new(),
                 gate: Arc::clone(&gate),
-                seen: 0,
             })],
         );
-        let mut inline = BinarySink::new(Vec::<u8>::new());
+        let mut inline = FrameBufferSink::new();
         for i in 0..TOTAL {
             let e = ev(i, (i % 3) as u32);
             inline.record_keyed(&e, i, i << 2);
@@ -611,7 +547,7 @@ mod tests {
             lock.lock().unwrap().1 = true;
             cv.notify_all();
         }
-        let (_, stats) = ring.finish();
+        let (bank, stats) = ring.finish();
 
         // Exact accounting: chunk 1 drained, chunks 2..=3 buffered,
         // chunks 4..=10 refused.
@@ -620,22 +556,29 @@ mod tests {
         assert_eq!(stats.frames_dropped, TOTAL - accepted);
         assert_eq!(stats.blocked_us, 0, "DropNewest must never block");
 
-        // The drained capture is a decodable prefix of the inline
-        // reference: same header, same first `accepted` frames.
-        let drained = buf.0.lock().unwrap().clone();
-        let reference = inline.into_inner();
-        assert_eq!(drained.len(), HEADER_LEN + accepted as usize * FRAME_LEN);
-        assert_eq!(drained[..], reference[..drained.len()]);
-        let events = read_binary_trace(&drained[..]).expect("prefix decodes");
-        let full = read_binary_trace(&reference[..]).expect("reference decodes");
-        assert_eq!(events[..], full[..accepted as usize]);
+        // The drained stream is a prefix of the inline reference: the
+        // same first `accepted` frames, stamps included.
+        let drained = &bank[0]
+            .as_any()
+            .downcast_ref::<GateSink>()
+            .expect("GateSink")
+            .inner
+            .entries;
+        assert_eq!(drained[..], inline.entries[..accepted as usize]);
     }
 
     #[test]
-    fn merge_keyed_events_restores_total_order() {
-        let shard_a = vec![(1, 10, ev(1, 0)), (3, 5, ev(3, 0)), (3, 9, ev(3, 0))];
-        let shard_b = vec![(1, 2, ev(1, 1)), (3, 7, ev(3, 1)), (4, 1, ev(4, 1))];
-        let merged = merge_keyed_events(vec![shard_a, shard_b]);
+    fn frame_buffer_merge_restores_total_order() {
+        let frames_a = vec![(ev(1, 0), 1, 10), (ev(3, 0), 3, 5), (ev(3, 0), 3, 9)];
+        let frames_b = vec![(ev(1, 1), 1, 2), (ev(3, 1), 3, 7), (ev(4, 1), 4, 1)];
+        let want = crate::merge::tests::oracle(&[frames_a.clone(), frames_b.clone()]);
+        let buffers = [frames_a, frames_b]
+            .into_iter()
+            .map(|s| s.into_iter().map(|(e, at, key)| (at, key, e)).collect())
+            .collect();
+        let mut merged = Vec::new();
+        crate::merge::merge_frame_buffers(buffers, |e| merged.push(*e)).expect("merge");
+        assert_eq!(merged, want);
         let ts: Vec<u64> = merged.iter().map(|e| e.t()).collect();
         assert_eq!(ts, vec![1, 1, 3, 3, 3, 4]);
         // (at=1,key=2) from shard B must precede (at=1,key=10) from A.

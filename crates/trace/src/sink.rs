@@ -23,7 +23,7 @@ pub trait TraceSink {
     /// key)` of the simulation event (or driver call) that emitted it.
     /// `(at, key)` pairs are unique per emitting event and totally
     /// ordered across an entire run, so sinks that retain them (see
-    /// [`KeyedBufferSink`]) can merge per-shard streams back into the
+    /// [`crate::FrameBufferSink`]) can merge per-shard streams back into the
     /// exact single-threaded emission order. The default forwards to
     /// [`TraceSink::record`]; order-insensitive sinks need nothing more.
     fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
@@ -128,67 +128,6 @@ impl TraceSink for BufferSink {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-/// In-memory JSONL sink that also retains each line's causal position
-/// `(at, key)` — the per-shard capture half of deterministic trace
-/// merging. One sink is installed per shard; afterwards
-/// [`merge_keyed_traces`] interleaves the shards' lines back into the
-/// byte-exact stream a single [`BufferSink`] over the unsharded run
-/// would have produced.
-#[derive(Default, Debug)]
-pub struct KeyedBufferSink {
-    /// Captured lines as `(at, key, json_line)` in emission order.
-    pub entries: Vec<(u64, u64, String)>,
-}
-
-impl KeyedBufferSink {
-    /// An empty keyed buffer sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for KeyedBufferSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        // Keyless recording falls back to the event's own timestamp;
-        // only exercised by sinks driven outside a keyed world.
-        self.entries.push((ev.t(), 0, ev.to_json().to_string()));
-    }
-    fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
-        self.entries.push((at, key, ev.to_json().to_string()));
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Merge per-shard keyed trace captures into one JSONL string ordered by
-/// `(at, key, capture order)`. Every `(at, key)` pair originates on
-/// exactly one shard (keys encode the scheduling node, nodes execute on
-/// one shard), so the sort is unambiguous across shards, and the stable
-/// tie-break on capture order preserves each event's internal line
-/// sequence.
-pub fn merge_keyed_traces(shards: Vec<KeyedBufferSink>) -> String {
-    let mut all: Vec<(u64, u64, usize, String)> = shards
-        .into_iter()
-        .flat_map(|s| {
-            s.entries
-                .into_iter()
-                .enumerate()
-                .map(|(i, (at, key, line))| (at, key, i, line))
-        })
-        .collect();
-    all.sort_by_key(|a| (a.0, a.1, a.2));
-    let mut out = String::new();
-    for (_, _, _, line) in all {
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
 }
 
 /// Tallying sink: counts events by variant name and drops by cause.

@@ -6,17 +6,18 @@
 //! O(one segment) memory. Its correctness claim, like the ring's, is
 //! *byte/structural* equality, not statistical similarity:
 //!
-//! * every streaming query (`capture_counts`, `capture_path_of`,
+//! * every query (`capture_counts`, `capture_path_of`,
 //!   `capture_drops_of_seq`, `capture_energy_of`) over a recorded E1
-//!   capture must equal the in-memory `Replay` answer over the same
-//!   events — including the not-found cases;
+//!   capture, answered with index skipping, must equal the same query
+//!   over the in-memory `Replay` of the same events (every event
+//!   checked) — including the not-found cases;
 //! * the health monitor fed from a segment-at-a-time scan must produce
 //!   an alert stream byte-identical to the inline monitor's;
 //! * the sharded kernel's per-shard capture files, k-way merged with
-//!   `merge_captures_with`, must render to the reference JSONL bytes —
-//!   the same bar the in-memory per-shard ring merge clears.
+//!   `merge_captures`, must render to the reference JSONL bytes — the
+//!   same bar the in-memory per-shard ring merge clears.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use wmsn::core::builder::{build_spr, SprScenario};
 use wmsn::core::drivers::SprDriver;
 use wmsn::core::experiments::{e9_large_round, e9_large_scenario};
@@ -25,9 +26,9 @@ use wmsn::health::{HealthConfig, HealthMonitor};
 use wmsn::sim::ShardedWorld;
 use wmsn::topology::strip_shards;
 use wmsn::trace::{
-    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, merge_captures_with,
-    merge_keyed_events, BackpressurePolicy, BufferSink, CaptureConfig, CaptureCursor,
-    CaptureReader, CaptureSink, FrameBufferSink, Replay, RingConfig, ScanFilter, TraceEvent,
+    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, merge_captures,
+    merge_frame_buffers, BackpressurePolicy, BufferSink, CaptureConfig, CaptureReader, CaptureSink,
+    CaptureStats, FrameBufferSink, Replay, RingConfig, RingSink, RingStats, ScanFilter, TraceEvent,
 };
 
 fn test_threads() -> usize {
@@ -70,6 +71,50 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
+/// Host one ring per shard draining into `shard-<i>.wcap` under `dir`;
+/// returns the capture paths in shard order.
+fn install_shard_captures(
+    world: &mut ShardedWorld,
+    ring: RingConfig,
+    cfg: CaptureConfig,
+    dir: &Path,
+) -> Vec<PathBuf> {
+    let paths: Vec<PathBuf> = (0..world.shard_count())
+        .map(|i| dir.join(format!("shard-{i}.wcap")))
+        .collect();
+    world.install_shard_sinks(|i| {
+        let sink = CaptureSink::create(&paths[i], cfg).expect("create shard capture");
+        RingSink::boxed(ring, vec![Box::new(sink)])
+    });
+    paths
+}
+
+/// Take the shard rings back and finalize their captures; aggregate
+/// ring and capture telemetry.
+fn finish_shard_captures(world: &mut ShardedWorld) -> (RingStats, CaptureStats) {
+    let mut stats = RingStats::default();
+    let mut cap = CaptureStats::default();
+    for mut sink in world.take_shard_sinks().expect("shard sinks installed") {
+        let (s, c) = sink
+            .as_any_mut()
+            .downcast_mut::<RingSink>()
+            .and_then(RingSink::finalize_capture)
+            .expect("shard capture finalizes");
+        stats.add(&s);
+        cap.add(&c);
+    }
+    (stats, cap)
+}
+
+/// Open every shard capture and merge them into one event sequence.
+fn merge_shard_captures(paths: &[PathBuf], f: impl FnMut(&TraceEvent)) -> u64 {
+    let readers = paths
+        .iter()
+        .map(|p| CaptureReader::open(p).expect("open shard capture"))
+        .collect();
+    merge_captures(readers, f).expect("merge shard captures")
+}
+
 /// The reference `(at, key, event)` stream of a 2-round E1 run.
 fn reference_frames(seed: u64) -> Vec<(u64, u64, TraceEvent)> {
     let sink = traced_e1(seed, 2, Box::new(FrameBufferSink::new()));
@@ -91,7 +136,7 @@ fn streaming_queries_match_replay_on_a_recorded_e1_capture() {
 
     let reference = reference_frames(11);
     let events: Vec<TraceEvent> = reference.iter().map(|f| f.2).collect();
-    let replay = Replay::from_events(&events);
+    let mut replay = Replay::from_events(&events);
 
     let mut r = CaptureReader::open(&path).expect("open capture");
     assert_eq!(r.frames() as usize, events.len());
@@ -101,7 +146,7 @@ fn streaming_queries_match_replay_on_a_recorded_e1_capture() {
         "want many segments, got {}",
         r.segments().len()
     );
-    assert_eq!(capture_counts(&r), replay.counts());
+    assert_eq!(capture_counts(&r), capture_counts(&replay));
 
     // A full scan reproduces the reference frames, causal stamps
     // included (the inline CaptureSink sees the same record_keyed
@@ -132,21 +177,21 @@ fn streaming_queries_match_replay_on_a_recorded_e1_capture() {
     for (origin, msg_id) in path_args {
         assert_eq!(
             capture_path_of(&mut r, origin, msg_id).expect("scan"),
-            replay.path_of(origin, msg_id),
+            capture_path_of(&mut replay, origin, msg_id).expect("scan"),
             "path {origin}/{msg_id}"
         );
     }
     for seq in drop_args {
         assert_eq!(
             capture_drops_of_seq(&mut r, seq).expect("scan"),
-            replay.drops_of_seq(seq),
+            capture_drops_of_seq(&mut replay, seq).expect("scan"),
             "drops {seq}"
         );
     }
     for node in energy_args {
         assert_eq!(
             capture_energy_of(&mut r, node).expect("scan"),
-            replay.energy_of(node),
+            capture_energy_of(&mut replay, node).expect("scan"),
             "energy {node}"
         );
     }
@@ -196,41 +241,29 @@ fn sharded_capture_files_merge_to_the_reference_trace_bytes() {
     let sharded: SprScenario<ShardedWorld> =
         scen.map_world(|w| ShardedWorld::from_world(w, assignment, test_threads()));
     let mut d = SprDriver::new(sharded);
-    let paths = d
-        .scenario
-        .world
-        .install_capture_sinks(
-            RingConfig {
-                chunk_frames: 7,
-                capacity_chunks: 3,
-                policy: BackpressurePolicy::Block,
-            },
-            CaptureConfig { segment_frames: 32 },
-            &dir,
-        )
-        .expect("create shard captures");
+    let paths = install_shard_captures(
+        &mut d.scenario.world,
+        RingConfig {
+            chunk_frames: 7,
+            capacity_chunks: 3,
+            policy: BackpressurePolicy::Block,
+        },
+        CaptureConfig { segment_frames: 32 },
+        &dir,
+    );
     assert_eq!(paths.len(), 4);
     d.run_round();
-    let (stats, cap) = d
-        .scenario
-        .world
-        .finish_capture_sinks()
-        .expect("capture sinks installed");
+    let (stats, cap) = finish_shard_captures(&mut d.scenario.world);
     assert_eq!(stats.frames_dropped, 0);
     assert_eq!(cap.frames, stats.frames_written);
     assert_eq!(cap.frames_dropped, 0);
     assert!(cap.segments > 0 && cap.bytes > 0);
 
-    let mut cursors: Vec<_> = paths
-        .iter()
-        .map(|p| CaptureCursor::open(p).expect("open shard capture"))
-        .collect();
     let mut got = String::new();
-    let merged = merge_captures_with(&mut cursors, |ev| {
+    let merged = merge_shard_captures(&paths, |ev| {
         got.push_str(&ev.to_json().to_string());
         got.push('\n');
-    })
-    .expect("merge shard captures");
+    });
     assert_eq!(merged, cap.frames);
     assert_eq!(
         &got, want,
@@ -259,17 +292,30 @@ fn capture_merge_heals_same_at_key_inversions_at_scale() {
     // A shard's event wheel executes same-microsecond events in
     // insertion order, not key order, so at E9 scale the per-shard
     // streams carry (at, key) inversions inside equal-`at` runs. The
-    // in-memory merge handles them with a sort fallback; the capture
-    // cursors must produce the *same* healed total order from disk.
+    // merge heals them run by run; the in-memory frames and the
+    // capture files must produce the *same* healed total order, equal
+    // to a plain stable sort on (at, key, capture index).
     // (The E1 tests above never trip this — their shard streams happen
     // to arrive fully sorted — so this scenario is the regression pin.)
     let (mut scen, base, sources) = sharded_e9();
-    scen.world.install_ring_sinks(RingConfig::default());
+    scen.world.install_shard_sinks(|_| {
+        RingSink::boxed(
+            RingConfig::default(),
+            vec![Box::new(FrameBufferSink::new())],
+        )
+    });
     e9_large_round(&mut scen, base, sources);
-    let (frames, _) = scen
+    let frames: Vec<Vec<(u64, u64, TraceEvent)>> = scen
         .world
-        .finish_ring_frames()
-        .expect("ring sinks installed");
+        .take_shard_sinks()
+        .expect("shard sinks installed")
+        .iter_mut()
+        .map(|sink| {
+            let ring = sink.as_any_mut().downcast_mut::<RingSink>().expect("ring");
+            ring.with_sink_mut::<FrameBufferSink, _>(|b| std::mem::take(&mut b.entries))
+                .expect("ring drains into FrameBufferSink")
+        })
+        .collect();
     let inverted = frames
         .iter()
         .any(|s| s.windows(2).any(|w| (w[1].0, w[1].1) < (w[0].0, w[0].1)));
@@ -277,27 +323,37 @@ fn capture_merge_heals_same_at_key_inversions_at_scale() {
         inverted,
         "scenario must exercise the key-inversion healing path"
     );
-    let want = merge_keyed_events(frames);
+    let mut oracle: Vec<(u64, u64, usize, TraceEvent)> = frames
+        .iter()
+        .flat_map(|s| {
+            s.iter()
+                .enumerate()
+                .map(|(i, &(at, key, ev))| (at, key, i, ev))
+        })
+        .collect();
+    oracle.sort_by_key(|e| (e.0, e.1, e.2));
+    let want: Vec<TraceEvent> = oracle.into_iter().map(|e| e.3).collect();
+    let mut in_memory = Vec::with_capacity(want.len());
+    merge_frame_buffers(frames, |ev| in_memory.push(*ev)).expect("merge frame buffers");
+    assert!(
+        in_memory == want,
+        "in-memory merge must equal the stable-sort order"
+    );
 
     let dir = scratch("inversions");
     let (mut scen, base, sources) = sharded_e9();
-    let paths = scen
-        .world
-        .install_capture_sinks(RingConfig::default(), CaptureConfig::default(), &dir)
-        .expect("create shard captures");
+    let paths = install_shard_captures(
+        &mut scen.world,
+        RingConfig::default(),
+        CaptureConfig::default(),
+        &dir,
+    );
     e9_large_round(&mut scen, base, sources);
-    let (stats, cap) = scen
-        .world
-        .finish_capture_sinks()
-        .expect("capture sinks installed");
+    let (stats, cap) = finish_shard_captures(&mut scen.world);
     assert_eq!(cap.frames, stats.frames_written);
 
-    let mut cursors: Vec<_> = paths
-        .iter()
-        .map(|p| CaptureCursor::open(p).expect("open shard capture"))
-        .collect();
     let mut got = Vec::with_capacity(want.len());
-    let merged = merge_captures_with(&mut cursors, |ev| got.push(*ev)).expect("merge");
+    let merged = merge_shard_captures(&paths, |ev| got.push(*ev));
     assert_eq!(merged, cap.frames);
     assert_eq!(got.len(), want.len());
     assert!(

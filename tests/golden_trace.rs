@@ -16,7 +16,7 @@ use wmsn::core::drivers::SprDriver;
 use wmsn::core::params::{FieldParams, GatewayParams, TrafficParams};
 use wmsn::routing::flooding::{FloodMode, FloodSensor, FloodSink};
 use wmsn::sim::{CollisionModel, NodeConfig, World, WorldConfig};
-use wmsn::trace::{BufferSink, CountingSink, Replay};
+use wmsn::trace::{capture_path_of, BufferSink, CountingSink, Replay};
 use wmsn::util::Point;
 
 /// Run the E1 kernel (SPR, 40 sensors, 3 gateways) for one round with a
@@ -52,7 +52,7 @@ fn e1_trace_is_byte_identical_for_a_fixed_seed() {
 #[test]
 fn e1_trace_reconstructs_a_delivered_message_path() {
     let out = traced_e1_run(11);
-    let replay = Replay::from_jsonl(&out).expect("every trace line must parse");
+    let mut replay = Replay::from_jsonl(&out).expect("every trace line must parse");
     assert!(!replay.is_empty());
     let delivered = replay.delivered_messages();
     assert!(
@@ -60,7 +60,9 @@ fn e1_trace_reconstructs_a_delivered_message_path() {
         "E1 must deliver at least one message"
     );
     let (origin, msg_id) = delivered[0];
-    let path = replay.path_of(origin, msg_id).expect("path must exist");
+    let path = capture_path_of(&mut replay, origin, msg_id)
+        .expect("an in-memory scan cannot fail")
+        .expect("path must exist");
     assert!(
         !path.hops.is_empty(),
         "a delivered message must have forward hops"

@@ -35,7 +35,7 @@ use wmsn::core::params::{FieldParams, GatewayParams, ParallelConfig, TrafficPara
 use wmsn::routing::mlr::{MlrConfig, MlrGateway, MlrSensor};
 use wmsn::sim::{Behavior, NodeConfig, PacketKind, ShardedWorld, SimHost, World, WorldConfig};
 use wmsn::topology::strip_shards;
-use wmsn::trace::BufferSink;
+use wmsn::trace::{merge_frame_buffers, BufferSink, FrameBufferSink};
 use wmsn::util::{NodeId, Point};
 
 fn test_threads() -> usize {
@@ -160,13 +160,24 @@ fn merged_shard_trace_is_byte_identical_to_the_reference_trace() {
 
     let scen = build_spr(&field, &gw, TrafficParams::default());
     let mut d = SprDriver::new(shard_scenario(scen, 4, test_threads()));
-    d.scenario.world.install_trace_sinks();
+    d.scenario
+        .world
+        .install_shard_sinks(|_| Box::new(FrameBufferSink::new()));
     d.run_round();
-    let got = d
+    let buffers = d
         .scenario
         .world
-        .take_merged_trace()
-        .expect("sinks installed");
+        .take_shard_sinks()
+        .expect("sinks installed")
+        .into_iter()
+        .map(|mut sink| {
+            let buf = sink.as_any_mut().downcast_mut::<FrameBufferSink>();
+            std::mem::take(&mut buf.expect("FrameBufferSink").entries)
+        })
+        .collect();
+    let mut got = String::new();
+    merge_frame_buffers(buffers, |ev| got.push_str(&format!("{}\n", ev.to_json())))
+        .expect("shard streams are at-monotone");
     assert!(!want.is_empty(), "reference trace must not be empty");
     assert_eq!(got, want, "merged shard trace != reference trace bytes");
 }

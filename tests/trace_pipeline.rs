@@ -15,12 +15,11 @@
 //!   the healthy baseline must stay silent through the ring too;
 //! * the self-healing loop (`drain_actions`) must produce the same
 //!   actions whichever pipeline hosts the monitor;
-//! * a binary capture of the E1 run, decoded and re-rendered, must be
-//!   byte-identical to the live `JsonlSink` output (the `convert`
-//!   golden); and the binary round-trip must preserve causal keys;
+//! * a `.wcap` capture of the E1 run, decoded and re-rendered, must be
+//!   byte-identical to the live `BufferSink` output (the `convert`
+//!   golden); and the capture round-trip must preserve causal keys;
 //! * the sharded kernel with per-shard rings must merge back to the
-//!   reference trace bytes, exactly as the inline `KeyedBufferSink`
-//!   path does.
+//!   reference trace bytes.
 
 use wmsn::core::builder::{build_mlr, build_spr, SprScenario};
 use wmsn::core::drivers::{MlrDriver, SprDriver};
@@ -31,7 +30,8 @@ use wmsn::health::{HealthConfig, HealthMonitor, HealthPolicy};
 use wmsn::sim::ShardedWorld;
 use wmsn::topology::strip_shards;
 use wmsn::trace::{
-    read_binary_trace, BackpressurePolicy, BinarySink, BufferSink, RingConfig, RingSink,
+    merge_frame_buffers, BackpressurePolicy, BufferSink, CaptureConfig, CaptureReader, CaptureSink,
+    FrameBufferSink, RingConfig, RingSink, RingStats, ScanFilter,
 };
 use wmsn_attacks::sinkhole::TargetProtocol;
 
@@ -193,7 +193,7 @@ fn self_healing_loop_acts_identically_through_the_ring() {
 #[test]
 fn binary_capture_converts_to_the_exact_jsonl_bytes() {
     // Two identical seeded runs: one through the live JSONL sink, one
-    // through the binary sink. Decoding the binary capture and
+    // through the segmented capture sink. Decoding the capture and
     // re-rendering each event must reproduce the JSONL bytes — the
     // `wmsn-trace convert` golden property.
     let jsonl = traced_e1(11, 1, Box::new(BufferSink::new()), false);
@@ -203,23 +203,41 @@ fn binary_capture_converts_to_the_exact_jsonl_bytes() {
         .expect("BufferSink")
         .out;
 
-    let mut bin = traced_e1(11, 1, Box::new(BinarySink::new(Vec::<u8>::new())), false);
-    let bin = bin
+    let dir = std::env::temp_dir().join(format!("wmsn-trace-pipeline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("e1.wcap");
+    let sink = CaptureSink::create(
+        &path,
+        CaptureConfig {
+            segment_frames: 256,
+        },
+    )
+    .expect("create");
+    let mut sink = traced_e1(11, 1, Box::new(sink), false);
+    let written = sink
         .as_any_mut()
-        .downcast_mut::<BinarySink<Vec<u8>>>()
-        .expect("BinarySink");
-    let written = bin.frames_written();
-    let buf = std::mem::replace(bin, BinarySink::new(Vec::new())).into_inner();
-    let frames = read_binary_trace(&buf[..]).expect("capture decodes");
+        .downcast_mut::<CaptureSink>()
+        .and_then(CaptureSink::finalize)
+        .expect("capture finalizes")
+        .frames;
+    let mut frames = Vec::new();
+    CaptureReader::open(&path)
+        .expect("capture opens")
+        .scan(&ScanFilter::all(), |ev, at, key| {
+            frames.push((*ev, at, key))
+        })
+        .expect("capture decodes");
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(frames.len() as u64, written);
     let mut got = String::new();
     for (ev, _, _) in &frames {
         got.push_str(&ev.to_json().to_string());
         got.push('\n');
     }
-    assert_eq!(&got, want, "decoded binary must render to identical JSONL");
-    // Causal keys survive the binary round trip: strictly non-decreasing
-    // (at, key) per emitting event and at least one non-zero key.
+    assert_eq!(&got, want, "decoded capture must render to identical JSONL");
+    // Causal keys survive the capture round trip: strictly
+    // non-decreasing (at, key) per emitting event and at least one
+    // non-zero key.
     assert!(frames.iter().any(|&(_, _, key)| key != 0));
     for w in frames.windows(2) {
         assert!(
@@ -246,20 +264,33 @@ fn sharded_per_shard_rings_merge_to_the_reference_trace_bytes() {
     let sharded: SprScenario<ShardedWorld> =
         scen.map_world(|w| ShardedWorld::from_world(w, assignment, test_threads()));
     let mut d = SprDriver::new(sharded);
-    d.scenario.world.install_ring_sinks(tight_ring());
+    d.scenario.world.install_shard_sinks(|_| {
+        RingSink::boxed(tight_ring(), vec![Box::new(FrameBufferSink::new())])
+    });
     d.run_round();
-    let (events, stats) = d
+    let mut stats = RingStats::default();
+    let mut buffers = Vec::new();
+    for mut sink in d
         .scenario
         .world
-        .finish_ring_sinks()
-        .expect("ring sinks installed");
-    assert_eq!(stats.frames_dropped, 0);
-    assert_eq!(stats.frames_written as usize, events.len());
+        .take_shard_sinks()
+        .expect("shard sinks installed")
+    {
+        let ring = sink.as_any_mut().downcast_mut::<RingSink>().expect("ring");
+        stats.add(&ring.stats());
+        buffers.push(
+            ring.with_sink_mut::<FrameBufferSink, _>(|b| std::mem::take(&mut b.entries))
+                .expect("ring drains into FrameBufferSink"),
+        );
+    }
     let mut got = String::new();
-    for ev in &events {
+    let merged = merge_frame_buffers(buffers, |ev| {
         got.push_str(&ev.to_json().to_string());
         got.push('\n');
-    }
+    })
+    .expect("shard streams are at-monotone");
+    assert_eq!(stats.frames_dropped, 0);
+    assert_eq!(stats.frames_written, merged);
     assert_eq!(
         &got, want,
         "merged per-shard ring frames must render to the reference JSONL"
