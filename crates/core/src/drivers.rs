@@ -175,11 +175,13 @@ impl MlrDriver {
                     b.gateway.set_place(ctx, place as u16, round);
                 });
         }
-        if self.reset_tables {
-            for &sensor in &s.sensors {
-                s.world
-                    .with_behavior::<MlrSensor, _>(sensor, |b, _| b.table.clear());
-            }
+        for &sensor in &s.sensors {
+            s.world.with_behavior::<MlrSensor, _>(sensor, |b, _| {
+                b.reset_round();
+                if self.reset_tables {
+                    b.table.clear();
+                }
+            });
         }
         s.world.run_for(500_000); // announcements settle
         let msgs = s.traffic.msgs_per_sensor_per_round;

@@ -114,6 +114,7 @@ pub struct MlrSensor {
     /// Best (fewest-hops-to-go) RREP relayed per (origin, req, place):
     /// later, no-better copies are installed locally but not re-relayed,
     /// damping the reply storm when many caches answer one flood.
+    /// Cleared by [`MlrSensor::reset_round`].
     seen_rrep: HashMap<(NodeId, u64, u16), usize>,
     seen_announce: SeenTable,
     seen_load: SeenTable,
@@ -150,6 +151,18 @@ impl MlrSensor {
     /// Boxed, for `World::add_node`.
     pub fn boxed(cfg: MlrConfig) -> Box<dyn Behavior> {
         Box::new(Self::new(cfg))
+    }
+
+    /// Round boundary (§5.3): forget the RREP relay-damping state, which
+    /// only ever matches replies to this round's discoveries. The
+    /// place-keyed table and the flood dedup persist across rounds.
+    pub fn reset_round(&mut self) {
+        self.seen_rrep.clear();
+    }
+
+    /// Entries the RREP relay-damping map can hold without reallocating.
+    pub fn seen_rrep_capacity(&self) -> usize {
+        self.seen_rrep.capacity()
     }
 
     /// Places currently occupied (sorted, deduped).

@@ -138,6 +138,17 @@ impl SprSensor {
         self.discovering = None;
     }
 
+    /// Slots held by the RREQ flood-dedup table (read-only; bounded by
+    /// the origins heard in the current round, see [`SeenTable`]).
+    pub fn seen_rreq_capacity(&self) -> usize {
+        self.seen_rreq.capacity()
+    }
+
+    /// Entries the RREP relay-damping map can hold without reallocating.
+    pub fn seen_rrep_capacity(&self) -> usize {
+        self.seen_rrep.capacity()
+    }
+
     /// Originate one application message. Sends immediately if a route is
     /// cached, otherwise buffers and (if not already) starts discovery.
     pub fn originate(&mut self, ctx: &mut Ctx<'_>) {

@@ -799,4 +799,31 @@ mod tests {
         );
         assert_eq!(w.metrics().deliveries.len(), 2);
     }
+
+    #[test]
+    fn candidate_buffers_expire_with_their_collection_window() {
+        // Every round each sensor forgets its route and rediscovers; the
+        // gateway's per-query candidate buffers must drain at each
+        // window's end, so they never hold more than one round's queries.
+        let (mut w, sensors, gw) = secure_chain(5, 12);
+        w.start();
+        let mut first_cap = 0;
+        for round in 0..20 {
+            for &s in &sensors {
+                w.with_behavior::<SecMlrSensor, _>(s, |b, ctx| {
+                    b.routes.clear();
+                    b.originate(ctx);
+                });
+            }
+            w.run_for(3_000_000);
+            let g = w.behavior_as::<SecMlrGateway>(gw).unwrap();
+            assert!(g.collecting.is_empty(), "round {round}: buffers left");
+            if round == 0 {
+                first_cap = g.collecting.capacity();
+            }
+            assert_eq!(g.collecting.capacity(), first_cap, "round {round}");
+            assert_eq!(g.stats.rreq_accepted, 5 * (round + 1));
+        }
+        assert_eq!(w.metrics().unique_deliveries(), 100);
+    }
 }

@@ -19,7 +19,11 @@
 //! few dozen flood sources, and a dense origin-indexed array would cost
 //! O(n) memory per node (O(n²) across the field) and blow the cache on
 //! the hottest lookup. Clearing is O(1): the generation stamp is
-//! bumped and stale slots are dropped lazily at the next growth.
+//! bumped; a stale slot is reclaimed in place when its originator is
+//! heard again, and dropped at the next rehash otherwise. The rehash
+//! sizes the table from the current generation's entries alone, so a
+//! node that hears new originators every round keeps a table sized by
+//! one round's originators, not by how long the run has gone on.
 
 /// One originator's duplicate-suppression state.
 #[derive(Clone, Copy, Debug, Default)]
@@ -47,10 +51,10 @@ struct Slot {
 pub struct SeenTable {
     gen: u64,
     /// `origin + 1` per table slot; 0 = never used. Stale keys (older
-    /// generation) stay until the next growth rehash.
+    /// generation) stay until the next rehash.
     keys: Vec<u64>,
     slots: Vec<Slot>,
-    /// Occupied table slots, live or stale — drives growth.
+    /// Occupied table slots, live or stale — drives the rehash.
     used: usize,
 }
 
@@ -118,9 +122,9 @@ impl SeenTable {
     /// (mirrors `HashSet::insert`).
     pub fn insert(&mut self, origin: u32, seq: u64) -> bool {
         // Keep at least one slot in four vacant so probes stay short;
-        // growth rehashes live entries only, dropping stale generations.
+        // the rehash keeps live entries only, dropping stale generations.
         if self.keys.is_empty() || (self.used + 1) * 4 > self.keys.len() * 3 {
-            self.grow();
+            self.rehash();
         }
         let key = u64::from(origin) + 1;
         let mask = self.keys.len() - 1;
@@ -172,17 +176,31 @@ impl SeenTable {
         true
     }
 
-    /// Double the table (min 8 slots) and rehash, keeping only the
-    /// current generation's entries. Deterministic: reinsertion walks
-    /// the old table in slot order.
-    fn grow(&mut self) {
-        let cap = (self.keys.len() * 2).max(8);
+    /// Slots allocated (a power of two, or 0 before the first insert).
+    pub fn capacity(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Rehash into the smallest power of two ≥ 8 that holds the current
+    /// generation's entries at load ≤ ½, dropping stale generations. The
+    /// table grows, keeps its size or shrinks. Every rehash leaves at
+    /// least `cap / 4` inserts before the next, so inserts stay amortised
+    /// O(1). Deterministic: reinsertion walks the old table in slot order.
+    fn rehash(&mut self) {
+        let gen = self.gen;
+        let live = self
+            .keys
+            .iter()
+            .zip(&self.slots)
+            .filter(|&(&k, s)| k != 0 && s.gen == gen)
+            .count();
+        let cap = (live * 2).next_power_of_two().max(8);
         let old_keys = std::mem::replace(&mut self.keys, vec![0; cap]);
         let old_slots = std::mem::replace(&mut self.slots, vec![Slot::default(); cap]);
-        self.used = 0;
+        self.used = live;
         let mask = cap - 1;
         for (k, s) in old_keys.into_iter().zip(old_slots) {
-            if k == 0 || s.gen != self.gen {
+            if k == 0 || s.gen != gen {
                 continue;
             }
             let mut i = ((k.wrapping_mul(HASH_MUL)) >> 32) as usize & mask;
@@ -191,7 +209,6 @@ impl SeenTable {
             }
             self.keys[i] = k;
             self.slots[i] = s;
-            self.used += 1;
         }
     }
 }
@@ -299,9 +316,133 @@ mod tests {
         }
         // Capacity is bounded by live entries, not by generation count.
         assert!(
-            t.keys.len() <= 512,
+            t.capacity() <= 512,
             "capacity {} grew unbounded",
-            t.keys.len()
+            t.capacity()
         );
+    }
+
+    #[test]
+    fn distinct_origins_per_generation_keep_capacity_bounded() {
+        // A node that hears new originators every round: stale slots are
+        // never reclaimed in place, so only a live-sized rehash keeps the
+        // table from growing with the number of rounds.
+        for live in [1u32, 3, 8, 25, 100] {
+            let mut t = SeenTable::new();
+            for gen in 0..1_000u32 {
+                for o in 0..live {
+                    assert!(t.insert(gen * live + o, u64::from(gen)));
+                }
+                let bound = 4 * 8.max(live as usize);
+                assert!(
+                    t.capacity() <= bound,
+                    "live {live}, generation {gen}: capacity {} > {bound}",
+                    t.capacity()
+                );
+                t.clear();
+            }
+        }
+    }
+
+    /// Reference semantics: a `HashSet` of pairs plus each origin's
+    /// highest sequence, with anything 64 or more behind it seen.
+    #[derive(Default)]
+    struct Model {
+        pairs: std::collections::HashSet<(u32, u64)>,
+        max: std::collections::HashMap<u32, u64>,
+    }
+
+    impl Model {
+        fn contains(&self, origin: u32, seq: u64) -> bool {
+            let ancient = self.max.get(&origin).is_some_and(|&m| m >= seq + 64);
+            ancient || self.pairs.contains(&(origin, seq))
+        }
+
+        fn insert(&mut self, origin: u32, seq: u64) -> bool {
+            if self.contains(origin, seq) {
+                return false;
+            }
+            self.pairs.insert((origin, seq));
+            let m = self.max.entry(origin).or_insert(seq);
+            *m = (*m).max(seq);
+            true
+        }
+
+        fn clear(&mut self) {
+            self.pairs.clear();
+            self.max.clear();
+        }
+    }
+
+    #[test]
+    fn matches_the_windowed_set_model_across_bursts_and_quiet_generations() {
+        use crate::rng::SplitMix64;
+        for seed in 0..20u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut t = SeenTable::new();
+            let mut m = Model::default();
+            let mut next_origin = 0u32;
+            let mut peak_live = 0usize;
+            let mut shrinks = 0;
+            for gen in 0..400u32 {
+                // Every twentieth generation is a burst that forces
+                // growth; the rest are quiet, and the new origins they
+                // add in place of stale slots force shrinks. The tail is
+                // quiet throughout.
+                let fresh = if gen % 20 == 0 && gen < 300 {
+                    100 + rng.next_below(300) as u32
+                } else {
+                    rng.next_below(30) as u32
+                };
+                // Mostly new origins, some revisited from earlier
+                // generations so stale slots are reclaimed in place too.
+                let mut origins: Vec<u32> = (0..fresh)
+                    .map(|_| {
+                        if next_origin > 0 && rng.chance(0.2) {
+                            rng.next_below(u64::from(next_origin)) as u32
+                        } else {
+                            next_origin += 1;
+                            next_origin - 1
+                        }
+                    })
+                    .collect();
+                origins.sort_unstable();
+                origins.dedup();
+                peak_live = peak_live.max(origins.len());
+                let cap_before = t.capacity();
+                for o in &origins {
+                    let seq = u64::from(gen) * 10 + rng.next_below(80);
+                    assert_eq!(t.insert(*o, seq), m.insert(*o, seq), "seed {seed}");
+                }
+                for _ in 0..origins.len() * 3 {
+                    let o = origins[rng.next_index(origins.len())];
+                    let seq = u64::from(gen) * 10 + rng.next_below(160);
+                    if rng.chance(0.5) {
+                        assert_eq!(t.insert(o, seq), m.insert(o, seq), "seed {seed} insert");
+                    } else {
+                        assert_eq!(t.contains(o, seq), m.contains(o, seq), "seed {seed} probe");
+                    }
+                }
+                // Origins never heard, and heard only in a cleared
+                // generation, read as unseen.
+                assert!(!t.contains(next_origin, 0));
+                if t.capacity() < cap_before {
+                    shrinks += 1;
+                }
+                assert!(
+                    t.capacity() <= 4 * 8.max(peak_live),
+                    "seed {seed} gen {gen}: capacity {} vs peak live {peak_live}",
+                    t.capacity()
+                );
+                t.clear();
+                m.clear();
+            }
+            assert!(shrinks >= 3, "seed {seed}: {shrinks} shrinks");
+            assert!(
+                t.capacity() <= 64,
+                "seed {seed}: quiet tail kept {}",
+                t.capacity()
+            );
+        }
     }
 }
