@@ -10,7 +10,9 @@ fn bench(c: &mut Criterion) {
     emit("e6_attacks", &e6_attacks(1));
     c.bench_function("e6/secmlr_vs_sinkhole_cell", |b| {
         b.iter(|| {
-            std::hint::black_box(run_attack_cell(TargetProtocol::SecMlr, Attack::Sinkhole, 1))
+            std::hint::black_box(
+                run_attack_cell(TargetProtocol::SecMlr, Attack::Sinkhole, 1, None).0,
+            )
         })
     });
 }

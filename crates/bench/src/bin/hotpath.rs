@@ -1,10 +1,13 @@
 //! End-to-end timing of the simulator's hot paths.
 //!
 //! Times the E9-scalability kernel (n = 800, analytic and fully
-//! simulated) and the E17 seed sweep, and writes the tracked perf
-//! baseline `BENCH_hotpath.json` at the repo root. For the simulated
-//! kernel it also records event-loop throughput (`events_per_sec`) and
-//! the peak event-queue depth alongside wall time.
+//! simulated, untraced and with an inline health monitor), the n=100k
+//! sharded round (unmonitored, and monitored through per-shard capture
+//! files), the E17 seed sweep and a wire microbench, and writes the
+//! tracked perf baseline `BENCH_hotpath.json` at the repo root. For the
+//! simulated kernels it also records event-loop throughput
+//! (`events_per_sec`) and the peak event-queue depth alongside wall
+//! time.
 //!
 //! Workflow:
 //!
@@ -17,38 +20,34 @@
 //! `--label before` snapshots timings to
 //! `target/BENCH_hotpath.before.json` (under `CARGO_TARGET_DIR` when
 //! set — scratch state, deliberately outside the working tree so a
-//! bench run never dirties it); `--label after` (the default) re-times,
-//! folds in the snapshot if one exists (falling back to a repo-root
-//! `BENCH_hotpath.before.json` from older runs), and writes
-//! `BENCH_hotpath.json` with before/after/speedup per kernel. Repetitions default to 3 (min is reported; override with
+//! bench run never dirties it); `--label after` (the default) re-times
+//! and writes `BENCH_hotpath.json` with before/after/speedup per kernel.
+//! Repetitions default to 3 (min is reported; override with
 //! `HOTPATH_REPS`).
 //!
-//! Every kernel row carries a before/after pair. The `before_s` value
-//! comes from, in order of preference: the `--label before` snapshot
-//! (a timing of the pre-change build); the kernel's own built-in
-//! baseline run (`baseline` — the same workload with the optimisation
-//! switched off, e.g. the n=100k row timing the single-threaded
-//! full-medium path against the sharded fast-path kernel); or carried
-//! forward from the committed `BENCH_hotpath.json`.
+//! A row's `before_s` (and its `before_note`, how that baseline was
+//! obtained) comes from the `--label before` snapshot when one covers
+//! the kernel, and is otherwise carried forward from the committed
+//! `BENCH_hotpath.json`.
 //!
 //! `--threads N` sets the worker-thread count for the sharded kernels
 //! (default: available parallelism).
 //!
 //! `--check` is the CI smoke gate: it re-times the simulated E9 kernels
-//! (n=800 reference and the n=100k sharded row) and exits non-zero if
-//! wall time regressed more than 25% against the committed
+//! (n=800 untraced and monitored, and the n=100k sharded row) and exits
+//! non-zero if wall time regressed more than 25% against the committed
 //! `BENCH_hotpath.json` baseline.
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use wmsn_core::experiments::{
-    e17_seed_sweep, e9_event_stats, e9_event_stats_monitored, e9_event_stats_monitored_ring,
-    e9_large, e9_large_monitored, e9_large_monitored_inline, e9_scalability,
+    e17_seed_sweep, e9_event_stats, e9_large, e9_large_monitored, e9_scalability,
 };
 use wmsn_core::params::ParallelConfig;
+use wmsn_health::{HealthConfig, HealthMonitor};
 use wmsn_routing::wire::{rreq_append_forward, RoutingMsg};
-use wmsn_trace::{log_error, log_record, CaptureStats, RingStats};
+use wmsn_trace::{log_error, log_record, CaptureStats, RingStats, TraceSink};
 use wmsn_util::json::Json;
 use wmsn_util::NodeId;
 
@@ -99,10 +98,31 @@ fn bench_threads() -> usize {
 /// re-timing affordable while still flooding every shard seam.
 const N100K_SOURCES: usize = 3;
 
-/// Un-timed statistics run for ring-pipeline kernels: `(events
-/// processed, peak queue depth, ring telemetry, capture telemetry for
-/// kernels that stream their trace to disk)`.
-type RingStatsFn = fn() -> (u64, usize, RingStats, Option<CaptureStats>);
+/// One un-timed run of a kernel: event-loop statistics, plus the ring
+/// and capture telemetry of the kernel that streams its trace to disk.
+struct RunStats {
+    events: u64,
+    peak_queue_depth: usize,
+    ring: Option<RingStats>,
+    capture: Option<CaptureStats>,
+}
+
+/// The n=800 E9 rounds' statistics with `sink` building each world's
+/// trace sink.
+fn n800_stats(sink: fn() -> Option<Box<dyn TraceSink>>) -> RunStats {
+    let (events, peak_queue_depth, _) = e9_event_stats(800, 17, sink);
+    RunStats {
+        events,
+        peak_queue_depth,
+        ring: None,
+        capture: None,
+    }
+}
+
+/// The monitored n=800 row's sink: the health monitor installed inline.
+fn inline_monitor() -> Option<Box<dyn TraceSink>> {
+    Some(HealthMonitor::boxed(HealthConfig::default()))
+}
 
 /// The monitored n=100k round with its trace streamed to per-shard
 /// segmented capture files in a scratch directory (deleted afterwards)
@@ -138,19 +158,8 @@ struct Kernel {
     name: &'static str,
     desc: &'static str,
     run: fn() -> usize,
-    /// Optional built-in baseline: the same workload with the
-    /// optimisation under test switched off. Timed in the same
-    /// invocation and used as `before_s` when no `--label before`
-    /// snapshot covers this kernel.
-    baseline: Option<fn() -> usize>,
-    /// Optional event-loop statistics: `(events processed, peak queue
-    /// depth)` for one un-timed run of the same kernel.
-    event_stats: Option<fn() -> (u64, usize)>,
-    /// For ring-pipeline kernels: one un-timed run returning the
-    /// event-loop statistics *plus* the ring's backpressure telemetry
-    /// (frames written/dropped, blocked-µs, peak occupancy). Supersedes
-    /// `event_stats` when present.
-    ring_stats: Option<RingStatsFn>,
+    /// Optional statistics from one un-timed run of the same kernel.
+    stats: Option<fn() -> RunStats>,
 }
 
 const KERNELS: &[Kernel] = &[
@@ -158,32 +167,23 @@ const KERNELS: &[Kernel] = &[
         name: "e9_n800_analytic",
         desc: "E9 scalability n=800: build + placement + hop fields (no event loop)",
         run: || e9_scalability(&[800], 17, false).len(),
-        baseline: None,
-        event_stats: None,
-        ring_stats: None,
+        stats: None,
     },
     Kernel {
         name: "e9_n800_sim",
         desc: "E9 scalability n=800: full SPR round simulation (transmit/deliver hot path)",
         run: || e9_scalability(&[800], 17, true).len(),
-        baseline: None,
-        event_stats: Some(|| e9_event_stats(800, 17)),
-        ring_stats: None,
+        stats: Some(|| n800_stats(|| None)),
     },
     Kernel {
         name: "e9_n800_sim_monitored",
-        desc: "E9 n=800 SPR rounds monitored through the ring pipeline: the sim thread copies TraceEvent frames into a bounded SPSC ring and the health monitor's detector bank runs on the drain thread (monitor-enabled row; e9_n800_sim above is the one-branch disabled cost, which this change leaves untouched); built-in baseline is the pre-ring inline pipeline (monitor installed directly as the trace sink). NOTE: on a single-core host the drain thread cannot overlap the sim thread, so the enabled cost here is an upper bound — on multi-core hosts the detector work runs concurrently with the simulation",
-        run: || e9_event_stats_monitored_ring(800, 17).0 as usize,
-        baseline: Some(|| e9_event_stats_monitored(800, 17).0 as usize),
-        event_stats: None,
-        ring_stats: Some(|| {
-            let (events, peak, ring) = e9_event_stats_monitored_ring(800, 17);
-            (events, peak, ring, None)
-        }),
+        desc: "E9 n=800 SPR rounds with the health monitor installed inline as the world's trace sink, so every observe() and the detector bank run on the simulation thread (monitor-enabled row; e9_n800_sim above is the one-branch disabled cost)",
+        run: || e9_event_stats(800, 17, inline_monitor).0 as usize,
+        stats: Some(|| n800_stats(inline_monitor)),
     },
     Kernel {
         name: "e9_n100k_sim",
-        desc: "E9 large: n=100k three-tier SPR round on the sharded kernel (one strip shard per --threads worker, unicast fast path on); built-in baseline is the same round on the single-threaded reference kernel with the fast path off — the tracked before_s comes from the snapshot: the pre-PR kernel (dense per-origin dedup tables) on this exact workload",
+        desc: "E9 large: n=100k three-tier SPR round on the sharded kernel (one strip shard per --threads worker, unicast fast path on); before_s is the pre-sharding kernel (dense per-origin dedup tables) on this exact workload",
         run: || {
             e9_large(
                 100_000,
@@ -194,8 +194,7 @@ const KERNELS: &[Kernel] = &[
             )
             .events as usize
         },
-        baseline: Some(|| e9_large(100_000, 17, N100K_SOURCES, false, None).events as usize),
-        event_stats: Some(|| {
+        stats: Some(|| {
             let s = e9_large(
                 100_000,
                 17,
@@ -203,19 +202,26 @@ const KERNELS: &[Kernel] = &[
                 true,
                 Some(ParallelConfig::per_thread(bench_threads())),
             );
-            (s.events, s.peak_queue_depth)
+            RunStats {
+                events: s.events,
+                peak_queue_depth: s.peak_queue_depth,
+                ring: None,
+                capture: None,
+            }
         }),
-        ring_stats: None,
     },
     Kernel {
         name: "e9_n100k_sim_monitored",
-        desc: "E9 large: the n=100k sharded round with full health monitoring and disk-streamed captures — per-shard ring pipelines hand (at,key,event) frames to per-shard CaptureSinks whose drain threads encode and write segmented capture files, then one monitor consumes the k-way merged on-disk stream (same causal order as the in-memory merge: deterministic, kernel-independent verdicts) with one segment per shard resident instead of every frame; built-in baseline is the best pre-ring monitored configuration: the single-threaded reference kernel with the monitor inline as its trace sink (the sharded kernel cannot host an inline monitor, and a JSONL pipe at this scale is off the chart — this row did not exist before the ring pipeline)",
+        desc: "E9 large: the n=100k sharded round with full health monitoring and disk-streamed captures — per-shard ring pipelines hand (at,key,event) frames to per-shard CaptureSinks whose drain threads encode and write segmented capture files, then one monitor consumes the k-way merged on-disk stream (same causal order as the in-memory merge: deterministic, kernel-independent verdicts) with one segment per shard resident instead of every frame; before_s is the single-threaded reference kernel with the monitor inline as its trace sink (the sharded kernel cannot host an inline monitor)",
         run: || n100k_monitored_captured().0.events as usize,
-        baseline: Some(|| e9_large_monitored_inline(100_000, 17, N100K_SOURCES).events as usize),
-        event_stats: None,
-        ring_stats: Some(|| {
-            let (s, r, _alerts, cap) = n100k_monitored_captured();
-            (s.events, s.peak_queue_depth, r, Some(cap))
+        stats: Some(|| {
+            let (s, ring, _alerts, capture) = n100k_monitored_captured();
+            RunStats {
+                events: s.events,
+                peak_queue_depth: s.peak_queue_depth,
+                ring: Some(ring),
+                capture: Some(capture),
+            }
         }),
     },
     Kernel {
@@ -225,31 +231,27 @@ const KERNELS: &[Kernel] = &[
             let seeds: Vec<u64> = (1..=8).collect();
             e17_seed_sweep(&seeds).len()
         },
-        baseline: None,
-        event_stats: None,
-        ring_stats: None,
+        stats: None,
     },
     Kernel {
         name: "flood_forward",
         desc: "RREQ append-forward microbench: 1M in-place forwards of a 12-hop query",
         run: flood_forward_kernel,
-        baseline: None,
-        event_stats: None,
-        ring_stats: None,
+        stats: None,
     },
 ];
 
-fn time_fn(name: &str, f: fn() -> usize, reps: usize) -> f64 {
+fn time_kernel(k: &Kernel, reps: usize) -> f64 {
     let mut best = f64::INFINITY;
     for rep in 0..reps {
         let t = Instant::now();
-        let rows = f();
+        let rows = (k.run)();
         let dt = t.elapsed().as_secs_f64();
         best = best.min(dt);
         log_record(
             "hotpath_rep",
             vec![
-                ("kernel", Json::from(name.to_string())),
+                ("kernel", Json::from(k.name)),
                 ("rep", Json::from(rep + 1)),
                 ("reps", Json::from(reps)),
                 ("seconds", Json::Num(dt)),
@@ -258,10 +260,6 @@ fn time_fn(name: &str, f: fn() -> usize, reps: usize) -> f64 {
         );
     }
     best
-}
-
-fn time_kernel(k: &Kernel, reps: usize) -> f64 {
-    time_fn(k.name, k.run, reps)
 }
 
 /// Pull `"key": <float>` out of a JSON document this tool wrote earlier.
@@ -275,12 +273,13 @@ fn extract_f64(doc: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// Pull `"key": <float>` scoped to one entry of the tracked baseline's
-/// `kernels` array: scan to the entry's `"kernel": "<name>"` first.
-fn extract_kernel_f64(doc: &str, kernel: &str, key: &str) -> Option<f64> {
+/// One entry of the tracked baseline's `kernels` array: from its
+/// `"kernel": "<name>"` up to the next entry, so a key the entry lacks
+/// is never read from its neighbour.
+fn kernel_entry<'a>(doc: &'a str, kernel: &str) -> Option<&'a str> {
     let anchor = format!("\"kernel\": \"{kernel}\"");
-    let start = doc.find(&anchor)? + anchor.len();
-    extract_f64(&doc[start..], key)
+    let rest = &doc[doc.find(&anchor)? + anchor.len()..];
+    Some(&rest[..rest.find("\"kernel\": ").unwrap_or(rest.len())])
 }
 
 /// Pull `"key": "<string>"` out of a JSON document this tool (or a
@@ -293,25 +292,15 @@ fn extract_string(doc: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-/// `--check`: re-time the simulated E9 kernels (the n=800 reference
-/// round — unmonitored and monitored-through-the-ring — and the
-/// n=100k sharded round) and fail (exit 1) if any regressed more than
-/// 25% against the committed `BENCH_hotpath.json` baseline — the CI
-/// smoke gate for the simulator hot path. A kernel absent from the
-/// baseline fails the gate (exit 2) rather than passing silently.
+/// `--check`: re-time the simulated E9 kernels (the n=800 round,
+/// untraced and with an inline monitor, and the n=100k sharded round)
+/// and fail (exit 1) if any regressed more than 25% against the
+/// committed `BENCH_hotpath.json` baseline — the CI smoke gate for the
+/// simulator hot path. A kernel absent from the baseline fails the gate
+/// (exit 2) rather than passing silently.
 fn run_check(reps: usize) -> ! {
-    // Per-kernel regression tolerance. The plain sim rows get the
-    // standard 25%. The ring-hosted monitored row runs a drain thread
-    // next to a ~0.1s workload, and on a single-core host its wall
-    // clock is dominated by scheduler placement — ±30% rep-to-rep is
-    // normal — so it gets a looser gate: the row exists to catch
-    // step-change regressions (a stalled ring, an accidental inline
-    // fallback), not scheduling jitter.
-    const CHECK_KERNELS: &[(&str, f64)] = &[
-        ("e9_n800_sim", 1.25),
-        ("e9_n800_sim_monitored", 1.6),
-        ("e9_n100k_sim", 1.25),
-    ];
+    const CHECK_KERNELS: &[&str] = &["e9_n800_sim", "e9_n800_sim_monitored", "e9_n100k_sim"];
+    const MAX_RATIO: f64 = 1.25;
     let doc = match std::fs::read_to_string("BENCH_hotpath.json") {
         Ok(doc) => doc,
         Err(e) => {
@@ -326,8 +315,9 @@ fn run_check(reps: usize) -> ! {
         }
     };
     let mut failed = false;
-    for (name, max_ratio) in CHECK_KERNELS {
-        let Some(baseline_s) = extract_kernel_f64(&doc, name, "after_s") else {
+    for name in CHECK_KERNELS {
+        let Some(baseline_s) = kernel_entry(&doc, name).and_then(|e| extract_f64(e, "after_s"))
+        else {
             log_error(
                 "hotpath_check_error",
                 vec![("kernel_not_in_baseline", Json::from(*name))],
@@ -347,10 +337,10 @@ fn run_check(reps: usize) -> ! {
                 ("baseline_s", Json::Num(baseline_s)),
                 ("now_s", Json::Num(now_s)),
                 ("ratio", Json::Num(ratio)),
-                ("max_ratio", Json::Num(*max_ratio)),
+                ("max_ratio", Json::Num(MAX_RATIO)),
             ],
         );
-        if ratio > *max_ratio {
+        if ratio > MAX_RATIO {
             failed = true;
             log_error(
                 "hotpath_check_failed",
@@ -461,41 +451,26 @@ fn main() {
         return;
     }
 
-    let before_doc = std::fs::read_to_string(before_snapshot_path())
-        .or_else(|_| std::fs::read_to_string("BENCH_hotpath.before.json"))
-        .ok();
+    let before_doc = std::fs::read_to_string(before_snapshot_path()).ok();
     let committed_doc = std::fs::read_to_string("BENCH_hotpath.json").ok();
-    // Uniform before/after pairing: snapshot first, then the kernel's
-    // built-in baseline (timed now, same machine, same build), then the
-    // pair carried forward from the committed baseline. `before_source`
-    // records which one each row used; a `<kernel>_before_note` string
-    // in the snapshot (how that baseline was obtained, e.g. a bounded
-    // lower-bound run) is carried into the row as `before_note`.
-    let mut befores: Vec<Option<(f64, &'static str, Option<String>)>> = Vec::new();
-    for (k, _) in &timings {
-        let resolved = if let Some(s) = before_doc
-            .as_deref()
-            .and_then(|doc| extract_f64(doc, &format!("{}_before_s", k.name)))
-        {
-            let note = before_doc
-                .as_deref()
-                .and_then(|doc| extract_string(doc, &format!("{}_before_note", k.name)));
-            Some((s, "label_before_snapshot", note))
-        } else if let Some(baseline) = k.baseline {
-            log_record("hotpath_baseline", vec![("kernel", Json::from(k.name))]);
-            Some((
-                time_fn(&format!("{}_baseline", k.name), baseline, reps),
-                "builtin_baseline",
-                None,
-            ))
-        } else {
-            committed_doc
-                .as_deref()
-                .and_then(|doc| extract_kernel_f64(doc, k.name, "before_s"))
-                .map(|s| (s, "carried_forward", None))
-        };
-        befores.push(resolved);
-    }
+    // Before/after pairing: the `--label before` snapshot (with its
+    // optional `<kernel>_before_note`), else the committed row's pair.
+    // `before_source` records which one each row used.
+    let befores: Vec<Option<(f64, &'static str, Option<String>)>> = timings
+        .iter()
+        .map(|(k, _)| {
+            let snapshot = before_doc.as_deref().and_then(|doc| {
+                let s = extract_f64(doc, &format!("{}_before_s", k.name))?;
+                let note = extract_string(doc, &format!("{}_before_note", k.name));
+                Some((s, "label_before_snapshot", note))
+            });
+            snapshot.or_else(|| {
+                let entry = kernel_entry(committed_doc.as_deref()?, k.name)?;
+                let s = extract_f64(entry, "before_s")?;
+                Some((s, "carried_forward", extract_string(entry, "before_note")))
+            })
+        })
+        .collect();
     let kernels = Json::Arr(
         timings
             .iter()
@@ -510,22 +485,22 @@ fn main() {
                 if k.name.contains("n100k") {
                     pairs.push(("threads", Json::from(threads)));
                 }
-                if let Some(stats) = k.ring_stats {
-                    let (events, peak, ring, capture) = stats();
-                    pairs.push(("events", Json::from(events)));
-                    pairs.push(("events_per_sec", Json::Num(events as f64 / after_s)));
-                    pairs.push(("peak_queue_depth", Json::from(peak)));
-                    pairs.push(("ring_frames_written", Json::from(ring.frames_written)));
-                    pairs.push(("ring_frames_dropped", Json::from(ring.frames_dropped)));
-                    pairs.push(("ring_blocked_us", Json::from(ring.blocked_us)));
-                    pairs.push(("ring_peak_chunks", Json::from(ring.peak_chunks)));
-                    pairs.push(("ring_capacity_chunks", Json::from(ring.capacity_chunks)));
-                    pairs.push(("ring_chunk_frames", Json::from(ring.chunk_frames)));
-                    if let Some(cap) = capture {
+                if let Some(stats) = k.stats {
+                    let st = stats();
+                    pairs.push(("events", Json::from(st.events)));
+                    pairs.push(("events_per_sec", Json::Num(st.events as f64 / after_s)));
+                    pairs.push(("peak_queue_depth", Json::from(st.peak_queue_depth)));
+                    if let Some(ring) = st.ring {
+                        pairs.push(("ring_frames_written", Json::from(ring.frames_written)));
+                        pairs.push(("ring_blocked_us", Json::from(ring.blocked_us)));
+                        pairs.push(("ring_peak_chunks", Json::from(ring.peak_chunks)));
+                        pairs.push(("ring_capacity_chunks", Json::from(ring.capacity_chunks)));
+                        pairs.push(("ring_chunk_frames", Json::from(ring.chunk_frames)));
+                    }
+                    if let Some(cap) = st.capture {
                         pairs.push(("capture_bytes_written", Json::from(cap.bytes)));
                         pairs.push(("capture_segments", Json::from(cap.segments)));
                         pairs.push(("capture_frames", Json::from(cap.frames)));
-                        pairs.push(("capture_frames_dropped", Json::from(cap.frames_dropped)));
                         // Effective write rate over the whole timed
                         // round (sim + encode + write + merge), not a
                         // raw disk number.
@@ -534,11 +509,6 @@ fn main() {
                             Json::Num(cap.bytes as f64 / 1e6 / after_s),
                         ));
                     }
-                } else if let Some(stats) = k.event_stats {
-                    let (events, peak) = stats();
-                    pairs.push(("events", Json::from(events)));
-                    pairs.push(("events_per_sec", Json::Num(events as f64 / after_s)));
-                    pairs.push(("peak_queue_depth", Json::from(peak)));
                 }
                 if let Some((before_s, source, note)) = before {
                     pairs.push(("before_s", Json::Num(*before_s)));

@@ -45,11 +45,11 @@
 //! through the in-memory [`Replay`]. Both print identical records byte
 //! for byte (pinned in CI by the JSONL-vs-capture parity step).
 //!
-//! A segmented capture whose trailer records `frames_dropped > 0` was
-//! recorded through a ring under `DropNewest` backpressure — the file
-//! is a *sample* of the trace stream, not a transcript — so every
-//! command that opens one prints a `capture_dropped_frames` warning on
-//! stderr first.
+//! A segmented capture whose trailer records `frames_dropped > 0` is a
+//! *sample* of the trace stream, not a transcript. This workspace's
+//! writers never drop frames, but a capture is read from disk and may
+//! come from elsewhere, so every command that opens one prints a
+//! `capture_dropped_frames` warning on stderr first.
 //!
 //! `health`/`alerts`/`top` stream the recorded trace through the same
 //! `wmsn_health::HealthMonitor` the simulator installs online, so an
@@ -71,9 +71,10 @@ use wmsn_health::{
 };
 use wmsn_trace::replay::MessagePath;
 use wmsn_trace::{
-    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, is_segmented_capture,
-    log_error, log_record, tag_name, CaptureConfig, CaptureReader, CaptureSink, EventSource,
-    Replay, ScanFilter, ScanStats, TraceEvent, DEFAULT_SEGMENT_FRAMES, TAG_COUNT,
+    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, expect_sink,
+    is_segmented_capture, log_error, log_record, tag_name, CaptureConfig, CaptureReader,
+    CaptureSink, EventSource, Replay, ScanFilter, ScanStats, TraceEvent, DEFAULT_SEGMENT_FRAMES,
+    TAG_COUNT,
 };
 use wmsn_util::json::Json;
 
@@ -126,7 +127,7 @@ fn is_capture(path: &str) -> bool {
 }
 
 /// Open a segmented capture, validating footer and directory. If the
-/// trailer records ring drops, warn on stderr before any query output:
+/// trailer records dropped frames, warn on stderr before any query output:
 /// the capture is a partial sample and must never be silently trusted.
 fn open_capture(path: &str) -> CaptureReader<BufReader<File>> {
     let r = CaptureReader::open(path).unwrap_or_else(|e| die_load(path, e));
@@ -140,7 +141,7 @@ fn open_capture(path: &str) -> CaptureReader<BufReader<File>> {
                 (
                     "warning",
                     Json::from(
-                        "capture was recorded with ring backpressure drops; \
+                        "capture trailer records dropped frames; \
                          query answers reflect a partial trace",
                     ),
                 ),
@@ -224,11 +225,9 @@ fn record(out: &str, seed: u64, rounds: u32) {
     for _ in 0..rounds {
         driver.run_round();
     }
-    let cap = driver
-        .scenario
-        .world
-        .take_trace_sink()
-        .and_then(|mut sink| sink.as_any_mut().downcast_mut::<CaptureSink>()?.finalize())
+    let mut sink = driver.scenario.world.take_trace_sink();
+    let cap = expect_sink::<CaptureSink>(sink.as_deref_mut())
+        .finalize()
         .unwrap_or_else(|| die_load(out, "capture write failed".into()));
     let m = driver.scenario.world.metrics();
     log_record(

@@ -31,6 +31,7 @@ use wmsn_topology::paper::{
 use wmsn_topology::places::FeasiblePlaces;
 use wmsn_topology::strip_shards;
 use wmsn_topology::{placement, Deployment, Topology};
+use wmsn_trace::{expect_sink, TraceSink};
 use wmsn_util::stats::ReportRow;
 use wmsn_util::{NodeId, Point, Rect, SplitMix64};
 
@@ -492,31 +493,30 @@ impl Attack {
 }
 
 /// Result of one attacked run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AttackOutcome {
     /// Unique-message delivery ratio.
     pub delivery_ratio: f64,
     /// Deliveries minus unique messages (replay-induced duplicates).
     pub duplicate_deliveries: u64,
+    /// Every delivery record, in the order the world logged them.
+    pub deliveries: Vec<wmsn_sim::metrics::Delivery>,
 }
 
 /// Run one (protocol, attack) cell of the E6 matrix: a 10-sensor chain
 /// with the gateway at the far end and the adversary parked beside the
-/// source, `rounds` rounds of one message per sensor.
-pub fn run_attack_cell(protocol: TargetProtocol, attack: Attack, seed: u64) -> AttackOutcome {
-    run_attack_cell_traced(protocol, attack, seed, None).0
-}
-
-/// [`run_attack_cell`] with an optional trace sink installed before the
-/// world starts. The sink only records — the simulation is identical to
-/// the unsinked run — and is returned flushed so callers can downcast
-/// it (E18 hands in a blind `HealthMonitor` this way).
-pub fn run_attack_cell_traced(
+/// source, three rounds in which the three sensors nearest it report.
+///
+/// `sink`, when given, is installed as the world's trace sink before
+/// start and handed back flushed, for the caller to read through
+/// [`wmsn_trace::expect_sink`]. The sink only records: the outcome is
+/// the same whatever it is (an inline `HealthMonitor`, a `RingSink`, …).
+pub fn run_attack_cell(
     protocol: TargetProtocol,
     attack: Attack,
     seed: u64,
-    sink: Option<Box<dyn wmsn_trace::TraceSink>>,
-) -> (AttackOutcome, Option<Box<dyn wmsn_trace::TraceSink>>) {
+    sink: Option<Box<dyn TraceSink>>,
+) -> (AttackOutcome, Option<Box<dyn TraceSink>>) {
     let n = 10usize;
     let mut cfg = wmsn_sim::WorldConfig::ideal(seed);
     cfg.sensor_phy.range_m = 10.0;
@@ -657,6 +657,7 @@ pub fn run_attack_cell_traced(
     let outcome = AttackOutcome {
         delivery_ratio: m.delivery_ratio(),
         duplicate_deliveries: m.deliveries.len() as u64 - unique.len() as u64,
+        deliveries: m.deliveries.clone(),
     };
     (outcome, sink)
 }
@@ -670,7 +671,7 @@ pub fn e6_attacks(seed: u64) -> Vec<ReportRow> {
             TargetProtocol::SecMlr => "secmlr",
         };
         for attack in Attack::all() {
-            let out = run_attack_cell(protocol, attack, seed);
+            let (out, _) = run_attack_cell(protocol, attack, seed, None);
             rows.push(ReportRow::new(
                 "E6",
                 format!("{pname} vs {}", attack.label()),
@@ -821,26 +822,33 @@ pub fn e8_robustness(seed: u64) -> Vec<ReportRow> {
 
 // ---------------------------------------------------------------- E9 --
 
+/// The E9 field at size `n`: constant density (0.02 / m²), 10 J
+/// batteries, and either one sink (`scaled = false`) or one gateway per
+/// 50 sensors on a square place grid. Returns the scenario and its
+/// gateway count.
+fn e9_scenario(n: usize, seed: u64, scaled: bool) -> (SprScenario, usize) {
+    let m = if scaled { (n / 50).max(2) } else { 1 };
+    let field = FieldParams {
+        battery_j: 10.0,
+        ..FieldParams::constant_density(n, 0.02, seed)
+    };
+    let grid = ((m as f64).sqrt().ceil() as usize).max(2);
+    let gw = GatewayParams {
+        m,
+        place_grid: (grid, grid),
+        ..GatewayParams::default_three()
+    };
+    (build_spr(&field, &gw, TrafficParams::default()), m)
+}
+
 /// E9: scalability at constant density — mean/max hops and (for sim
 /// sizes) latency and delivery, single sink vs gateways scaled with
 /// area.
 pub fn e9_scalability(ns: &[usize], seed: u64, simulate: bool) -> Vec<ReportRow> {
     let mut rows = Vec::new();
     for &n in ns {
-        let density = 0.02; // 1 sensor per 50 m²
         for scaled in [false, true] {
-            let m = if scaled { (n / 50).max(2) } else { 1 };
-            let field = FieldParams {
-                battery_j: 10.0,
-                ..FieldParams::constant_density(n, density, seed)
-            };
-            let grid = ((m as f64).sqrt().ceil() as usize).max(2);
-            let gw = GatewayParams {
-                m,
-                place_grid: (grid, grid),
-                ..GatewayParams::default_three()
-            };
-            let scen = build_spr(&field, &gw, TrafficParams::default());
+            let (scen, m) = e9_scenario(n, seed, scaled);
             let topo = scen.topology();
             let hf = HopField::compute(&topo);
             let cfg_label = format!("n={n} m={m}");
@@ -879,31 +887,30 @@ pub fn e9_scalability(ns: &[usize], seed: u64, simulate: bool) -> Vec<ReportRow>
 
 /// Event-loop statistics for the simulated E9 kernel at size `n`:
 /// `(events processed, peak event-queue depth)` summed/maxed over the
-/// same two gateway configurations [`e9_scalability`] times. Feeds the
-/// `events_per_sec` and `peak_queue_depth` columns in
-/// `BENCH_hotpath.json`.
-pub fn e9_event_stats(n: usize, seed: u64) -> (u64, usize) {
-    let density = 0.02;
+/// same two gateway configurations [`e9_scalability`] times, plus the
+/// trace sinks handed back. `sink` builds each configuration's sink
+/// (`None` runs untraced); the bench's monitored row passes an inline
+/// `HealthMonitor`, whose delta against the untraced run is the
+/// monitor's full online-aggregation cost.
+pub fn e9_event_stats(
+    n: usize,
+    seed: u64,
+    mut sink: impl FnMut() -> Option<Box<dyn TraceSink>>,
+) -> (u64, usize, Vec<Box<dyn TraceSink>>) {
     let mut events = 0u64;
     let mut peak = 0usize;
+    let mut sinks = Vec::new();
     for scaled in [false, true] {
-        let m = if scaled { (n / 50).max(2) } else { 1 };
-        let field = FieldParams {
-            battery_j: 10.0,
-            ..FieldParams::constant_density(n, density, seed)
-        };
-        let grid = ((m as f64).sqrt().ceil() as usize).max(2);
-        let gw = GatewayParams {
-            m,
-            place_grid: (grid, grid),
-            ..GatewayParams::default_three()
-        };
-        let mut d = SprDriver::new(build_spr(&field, &gw, TrafficParams::default()));
+        let mut d = SprDriver::new(e9_scenario(n, seed, scaled).0);
+        if let Some(s) = sink() {
+            d.scenario.world.set_trace_sink(s);
+        }
         d.run_round();
         events += d.scenario.world.events_processed();
         peak = peak.max(d.scenario.world.peak_queue_depth());
+        sinks.extend(d.scenario.world.take_trace_sink());
     }
-    (events, peak)
+    (events, peak, sinks)
 }
 
 // ------------------------------------------------------- E9 (large) --
@@ -1005,14 +1012,28 @@ pub fn e9_large_round<H: SimHost>(
     }
 }
 
+/// Cut a large-scale E9 scenario into `parallel.shards` strip shards
+/// along the sensor-range grid seam (the base station included) and
+/// host them on the sharded parallel kernel.
+pub fn e9_large_sharded(
+    scen: SprScenario,
+    base: NodeId,
+    parallel: ParallelConfig,
+) -> SprScenario<ShardedWorld> {
+    let mut positions = scen.sensor_positions.clone();
+    positions.extend_from_slice(&scen.gateway_positions);
+    positions.push(scen.world.node(base).pos);
+    let assignment = strip_shards(&positions, scen.range_m, parallel.shards);
+    scen.map_world(|w| ShardedWorld::from_world(w, assignment, parallel.threads))
+}
+
 /// The large-scale E9 entry point: one SPR round at `n`, on the
 /// single-threaded reference kernel (`parallel = None`) or on the
-/// sharded parallel kernel (`parallel = Some(_)`, strip shards cut
-/// along the sensor-range grid seam).
+/// sharded parallel kernel (`parallel = Some(_)`, see
+/// [`e9_large_sharded`]).
 ///
 /// `fast_path = false` additionally disables the unicast fast-path
-/// delivery optimisation — the pre-optimisation medium path the perf
-/// harness times the baseline against.
+/// delivery optimisation — the pre-optimisation medium path.
 pub fn e9_large(
     n: usize,
     seed: u64,
@@ -1024,14 +1045,7 @@ pub fn e9_large(
     scen.world.set_unicast_fast_path(fast_path);
     match parallel {
         None => e9_large_round(&mut scen, base, sources),
-        Some(p) => {
-            let mut positions = scen.sensor_positions.clone();
-            positions.extend_from_slice(&scen.gateway_positions);
-            positions.push(scen.world.node(base).pos);
-            let assignment = strip_shards(&positions, scen.range_m, p.shards);
-            let mut scen = scen.map_world(|w| ShardedWorld::from_world(w, assignment, p.threads));
-            e9_large_round(&mut scen, base, sources)
-        }
+        Some(p) => e9_large_round(&mut e9_large_sharded(scen, base, p), base, sources),
     }
 }
 
@@ -1139,10 +1153,7 @@ pub fn e10_load_balance(seed: u64) -> Vec<ReportRow> {
 /// let the mesh backbone converge. An optional trace sink is installed
 /// *before* convergence so a monitor sees the whole run, hellos
 /// included. Returns the driver, the base-station id, and the WMG ids.
-fn e12_scenario(
-    seed: u64,
-    sink: Option<Box<dyn wmsn_trace::TraceSink>>,
-) -> (MlrDriver, NodeId, Vec<NodeId>) {
+fn e12_scenario(seed: u64, sink: Option<Box<dyn TraceSink>>) -> (MlrDriver, NodeId, Vec<NodeId>) {
     let field = FieldParams {
         field: Rect::field(200.0, 200.0),
         range_m: 45.0,
@@ -1254,11 +1265,8 @@ pub fn e12_three_tier(seed: u64) -> Vec<ReportRow> {
 /// only: ROADMAP keeps the WMG↔WMG steering lever open.
 pub fn e12_backbone_fault(seed: u64) -> Vec<ReportRow> {
     use wmsn_health::{AlertKind, HealthConfig, HealthMonitor};
-    fn backbone_counts(sink: &mut dyn wmsn_trace::TraceSink) -> (usize, usize, Vec<u64>) {
-        let m = sink
-            .as_any_mut()
-            .downcast_mut::<HealthMonitor>()
-            .expect("the installed sink is the monitor");
+    fn backbone_counts(mut sink: Option<Box<dyn TraceSink>>) -> (usize, usize, Vec<u64>) {
+        let m = expect_sink::<HealthMonitor>(sink.as_deref_mut());
         // take_trace_sink's flush already finalized the monitor.
         let asym = m
             .alerts()
@@ -1278,24 +1286,14 @@ pub fn e12_backbone_fault(seed: u64) -> Vec<ReportRow> {
     let (mut healthy, _, _) = e12_scenario(seed, monitor());
     healthy.run_round();
     healthy.run_round();
-    let mut sink = healthy
-        .scenario
-        .world
-        .take_trace_sink()
-        .expect("monitor installed");
-    let (h_asym, h_sil, _) = backbone_counts(sink.as_mut());
+    let (h_asym, h_sil, _) = backbone_counts(healthy.scenario.world.take_trace_sink());
 
     let (mut faulty, base, _) = e12_scenario(seed, monitor());
     faulty.run_round();
     faulty.scenario.world.kill(base);
     faulty.run_round();
     faulty.run_round();
-    let mut sink = faulty
-        .scenario
-        .world
-        .take_trace_sink()
-        .expect("monitor installed");
-    let (f_asym, f_sil, subjects) = backbone_counts(sink.as_mut());
+    let (f_asym, f_sil, subjects) = backbone_counts(faulty.scenario.world.take_trace_sink());
     let accused_base = subjects.contains(&u64::from(base.0));
 
     vec![
@@ -1881,14 +1879,9 @@ pub fn run_attack_cell_monitored(
     seed: u64,
     cfg: wmsn_health::HealthConfig,
 ) -> (AttackOutcome, wmsn_health::HealthMonitor) {
-    let sink = Box::new(wmsn_health::HealthMonitor::with_config(cfg));
-    let (outcome, sink) = run_attack_cell_traced(protocol, attack, seed, Some(sink));
-    let monitor = sink
-        .expect("sink survives the run")
-        .as_any()
-        .downcast_ref::<wmsn_health::HealthMonitor>()
-        .expect("the installed sink is the monitor")
-        .clone();
+    let monitor = wmsn_health::HealthMonitor::boxed(cfg);
+    let (outcome, mut sink) = run_attack_cell(protocol, attack, seed, Some(monitor));
+    let monitor = expect_sink::<wmsn_health::HealthMonitor>(sink.as_deref_mut()).clone();
     (outcome, monitor)
 }
 
@@ -2028,160 +2021,18 @@ pub fn e18_forensics_capture(
     let victim = mlr.scenario.gateways[0];
     mlr.scenario.world.kill(victim);
     mlr.run_round();
-    let mut sink = mlr
-        .scenario
-        .world
-        .take_trace_sink()
-        .expect("sink installed");
-    let f = sink
-        .as_any_mut()
-        .downcast_mut::<ForensicCaptureSink>()
-        .expect("the installed sink is the forensic capture");
+    let mut sink = mlr.scenario.world.take_trace_sink();
+    let f = expect_sink::<ForensicCaptureSink>(sink.as_deref_mut());
     let stats = f.finalize().expect("capture written");
     (stats, f.monitor().alerts().len())
 }
 
-/// Event-loop statistics for the simulated E9 kernel at size `n` with a
-/// [`wmsn_health::HealthMonitor`] installed as the trace sink — the
-/// bench's `monitor-enabled` row. Same workload as [`e9_event_stats`];
-/// the delta against it is the monitor's full online-aggregation cost.
-pub fn e9_event_stats_monitored(n: usize, seed: u64) -> (u64, usize) {
-    let density = 0.02;
-    let mut events = 0u64;
-    let mut peak = 0usize;
-    for scaled in [false, true] {
-        let m = if scaled { (n / 50).max(2) } else { 1 };
-        let field = FieldParams {
-            battery_j: 10.0,
-            ..FieldParams::constant_density(n, density, seed)
-        };
-        let grid = ((m as f64).sqrt().ceil() as usize).max(2);
-        let gw = GatewayParams {
-            m,
-            place_grid: (grid, grid),
-            ..GatewayParams::default_three()
-        };
-        let mut d = SprDriver::new(build_spr(&field, &gw, TrafficParams::default()));
-        d.scenario
-            .world
-            .set_trace_sink(wmsn_health::HealthMonitor::boxed(
-                wmsn_health::HealthConfig::default(),
-            ));
-        d.run_round();
-        events += d.scenario.world.events_processed();
-        peak = peak.max(d.scenario.world.peak_queue_depth());
-    }
-    (events, peak)
-}
-
-/// [`e9_event_stats_monitored`] through the ring pipeline: the monitor
-/// sits downstream of a [`wmsn_trace::RingSink`], so the sim thread
-/// only copies `TraceEvent` frames into the ring and the detector bank
-/// runs on the drain thread. Same workload, same events, same monitor
-/// state at the end (the take-time flush barrier guarantees it) —
-/// the wall-time delta against [`e9_event_stats`] is what monitoring
-/// costs *the simulation thread* under this pipeline. Also returns the
-/// aggregate ring telemetry (counters summed over the two gateway
-/// configurations, peak occupancy maxed).
-pub fn e9_event_stats_monitored_ring(n: usize, seed: u64) -> (u64, usize, wmsn_trace::RingStats) {
-    let density = 0.02;
-    let mut events = 0u64;
-    let mut peak = 0usize;
-    let mut agg = wmsn_trace::RingStats::default();
-    for scaled in [false, true] {
-        let m = if scaled { (n / 50).max(2) } else { 1 };
-        let field = FieldParams {
-            battery_j: 10.0,
-            ..FieldParams::constant_density(n, density, seed)
-        };
-        let grid = ((m as f64).sqrt().ceil() as usize).max(2);
-        let gw = GatewayParams {
-            m,
-            place_grid: (grid, grid),
-            ..GatewayParams::default_three()
-        };
-        let mut d = SprDriver::new(build_spr(&field, &gw, TrafficParams::default()));
-        d.scenario.world.set_trace_sink(wmsn_trace::RingSink::boxed(
-            wmsn_trace::RingConfig::default(),
-            vec![Box::new(wmsn_health::HealthMonitor::with_config(
-                wmsn_health::HealthConfig::default(),
-            ))],
-        ));
-        d.run_round();
-        events += d.scenario.world.events_processed();
-        peak = peak.max(d.scenario.world.peak_queue_depth());
-        // take_trace_sink flushes — for a RingSink that is the barrier,
-        // so the drain-side monitor is complete before the sink drops.
-        let mut sink = d
-            .scenario
-            .world
-            .take_trace_sink()
-            .expect("ring sink installed");
-        let ring = sink
-            .as_any_mut()
-            .downcast_mut::<wmsn_trace::RingSink>()
-            .expect("the installed sink is the ring");
-        agg.add(&ring.stats());
-    }
-    (events, peak, agg)
-}
-
-/// [`run_attack_cell_monitored`] through the ring pipeline: the blind
-/// monitor is fed from the drain thread instead of inline. The returned
-/// monitor is finalized after the flush barrier — the same point in
-/// the event stream where the inline variant's take-time flush
-/// finalizes it — so its alert stream is byte-identical to inline
-/// mode's (pinned by the `trace_pipeline` integration test).
-pub fn run_attack_cell_monitored_ring(
-    protocol: TargetProtocol,
-    attack: Attack,
-    seed: u64,
-    cfg: wmsn_health::HealthConfig,
-) -> (
-    AttackOutcome,
-    wmsn_health::HealthMonitor,
-    wmsn_trace::RingStats,
-) {
-    let ring = wmsn_trace::RingSink::boxed(
-        wmsn_trace::RingConfig::default(),
-        vec![Box::new(wmsn_health::HealthMonitor::with_config(cfg))],
-    );
-    let (outcome, sink) = run_attack_cell_traced(protocol, attack, seed, Some(ring));
-    let mut sink = sink.expect("sink survives the run");
-    let ring = sink
-        .as_any_mut()
-        .downcast_mut::<wmsn_trace::RingSink>()
-        .expect("the installed sink is the ring");
-    let stats = ring.stats();
-    let monitor = ring
-        .with_sink_mut::<wmsn_health::HealthMonitor, _>(|m| {
-            m.finalize();
-            m.clone()
-        })
-        .expect("the ring drains into the monitor");
-    (outcome, monitor, stats)
-}
-
-/// Inline-monitored large round on the reference kernel: the
-/// [`wmsn_health::HealthMonitor`] installed directly as the world's
-/// trace sink, so every `observe()` runs on the simulation thread —
-/// the best monitored configuration available before the ring
-/// pipeline (the sharded kernel cannot host an inline monitor: its
-/// detectors need the causally merged stream). The bench times this as
-/// the `e9_n100k_sim_monitored` row's built-in baseline.
-pub fn e9_large_monitored_inline(n: usize, seed: u64, sources: usize) -> E9LargeSummary {
-    let (mut scen, base) = e9_large_scenario(n, seed);
-    scen.world.set_unicast_fast_path(true);
-    scen.world.set_trace_sink(wmsn_health::HealthMonitor::boxed(
-        wmsn_health::HealthConfig::default(),
-    ));
-    e9_large_round(&mut scen, base, sources)
-}
-
-/// Monitored large-scale round on the sharded kernel. Each shard hosts
-/// one ring pipeline whose drain thread streams the shard's frames to a
-/// segmented capture `shard-<i>.wcap` under `capture_dir`; after the
-/// run a single [`wmsn_health::HealthMonitor`] consumes the k-way
+/// Monitored large-scale round on the sharded kernel. Each shard's
+/// frames travel through a [`wmsn_trace::RingSink`] — the ring's one
+/// production use, moving frame encoding and disk writes off the shard
+/// thread — into a segmented capture `shard-<i>.wcap` under
+/// `capture_dir`; after the run a single
+/// [`wmsn_health::HealthMonitor`] consumes the k-way
 /// [`wmsn_trace::merge_captures`] merge of those files. The merge order
 /// is the reference emission order, so the monitor's verdicts are
 /// deterministic and kernel-independent — the detector bank never has
@@ -2202,13 +2053,8 @@ pub fn e9_large_monitored(
     u64,
     wmsn_trace::CaptureStats,
 ) {
-    let (mut scen, base) = e9_large_scenario(n, seed);
-    scen.world.set_unicast_fast_path(true);
-    let mut positions = scen.sensor_positions.clone();
-    positions.extend_from_slice(&scen.gateway_positions);
-    positions.push(scen.world.node(base).pos);
-    let assignment = strip_shards(&positions, scen.range_m, parallel.shards);
-    let mut scen = scen.map_world(|w| ShardedWorld::from_world(w, assignment, parallel.threads));
+    let (scen, base) = e9_large_scenario(n, seed);
+    let mut scen = e9_large_sharded(scen, base, parallel);
     let paths: Vec<_> = (0..scen.world.shard_count())
         .map(|i| capture_dir.join(format!("shard-{i}.wcap")))
         .collect();
@@ -2225,10 +2071,8 @@ pub fn e9_large_monitored(
         .take_shard_sinks()
         .expect("shard sinks installed")
     {
-        let (s, c) = sink
-            .as_any_mut()
-            .downcast_mut::<wmsn_trace::RingSink>()
-            .and_then(wmsn_trace::RingSink::finalize_capture)
+        let (s, c) = expect_sink::<wmsn_trace::RingSink>(Some(sink.as_mut()))
+            .finalize_capture()
             .expect("each shard ring finalizes its capture");
         stats.add(&s);
         cap.add(&c);

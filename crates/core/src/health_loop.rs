@@ -11,38 +11,20 @@ use wmsn_health::{HealthAction, HealthMonitor, HealthPolicy};
 use wmsn_routing::mlr::{MlrGateway, MlrSensor};
 use wmsn_secure::SecMlrSensor;
 use wmsn_sim::World;
-use wmsn_trace::RingSink;
 use wmsn_util::NodeId;
 
 /// Finalize the installed [`HealthMonitor`]'s current window, drain the
 /// alerts raised since the last drain, and map them through `policy`.
-/// Returns an empty list when no monitor is installed — the loop is a
-/// no-op on unmonitored worlds.
-///
-/// Works in both monitor placements: the monitor installed directly as
-/// the world's sink (inline mode), or sitting downstream of a
-/// [`RingSink`] (ring pipeline). In the ring case the flush barrier
-/// runs first, so the monitor has observed every event emitted up to
-/// this call before its window is evaluated — the exact state the
-/// inline monitor would hold at the same sim time.
+/// Returns an empty list when no monitor is installed as the world's
+/// trace sink — the loop is a no-op on unmonitored worlds.
 pub fn drain_actions(world: &mut World, policy: &HealthPolicy) -> Vec<HealthAction> {
-    // Evaluate the partial window too: a gateway that died mid-round
-    // should be actionable at the round boundary, not one window later.
-    let alerts = if let Some(monitor) = world.trace_sink_as_mut::<HealthMonitor>() {
-        monitor.finalize();
-        monitor.take_new_alerts()
-    } else if let Some(ring) = world.trace_sink_as_mut::<RingSink>() {
-        ring.barrier();
-        let Some(alerts) = ring.with_sink_mut::<HealthMonitor, _>(|m| {
-            m.finalize();
-            m.take_new_alerts()
-        }) else {
-            return Vec::new();
-        };
-        alerts
-    } else {
+    let Some(monitor) = world.trace_sink_as_mut::<HealthMonitor>() else {
         return Vec::new();
     };
+    // Evaluate the partial window too: a gateway that died mid-round
+    // should be actionable at the round boundary, not one window later.
+    monitor.finalize();
+    let alerts = monitor.take_new_alerts();
     alerts.iter().flat_map(|a| policy.actions_for(a)).collect()
 }
 

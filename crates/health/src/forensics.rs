@@ -11,7 +11,7 @@
 //!    alert JSONL. The embedded alerts are byte-identical to an
 //!    offline replay of the same capture (the monitor sees exactly
 //!    the frames the file holds, and flush barriers do not finalize
-//!    the detector bank — same rule as the ring pipeline).
+//!    the detector bank).
 //! 2. [`replay_window`] — resume the detector bank from the newest
 //!    eligible checkpoint and replay only the segments a `[lo, hi]`
 //!    time window needs, in O(one segment) memory. Alert verdicts
@@ -44,24 +44,22 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Seek};
 use std::path::{Path, PathBuf};
 use wmsn_trace::{
-    CaptureConfig, CaptureReader, CaptureStats, CaptureWriter, ScanFilter, TraceEvent, TraceKind,
-    TraceSink, TraceTier,
+    CaptureConfig, CaptureReader, CaptureSink, CaptureStats, CaptureWriter, ScanFilter, TraceEvent,
+    TraceKind, TraceSink, TraceTier,
 };
 
 // ------------------------------------------------- checkpointing sink --
 
-/// File-backed capture sink that co-hosts the detector bank and embeds
-/// its checkpoints and alerts in the capture (see module docs). Install
-/// wherever a `CaptureSink` goes; like every sink, write errors latch
-/// and [`ForensicCaptureSink::finalize`] then reports `None`.
+/// A [`CaptureSink`] that co-hosts the detector bank and embeds its
+/// checkpoints and alerts in the capture (see module docs). Install
+/// wherever a `CaptureSink` goes; write errors latch in the capture and
+/// [`ForensicCaptureSink::finalize`] then reports `None`.
 pub struct ForensicCaptureSink {
-    w: Option<CaptureWriter<BufWriter<File>>>,
+    capture: CaptureSink,
     monitor: HealthMonitor,
-    path: PathBuf,
     /// Snapshot at every `checkpoint_every`-th segment boundary.
     checkpoint_every: u64,
-    failed: bool,
-    stats: Option<CaptureStats>,
+    finalized: bool,
 }
 
 impl ForensicCaptureSink {
@@ -73,21 +71,17 @@ impl ForensicCaptureSink {
         health: HealthConfig,
         checkpoint_every: u64,
     ) -> std::io::Result<ForensicCaptureSink> {
-        let path = path.into();
-        let w = CaptureWriter::new(BufWriter::new(File::create(&path)?), capture)?;
         Ok(ForensicCaptureSink {
-            w: Some(w),
+            capture: CaptureSink::create(path, capture)?,
             monitor: HealthMonitor::with_config(health),
-            path,
             checkpoint_every: checkpoint_every.max(1),
-            failed: false,
-            stats: None,
+            finalized: false,
         })
     }
 
     /// The capture file's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.capture.path()
     }
 
     /// The co-hosted monitor (read-only; finalized at
@@ -98,33 +92,23 @@ impl ForensicCaptureSink {
 
     /// Frames written so far.
     pub fn frames_written(&self) -> u64 {
-        self.w.as_ref().map_or(0, CaptureWriter::frames_written)
-    }
-
-    /// Record the producer-side ring drop count in the trailer.
-    pub fn set_frames_dropped(&mut self, n: u64) {
-        if let Some(w) = &mut self.w {
-            w.set_frames_dropped(n);
-        }
+        self.capture.frames_written()
     }
 
     /// Finalize the monitor, embed its alert JSONL, and write the
     /// extension block + directory + trailer (idempotent). `None` if
     /// any write failed.
     pub fn finalize(&mut self) -> Option<CaptureStats> {
-        if let Some(mut w) = self.w.take() {
+        if !std::mem::replace(&mut self.finalized, true) {
             self.monitor.finalize();
-            w.set_alerts_jsonl(self.monitor.alerts_jsonl());
-            match w.finish() {
-                Ok((_, stats)) if !self.failed => self.stats = Some(stats),
-                _ => self.failed = true,
-            }
+            self.capture.set_alerts_jsonl(self.monitor.alerts_jsonl());
         }
-        self.stats
+        self.capture.finalize()
     }
 }
 
 impl Drop for ForensicCaptureSink {
+    /// Embed the alerts before the capture's own drop writes the footer.
     fn drop(&mut self) {
         let _ = self.finalize();
     }
@@ -135,23 +119,13 @@ impl TraceSink for ForensicCaptureSink {
         self.record_keyed(ev, ev.t(), 0);
     }
     fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
-        if self.failed {
-            return;
-        }
         // Observe BEFORE pushing: when this push seals segment k-1 the
         // monitor has digested exactly segments [0..k) — the invariant
         // the checkpoint label encodes.
         self.monitor.observe(ev);
-        if let Some(w) = &mut self.w {
-            match w.push(ev, at, key) {
-                Ok(true) => {
-                    let sealed = w.segments_sealed();
-                    if sealed % self.checkpoint_every == 0 {
-                        w.add_checkpoint(sealed, snapshot(&self.monitor));
-                    }
-                }
-                Ok(false) => {}
-                Err(_) => self.failed = true,
+        if let Some(sealed) = self.capture.push(ev, at, key) {
+            if sealed % self.checkpoint_every == 0 {
+                self.capture.add_checkpoint(sealed, snapshot(&self.monitor));
             }
         }
     }
@@ -159,10 +133,8 @@ impl TraceSink for ForensicCaptureSink {
         // Flush buffered frames only. Deliberately does NOT finalize
         // the monitor: flush barriers must not perturb detector state,
         // or the embedded alert stream would diverge from an offline
-        // replay (the ring pipeline pins the same rule).
-        if let Some(w) = &mut self.w {
-            let _ = w.flush();
-        }
+        // replay.
+        self.capture.flush();
     }
     fn as_any(&self) -> &dyn Any {
         self

@@ -13,7 +13,7 @@ use wmsn_util::NodeId;
 
 /// A completed end-to-end application delivery, recorded by the
 /// destination protocol via [`crate::node::Ctx::record_delivery`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Delivery {
     /// Originating node.
     pub source: NodeId,

@@ -63,11 +63,12 @@
 //!
 //! # Dropped frames are part of the record
 //!
-//! The ring pipeline can discard frames under
-//! [`crate::BackpressurePolicy::DropNewest`]. A capture recorded that
-//! way is a *sample*, not a transcript — so the drop count rides in the
-//! trailer ([`CaptureWriter::set_frames_dropped`]) and `wmsn-trace`
-//! warns on stderr before answering queries from such a file.
+//! The trailer carries a `frames_dropped` count
+//! ([`CaptureWriter::set_frames_dropped`]). Nothing in this crate drops
+//! frames — the ring blocks instead — so fresh captures record zero;
+//! compaction carries an input capture's count forward, and `wmsn-trace`
+//! warns on stderr before answering queries from a file whose count is
+//! non-zero, because such a file is a sample, not a transcript.
 
 use crate::event::TraceEvent;
 use crate::frame::{decode_frame, encode_frame, event_tag, tag_name, FRAME_LEN, TAG_COUNT};
@@ -132,7 +133,7 @@ pub struct CaptureStats {
     pub segments: u64,
     /// Total file size, bytes (header + data + directory + trailer).
     pub bytes: u64,
-    /// Producer-side ring drops recorded in the trailer.
+    /// Dropped-frame count recorded in the trailer.
     pub frames_dropped: u64,
 }
 
@@ -409,8 +410,8 @@ impl<W: Write> CaptureWriter<W> {
         self.dir.push(m);
     }
 
-    /// Record the producer-side drop count carried into the trailer
-    /// (see [`CaptureStats::frames_dropped`]).
+    /// Record the dropped-frame count carried into the trailer (see
+    /// [`CaptureStats::frames_dropped`]).
     pub fn set_frames_dropped(&mut self, n: u64) {
         self.frames_dropped = n;
     }
@@ -484,11 +485,11 @@ impl<W: Write> CaptureWriter<W> {
 }
 
 /// File-backed capture sink, installable wherever a [`TraceSink`] goes
-/// (typically downstream of a `RingSink`, so the segment bookkeeping
-/// and disk writes run on the drain thread). Like every other sink,
-/// write errors are swallowed — tracing must never alter simulation
-/// behaviour — but a failed capture stops counting frames and
-/// [`CaptureSink::finalize`] reports `None`.
+/// (on the sharded kernel, behind a per-shard `RingSink`, so the
+/// segment bookkeeping and disk writes run on the drain thread). Like
+/// every other sink, write errors are swallowed — tracing must never
+/// alter simulation behaviour — but a failed capture stops counting
+/// frames and [`CaptureSink::finalize`] reports `None`.
 #[derive(Debug)]
 pub struct CaptureSink {
     w: Option<CaptureWriter<BufWriter<File>>>,
@@ -520,10 +521,31 @@ impl CaptureSink {
         self.w.as_ref().map_or(0, CaptureWriter::frames_written)
     }
 
-    /// Record the producer-side ring drop count in the trailer.
-    pub fn set_frames_dropped(&mut self, n: u64) {
+    /// Append one frame, as [`TraceSink::record_keyed`] does. Returns
+    /// the number of segments sealed so far when this frame sealed one
+    /// — the hook a checkpointing sink keys its snapshots on.
+    pub fn push(&mut self, ev: &TraceEvent, at: u64, key: u64) -> Option<u64> {
+        let w = self.w.as_mut().filter(|_| !self.failed)?;
+        match w.push(ev, at, key) {
+            Ok(sealed) => sealed.then(|| w.segments_sealed()),
+            Err(_) => {
+                self.failed = true;
+                None
+            }
+        }
+    }
+
+    /// Attach a checkpoint blob (see [`CaptureWriter::add_checkpoint`]).
+    pub fn add_checkpoint(&mut self, seg_index: u64, blob: Vec<u8>) {
         if let Some(w) = &mut self.w {
-            w.set_frames_dropped(n);
+            w.add_checkpoint(seg_index, blob);
+        }
+    }
+
+    /// Embed an alert JSONL stream (see [`CaptureWriter::set_alerts_jsonl`]).
+    pub fn set_alerts_jsonl(&mut self, jsonl: String) {
+        if let Some(w) = &mut self.w {
+            w.set_alerts_jsonl(jsonl);
         }
     }
 
@@ -553,14 +575,7 @@ impl TraceSink for CaptureSink {
         self.record_keyed(ev, ev.t(), 0);
     }
     fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
-        if self.failed {
-            return;
-        }
-        if let Some(w) = &mut self.w {
-            if w.push(ev, at, key).is_err() {
-                self.failed = true;
-            }
-        }
+        self.push(ev, at, key);
     }
     fn flush(&mut self) {
         if let Some(w) = &mut self.w {
@@ -1436,13 +1451,12 @@ mod tests {
             sink.record_keyed(ev, *at, *key);
         }
         assert_eq!(sink.frames_written(), frames.len() as u64);
-        sink.set_frames_dropped(3);
         let stats = sink.finalize().expect("finalize");
         assert_eq!(sink.finalize().expect("idempotent").frames, stats.frames);
         drop(sink);
         let mut r = CaptureReader::open(&path).expect("open");
         assert_eq!(r.frames(), frames.len() as u64);
-        assert_eq!(r.frames_dropped(), 3);
+        assert_eq!(r.frames_dropped(), 0);
         assert_eq!(r.bytes(), stats.bytes);
         let mut got = Vec::new();
         r.scan(&ScanFilter::all(), |ev, at, key| got.push((*ev, at, key)))

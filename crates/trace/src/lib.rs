@@ -50,6 +50,6 @@ pub use parse::{parse_line, Value};
 pub use replay::{
     capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, EventSource, Replay,
 };
-pub use ring::{BackpressurePolicy, FrameBufferSink, RingConfig, RingSink, RingStats};
-pub use sink::{BufferSink, CountingSink, JsonlSink, NullSink, TraceSink};
+pub use ring::{FrameBufferSink, RingConfig, RingSink, RingStats};
+pub use sink::{expect_sink, BufferSink, CountingSink, JsonlSink, NullSink, TraceSink};
 pub use structured::{log_error, log_record, record_line};

@@ -1,32 +1,27 @@
 //! The ring pipeline: off-thread trace draining behind a bounded SPSC
 //! ring.
 //!
-//! Inline mode (PR 4/6) installs a sink directly as the world's trace
-//! sink, so every `observe()` — JSON rendering, detector updates — runs
-//! on the simulation thread. [`RingSink`] moves that work off the hot
-//! path: the sim thread only copies the [`TraceEvent`] (a `Copy` struct)
-//! plus its causal `(at, key)` into a local chunk, and hands full chunks
-//! to a drain thread through a bounded [`SpscRing`]. The drain thread
-//! replays each frame into the *downstream* sinks (a `JsonlSink`, a
-//! [`crate::CaptureSink`], the `HealthMonitor` detector bank, …)
-//! exactly as the world would have — same events, same `(at, key)`s,
-//! same order — which is why the drained output is byte-identical to
-//! inline mode.
+//! A sink installed directly in the world runs every `observe()` on the
+//! simulation thread. [`RingSink`] moves that work to a drain thread:
+//! the sim thread only copies the [`TraceEvent`] (a `Copy` struct) plus
+//! its causal `(at, key)` into a local chunk, and hands full chunks to
+//! the drain through a bounded [`SpscRing`]. The drain replays each
+//! frame into its *downstream* sinks exactly as the world would have —
+//! same events, same `(at, key)`s, same order — which is why the drained
+//! output is byte-identical to a directly installed sink.
 //!
-//! # Backpressure is a policy, not an accident
+//! Its one production use is the per-shard capture transport of the
+//! sharded kernel: each shard's frames are encoded and written to a
+//! [`crate::CaptureSink`] off the shard's thread. Monitors are hosted
+//! directly in the world (or co-hosted with a capture), where they are
+//! cheaper than behind a drain thread.
+//!
+//! # Lossless backpressure
 //!
 //! The ring is bounded ([`RingConfig::capacity_chunks`] ×
-//! [`RingConfig::chunk_frames`] frames). When the sim thread outruns
-//! the drain, [`BackpressurePolicy`] decides what happens:
-//!
-//! * [`Block`](BackpressurePolicy::Block) — the producer waits for
-//!   space. Lossless; the wait is accounted in
-//!   [`RingStats::blocked_us`]. This is the default and the only
-//!   policy under which parity with inline mode holds.
-//! * [`DropNewest`](BackpressurePolicy::DropNewest) — full ring means
-//!   the offered chunk is discarded and counted
-//!   ([`RingStats::frames_dropped`]). For fire-and-forget monitoring
-//!   where losing trace lines beats stalling the simulation.
+//! [`RingConfig::chunk_frames`] frames). When the sim thread outruns the
+//! drain it waits for space; the wait is accounted in
+//! [`RingStats::blocked_us`]. No frame is ever discarded.
 //!
 //! # The flush barrier and determinism
 //!
@@ -34,15 +29,13 @@
 //! pushes the partial chunk and waits until the drain thread has
 //! delivered every frame produced so far, then returns *without*
 //! calling `flush` on the downstream sinks. That restraint matters:
-//! `HealthMonitor::flush` runs end-of-trace finalisation, and inline
-//! mode never flushes mid-run — propagating would make the ring
-//! pipeline observably different. Drivers place the barrier at
-//! `run_until` boundaries (see `World::flush_trace`), after which
-//! reading monitor state through [`RingSink::with_sink_mut`] sees
-//! exactly what the inline monitor would have seen at the same sim
-//! time. Since frames arrive in emission order over a FIFO ring and the
-//! drain applies them in order, the barrier makes the whole pipeline a
-//! deterministic function of the (deterministic) emission sequence.
+//! `HealthMonitor::flush` runs end-of-trace finalisation, and a directly
+//! installed monitor never flushes mid-run. After a barrier, reading
+//! downstream state through [`RingSink::with_sink_mut`] sees exactly
+//! what the same sink installed directly would have seen at the same
+//! sim time. Since frames arrive in emission order over a FIFO ring and
+//! the drain applies them in order, the barrier makes the whole pipeline
+//! a deterministic function of the (deterministic) emission sequence.
 
 use crate::capture::{CaptureSink, CaptureStats};
 use crate::event::TraceEvent;
@@ -66,15 +59,6 @@ pub struct FrameRec {
 
 type Chunk = Vec<FrameRec>;
 
-/// What to do when the ring is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackpressurePolicy {
-    /// Wait for the drain to free space (lossless; default).
-    Block,
-    /// Discard the offered chunk and count the frames lost.
-    DropNewest,
-}
-
 /// Ring-pipeline tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct RingConfig {
@@ -83,8 +67,6 @@ pub struct RingConfig {
     pub chunk_frames: usize,
     /// Ring capacity in chunks.
     pub capacity_chunks: usize,
-    /// Full-ring behaviour.
-    pub policy: BackpressurePolicy,
 }
 
 impl Default for RingConfig {
@@ -92,7 +74,6 @@ impl Default for RingConfig {
         RingConfig {
             chunk_frames: 512,
             capacity_chunks: 1024,
-            policy: BackpressurePolicy::Block,
         }
     }
 }
@@ -101,10 +82,8 @@ impl Default for RingConfig {
 /// bench writes next to `events_per_sec`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RingStats {
-    /// Frames successfully handed to the drain.
+    /// Frames handed to the drain.
     pub frames_written: u64,
-    /// Frames discarded under [`BackpressurePolicy::DropNewest`].
-    pub frames_dropped: u64,
     /// Wall time the producer spent blocked on a full ring, µs.
     pub blocked_us: u64,
     /// Peak ring occupancy, chunks.
@@ -120,7 +99,6 @@ impl RingStats {
     /// sum, peak occupancy is the maximum, configuration is copied.
     pub fn add(&mut self, s: &RingStats) {
         self.frames_written += s.frames_written;
-        self.frames_dropped += s.frames_dropped;
         self.blocked_us += s.blocked_us;
         self.peak_chunks = self.peak_chunks.max(s.peak_chunks);
         self.capacity_chunks = s.capacity_chunks;
@@ -136,8 +114,8 @@ struct Progress {
 }
 
 /// The off-thread trace pipeline, installed in the world like any other
-/// sink. Construction spawns the drain thread; [`RingSink::finish`]
-/// (or drop) closes the ring and joins it.
+/// sink. Construction spawns the drain thread; drop closes the ring
+/// and joins it.
 pub struct RingSink {
     cfg: RingConfig,
     ring: Arc<SpscRing<Chunk>>,
@@ -146,7 +124,6 @@ pub struct RingSink {
     drain: Option<JoinHandle<()>>,
     pending: Chunk,
     frames_written: u64,
-    frames_dropped: u64,
 }
 
 impl std::fmt::Debug for RingSink {
@@ -154,7 +131,6 @@ impl std::fmt::Debug for RingSink {
         f.debug_struct("RingSink")
             .field("cfg", &self.cfg)
             .field("frames_written", &self.frames_written)
-            .field("frames_dropped", &self.frames_dropped)
             .finish_non_exhaustive()
     }
 }
@@ -167,7 +143,6 @@ impl RingSink {
         let cfg = RingConfig {
             chunk_frames: cfg.chunk_frames.max(1),
             capacity_chunks: cfg.capacity_chunks.max(1),
-            ..cfg
         };
         let ring = Arc::new(SpscRing::<Chunk>::new(cfg.capacity_chunks));
         let sinks = Arc::new(Mutex::new(sinks));
@@ -204,13 +179,7 @@ impl RingSink {
             progress,
             drain: Some(drain),
             frames_written: 0,
-            frames_dropped: 0,
         }
-    }
-
-    /// Ring pipeline with default tuning.
-    pub fn with_sinks(sinks: Vec<Box<dyn TraceSink + Send>>) -> Self {
-        Self::new(RingConfig::default(), sinks)
     }
 
     /// Boxed constructor, handy for `World::set_trace_sink`.
@@ -218,7 +187,7 @@ impl RingSink {
         Box::new(Self::new(cfg, sinks))
     }
 
-    /// Hand the pending chunk to the ring per the backpressure policy.
+    /// Hand the pending chunk to the ring, waiting while it is full.
     fn push_pending(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -228,20 +197,9 @@ impl RingSink {
         // Announce production *before* the push so the barrier never
         // observes consumed > produced.
         self.progress.0.lock().expect("progress lock").produced += n;
-        let accepted = match self.cfg.policy {
-            BackpressurePolicy::Block => self.ring.push_blocking(chunk).is_ok(),
-            BackpressurePolicy::DropNewest => self.ring.try_push(chunk).is_ok(),
-        };
-        if accepted {
-            self.frames_written += n;
-        } else {
-            self.frames_dropped += n;
-            // The drain will never see these frames; retire them from
-            // the ledger so the barrier doesn't wait forever.
-            let (lock, cv) = &*self.progress;
-            lock.lock().expect("progress lock").consumed += n;
-            cv.notify_all();
-        }
+        // Only `Drop` closes the ring, so a live sink's push lands.
+        let _ = self.ring.push_blocking(chunk);
+        self.frames_written += n;
     }
 
     /// Block until the drain has delivered every frame produced so far.
@@ -266,13 +224,12 @@ impl RingSink {
             .map(f)
     }
 
-    /// Telemetry snapshot (valid mid-run; final after
-    /// [`RingSink::finish`]'s barrier).
+    /// Telemetry snapshot (valid mid-run; final after a
+    /// [`RingSink::barrier`]).
     pub fn stats(&self) -> RingStats {
         let c = self.ring.stats();
         RingStats {
             frames_written: self.frames_written,
-            frames_dropped: self.frames_dropped,
             blocked_us: c.blocked_us,
             peak_chunks: c.peak,
             capacity_chunks: self.cfg.capacity_chunks,
@@ -280,33 +237,14 @@ impl RingSink {
         }
     }
 
-    /// Finish a [`CaptureSink`] this ring drains into: barrier, stamp
-    /// the ring's drop count into the capture trailer and write the
-    /// footer. Returns the ring's telemetry and the capture's; `None`
-    /// if no downstream sink is a capture or its writes failed.
+    /// Finish a [`CaptureSink`] this ring drains into: barrier, then
+    /// write the capture's footer. Returns the ring's telemetry and the
+    /// capture's; `None` if no downstream sink is a capture or its
+    /// writes failed.
     pub fn finalize_capture(&mut self) -> Option<(RingStats, CaptureStats)> {
         self.barrier();
-        let stats = self.stats();
-        let cap = self.with_sink_mut::<CaptureSink, _>(|c| {
-            c.set_frames_dropped(stats.frames_dropped);
-            c.finalize()
-        })??;
-        Some((stats, cap))
-    }
-
-    /// Drain everything, stop the drain thread and hand back the
-    /// downstream sinks plus final telemetry. Downstream sinks are
-    /// *not* flushed — the caller decides (exactly as with inline
-    /// sinks taken back out of a world).
-    pub fn finish(mut self) -> (Vec<Box<dyn TraceSink + Send>>, RingStats) {
-        self.barrier();
-        self.ring.close();
-        if let Some(h) = self.drain.take() {
-            let _ = h.join();
-        }
-        let stats = self.stats();
-        let bank = std::mem::take(&mut *self.sinks.lock().expect("sink bank lock"));
-        (bank, stats)
+        let cap = self.with_sink_mut::<CaptureSink, _>(CaptureSink::finalize)??;
+        Some((self.stats(), cap))
     }
 }
 
@@ -394,7 +332,6 @@ mod tests {
             RingConfig {
                 chunk_frames: 3, // force many partial/full chunk boundaries
                 capacity_chunks: 2,
-                policy: BackpressurePolicy::Block,
             },
             vec![Box::new(BufferSink::new())],
         );
@@ -403,17 +340,10 @@ mod tests {
             inline.record_keyed(&e, i, i << 3);
             ring.record_keyed(&e, i, i << 3);
         }
-        let (mut bank, stats) = ring.finish();
-        assert_eq!(stats.frames_written, 100);
-        assert_eq!(stats.frames_dropped, 0);
-        let drained = bank
-            .remove(0)
-            .as_any()
-            .downcast_ref::<BufferSink>()
-            .unwrap()
-            .out
-            .clone();
-        assert_eq!(drained, inline.out);
+        ring.barrier();
+        assert_eq!(ring.stats().frames_written, 100);
+        let drained = ring.with_sink_mut::<BufferSink, _>(|b| b.out.clone());
+        assert_eq!(drained, Some(inline.out));
     }
 
     #[test]
@@ -422,7 +352,6 @@ mod tests {
             RingConfig {
                 chunk_frames: 8,
                 capacity_chunks: 4,
-                policy: BackpressurePolicy::Block,
             },
             vec![Box::new(CountingSink::new())],
         );
@@ -435,136 +364,10 @@ mod tests {
         for i in 0..5u64 {
             ring.record(&ev(100 + i, 1));
         }
-        let (bank, stats) = ring.finish();
-        assert_eq!(stats.frames_written, 42);
-        let c = bank[0].as_any().downcast_ref::<CountingSink>().unwrap();
-        assert_eq!(c.total, 42);
-    }
-
-    #[test]
-    fn drop_newest_counts_losses_and_never_blocks() {
-        // A sink that sleeps long enough for the tiny ring to fill.
-        struct SlowSink(u64);
-        impl TraceSink for SlowSink {
-            fn record(&mut self, _ev: &TraceEvent) {
-                self.0 += 1;
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut ring = RingSink::new(
-            RingConfig {
-                chunk_frames: 1,
-                capacity_chunks: 1,
-                policy: BackpressurePolicy::DropNewest,
-            },
-            vec![Box::new(SlowSink(0))],
-        );
-        for i in 0..50u64 {
-            ring.record(&ev(i, 2));
-        }
-        let (_, stats) = ring.finish();
-        assert_eq!(stats.frames_written + stats.frames_dropped, 50);
-        assert!(stats.frames_dropped > 0, "tiny ring + slow sink must drop");
-        assert_eq!(stats.blocked_us, 0, "DropNewest must never block");
-    }
-
-    #[test]
-    fn drop_newest_accounting_is_exact_and_drained_stream_is_a_prefix() {
-        use std::sync::{Arc, Condvar, Mutex};
-
-        /// Gate in front of a frame buffer: blocks the drain thread on
-        /// the very first frame until the producer releases it, so the
-        /// producer can fill the ring to a *known* state and every
-        /// subsequent chunk is deterministically dropped.
-        struct GateSink {
-            inner: FrameBufferSink,
-            gate: Arc<(Mutex<(bool, bool)>, Condvar)>, // (started, released)
-        }
-        impl TraceSink for GateSink {
-            fn record(&mut self, ev: &TraceEvent) {
-                self.record_keyed(ev, ev.t(), 0);
-            }
-            fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
-                if self.inner.entries.is_empty() {
-                    let (lock, cv) = &*self.gate;
-                    let mut g = lock.lock().unwrap();
-                    g.0 = true;
-                    cv.notify_all();
-                    while !g.1 {
-                        g = cv.wait(g).unwrap();
-                    }
-                }
-                self.inner.record_keyed(ev, at, key);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-
-        const CHUNK: usize = 4;
-        const CAPACITY: usize = 2;
-        const TOTAL: u64 = 40; // 10 full chunks
-        let gate = Arc::new((Mutex::new((false, false)), Condvar::new()));
-        let mut ring = RingSink::new(
-            RingConfig {
-                chunk_frames: CHUNK,
-                capacity_chunks: CAPACITY,
-                policy: BackpressurePolicy::DropNewest,
-            },
-            vec![Box::new(GateSink {
-                inner: FrameBufferSink::new(),
-                gate: Arc::clone(&gate),
-            })],
-        );
-        let mut inline = FrameBufferSink::new();
-        for i in 0..TOTAL {
-            let e = ev(i, (i % 3) as u32);
-            inline.record_keyed(&e, i, i << 2);
-            ring.record_keyed(&e, i, i << 2);
-            if i as usize == CHUNK - 1 {
-                // Chunk 1 was just pushed. Wait until the drain has
-                // popped it (it blocks on the gate inside the sink), so
-                // the ring is verifiably empty: chunks 2 and 3 will be
-                // accepted, every later chunk deterministically dropped.
-                let (lock, cv) = &*gate;
-                let mut g = lock.lock().unwrap();
-                while !g.0 {
-                    g = cv.wait(g).unwrap();
-                }
-            }
-        }
-        {
-            let (lock, cv) = &*gate;
-            lock.lock().unwrap().1 = true;
-            cv.notify_all();
-        }
-        let (bank, stats) = ring.finish();
-
-        // Exact accounting: chunk 1 drained, chunks 2..=3 buffered,
-        // chunks 4..=10 refused.
-        let accepted = ((1 + CAPACITY) * CHUNK) as u64;
-        assert_eq!(stats.frames_written, accepted);
-        assert_eq!(stats.frames_dropped, TOTAL - accepted);
-        assert_eq!(stats.blocked_us, 0, "DropNewest must never block");
-
-        // The drained stream is a prefix of the inline reference: the
-        // same first `accepted` frames, stamps included.
-        let drained = &bank[0]
-            .as_any()
-            .downcast_ref::<GateSink>()
-            .expect("GateSink")
-            .inner
-            .entries;
-        assert_eq!(drained[..], inline.entries[..accepted as usize]);
+        ring.barrier();
+        assert_eq!(ring.stats().frames_written, 42);
+        let seen = ring.with_sink_mut::<CountingSink, _>(|c| c.total).unwrap();
+        assert_eq!(seen, 42);
     }
 
     #[test]

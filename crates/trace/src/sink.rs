@@ -41,6 +41,14 @@ pub trait TraceSink {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// The concrete sink behind a hosted `dyn TraceSink` — what a runner
+/// or `World::take_trace_sink` hands back, read as the type its caller
+/// installed. A missing or foreign sink is a wiring bug, so it panics.
+pub fn expect_sink<'a, T: 'static>(sink: Option<&'a mut (dyn TraceSink + 'static)>) -> &'a mut T {
+    sink.and_then(|s| s.as_any_mut().downcast_mut::<T>())
+        .unwrap_or_else(|| panic!("hosted sink is not a {}", std::any::type_name::<T>()))
+}
+
 /// A sink that discards everything — for measuring sink-dispatch
 /// overhead in isolation.
 #[derive(Default, Debug)]

@@ -3,8 +3,8 @@
 //!
 //! The trace plane's off-thread drain ([`wmsn-trace`'s ring sink])
 //! needs a queue with three properties the std channels don't surface
-//! together: a hard capacity bound (backpressure is an explicit policy,
-//! not an OOM), occupancy accounting (peak depth is part of the bench
+//! together: a hard capacity bound (a full ring blocks the producer
+//! instead of growing without limit), occupancy accounting (peak depth is part of the bench
 //! telemetry), and blocked-time accounting (how long the producer sat
 //! in backpressure, in wall microseconds).
 //!
@@ -25,7 +25,7 @@ use std::time::Instant;
 /// [`SpscRing::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RingCounters {
-    /// Chunks accepted by `push_blocking` / `try_push`.
+    /// Chunks accepted by `push_blocking`.
     pub pushed: u64,
     /// Chunks taken by the consumer.
     pub popped: u64,
@@ -46,8 +46,7 @@ struct RingState<T> {
 /// rationale; the API is intentionally minimal:
 ///
 /// * producer side — [`SpscRing::push_blocking`] (block-until-space
-///   backpressure) or [`SpscRing::try_push`] (fail-fast, for
-///   count-and-drop policies), then [`SpscRing::close`];
+///   backpressure), then [`SpscRing::close`];
 /// * consumer side — [`SpscRing::pop_blocking`], which returns `None`
 ///   only once the ring is closed *and* drained.
 pub struct SpscRing<T> {
@@ -93,22 +92,6 @@ impl<T> SpscRing<T> {
             g.counters.blocked_us += start.elapsed().as_micros() as u64;
         }
         if g.closed {
-            return Err(chunk);
-        }
-        g.buf.push_back(chunk);
-        g.counters.pushed += 1;
-        g.counters.peak = g.counters.peak.max(g.buf.len());
-        drop(g);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Push without blocking. Returns the chunk back when the ring is
-    /// full or closed — the caller decides whether that's a drop to
-    /// count or an error.
-    pub fn try_push(&self, chunk: T) -> Result<(), T> {
-        let mut g = self.state.lock().expect("ring lock");
-        if g.closed || g.buf.len() >= self.cap {
             return Err(chunk);
         }
         g.buf.push_back(chunk);
@@ -186,17 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn try_push_fails_fast_when_full() {
-        let r: SpscRing<u8> = SpscRing::new(2);
-        r.try_push(1).unwrap();
-        r.try_push(2).unwrap();
-        assert_eq!(r.try_push(3), Err(3));
-        assert_eq!(r.pop_blocking(), Some(1));
-        r.try_push(3).unwrap();
-        assert_eq!(r.stats().pushed, 3);
-    }
-
-    #[test]
     fn push_blocking_waits_for_the_consumer() {
         let r = Arc::new(SpscRing::<u64>::new(1));
         r.push_blocking(0).unwrap();
@@ -224,6 +196,5 @@ mod tests {
         r.close();
         assert_eq!(consumer.join().unwrap(), None);
         assert_eq!(r.push_blocking(9), Err(9));
-        assert_eq!(r.try_push(9), Err(9));
     }
 }

@@ -19,11 +19,15 @@ fn main() {
     println!("{}", "-".repeat(46));
     let mut mlr_hurt = 0;
     let mut sec_hurt = 0;
-    let baseline_mlr = run_attack_cell(TargetProtocol::Mlr, Attack::None, 1).delivery_ratio;
-    let baseline_sec = run_attack_cell(TargetProtocol::SecMlr, Attack::None, 1).delivery_ratio;
+    let baseline_mlr = run_attack_cell(TargetProtocol::Mlr, Attack::None, 1, None)
+        .0
+        .delivery_ratio;
+    let baseline_sec = run_attack_cell(TargetProtocol::SecMlr, Attack::None, 1, None)
+        .0
+        .delivery_ratio;
     for attack in Attack::all() {
-        let mlr = run_attack_cell(TargetProtocol::Mlr, attack, 1);
-        let sec = run_attack_cell(TargetProtocol::SecMlr, attack, 1);
+        let mlr = run_attack_cell(TargetProtocol::Mlr, attack, 1, None).0;
+        let sec = run_attack_cell(TargetProtocol::SecMlr, attack, 1, None).0;
         println!(
             "{:<16} {:>13.0}% {:>13.0}%",
             format!("{attack:?}"),

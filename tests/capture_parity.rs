@@ -20,14 +20,14 @@
 use std::path::{Path, PathBuf};
 use wmsn::core::builder::{build_spr, SprScenario};
 use wmsn::core::drivers::SprDriver;
-use wmsn::core::experiments::{e9_large_round, e9_large_scenario};
-use wmsn::core::params::{FieldParams, GatewayParams, TrafficParams};
+use wmsn::core::experiments::{e9_large_round, e9_large_scenario, e9_large_sharded};
+use wmsn::core::params::{FieldParams, GatewayParams, ParallelConfig, TrafficParams};
 use wmsn::health::{HealthConfig, HealthMonitor};
 use wmsn::sim::ShardedWorld;
 use wmsn::topology::strip_shards;
 use wmsn::trace::{
-    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, merge_captures,
-    merge_frame_buffers, BackpressurePolicy, BufferSink, CaptureConfig, CaptureReader, CaptureSink,
+    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, expect_sink,
+    merge_captures, merge_frame_buffers, BufferSink, CaptureConfig, CaptureReader, CaptureSink,
     CaptureStats, FrameBufferSink, Replay, RingConfig, RingSink, RingStats, ScanFilter, TraceEvent,
 };
 
@@ -95,10 +95,8 @@ fn finish_shard_captures(world: &mut ShardedWorld) -> (RingStats, CaptureStats) 
     let mut stats = RingStats::default();
     let mut cap = CaptureStats::default();
     for mut sink in world.take_shard_sinks().expect("shard sinks installed") {
-        let (s, c) = sink
-            .as_any_mut()
-            .downcast_mut::<RingSink>()
-            .and_then(RingSink::finalize_capture)
+        let (s, c) = expect_sink::<RingSink>(Some(sink.as_mut()))
+            .finalize_capture()
             .expect("shard capture finalizes");
         stats.add(&s);
         cap.add(&c);
@@ -246,7 +244,6 @@ fn sharded_capture_files_merge_to_the_reference_trace_bytes() {
         RingConfig {
             chunk_frames: 7,
             capacity_chunks: 3,
-            policy: BackpressurePolicy::Block,
         },
         CaptureConfig { segment_frames: 32 },
         &dir,
@@ -254,7 +251,6 @@ fn sharded_capture_files_merge_to_the_reference_trace_bytes() {
     assert_eq!(paths.len(), 4);
     d.run_round();
     let (stats, cap) = finish_shard_captures(&mut d.scenario.world);
-    assert_eq!(stats.frames_dropped, 0);
     assert_eq!(cap.frames, stats.frames_written);
     assert_eq!(cap.frames_dropped, 0);
     assert!(cap.segments > 0 && cap.bytes > 0);
@@ -279,12 +275,11 @@ fn sharded_e9() -> (
     usize, // source count
 ) {
     let (scen, base) = e9_large_scenario(3000, 17);
-    let mut positions = scen.sensor_positions.clone();
-    positions.extend_from_slice(&scen.gateway_positions);
-    positions.push(scen.world.node(base).pos);
-    let assignment = strip_shards(&positions, scen.range_m, 4);
-    let sharded = scen.map_world(|w| ShardedWorld::from_world(w, assignment, test_threads()));
-    (sharded, base, 3)
+    let parallel = ParallelConfig {
+        shards: 4,
+        threads: test_threads(),
+    };
+    (e9_large_sharded(scen, base, parallel), base, 3)
 }
 
 #[test]
@@ -311,8 +306,8 @@ fn capture_merge_heals_same_at_key_inversions_at_scale() {
         .expect("shard sinks installed")
         .iter_mut()
         .map(|sink| {
-            let ring = sink.as_any_mut().downcast_mut::<RingSink>().expect("ring");
-            ring.with_sink_mut::<FrameBufferSink, _>(|b| std::mem::take(&mut b.entries))
+            expect_sink::<RingSink>(Some(sink.as_mut()))
+                .with_sink_mut::<FrameBufferSink, _>(|b| std::mem::take(&mut b.entries))
                 .expect("ring drains into FrameBufferSink")
         })
         .collect();

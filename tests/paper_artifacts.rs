@@ -120,8 +120,8 @@ fn e6_secmlr_resists_what_breaks_mlr() {
     use wmsn::attacks::sinkhole::TargetProtocol;
     // The three attacks SecMLR is designed to kill outright.
     for attack in [Attack::Sinkhole, Attack::FalseAnnounce, Attack::HelloFlood] {
-        let mlr = run_attack_cell(TargetProtocol::Mlr, attack, 3);
-        let sec = run_attack_cell(TargetProtocol::SecMlr, attack, 3);
+        let mlr = run_attack_cell(TargetProtocol::Mlr, attack, 3, None).0;
+        let sec = run_attack_cell(TargetProtocol::SecMlr, attack, 3, None).0;
         assert!(
             mlr.delivery_ratio < 0.7,
             "{attack:?} should break MLR: {}",
@@ -134,8 +134,8 @@ fn e6_secmlr_resists_what_breaks_mlr() {
         );
     }
     // Replay: MLR double-delivers, SecMLR does not.
-    let mlr = run_attack_cell(TargetProtocol::Mlr, Attack::Replay, 3);
-    let sec = run_attack_cell(TargetProtocol::SecMlr, Attack::Replay, 3);
+    let mlr = run_attack_cell(TargetProtocol::Mlr, Attack::Replay, 3, None).0;
+    let sec = run_attack_cell(TargetProtocol::SecMlr, Attack::Replay, 3, None).0;
     assert!(mlr.duplicate_deliveries > 0, "replay must dupe MLR");
     assert_eq!(sec.duplicate_deliveries, 0, "counters must kill replays");
 }
@@ -219,8 +219,8 @@ fn e15_baseline_table_shapes() {
 #[test]
 fn e6_topology_guard_defeats_the_wormhole() {
     use wmsn::attacks::sinkhole::TargetProtocol;
-    let bare = run_attack_cell(TargetProtocol::SecMlr, Attack::Wormhole, 1);
-    let guarded = run_attack_cell(TargetProtocol::SecMlr, Attack::WormholeGuarded, 1);
+    let bare = run_attack_cell(TargetProtocol::SecMlr, Attack::Wormhole, 1, None).0;
+    let guarded = run_attack_cell(TargetProtocol::SecMlr, Attack::WormholeGuarded, 1, None).0;
     assert!(
         bare.delivery_ratio < 0.2,
         "unguarded wormhole wins: {}",

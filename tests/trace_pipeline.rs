@@ -1,37 +1,37 @@
-//! Ring-pipeline parity suite: the off-thread trace pipeline is
-//! observationally identical to inline sinks.
+//! Ring-pipeline parity suite: where a sink is hosted never changes
+//! what the simulation does or what the sink sees.
 //!
-//! The ring pipeline (PR 7) moves sink work — JSONL rendering, the
-//! health monitor's detector bank — off the simulation thread, behind
+//! The ring pipeline moves sink work off the simulation thread, behind
 //! a bounded SPSC ring with an explicit flush barrier. Its correctness
 //! claim is *byte* equality, not statistical similarity, so this suite
 //! compares bytes:
 //!
+//! * every E6 attack cell, on both protocols, gives the same outcome
+//!   and delivery records untraced, with an inline health monitor and
+//!   with a ring-hosted buffer sink;
 //! * the E1 JSONL trace drained through the ring must be
 //!   byte-identical to the inline `BufferSink` capture, including with
 //!   flush barriers exercised at round (`run_until`) boundaries;
 //! * the E18 attack cells' alert JSONL with the monitor fed from the
-//!   drain thread must be byte-identical to the inline monitor's, and
-//!   the healthy baseline must stay silent through the ring too;
-//! * the self-healing loop (`drain_actions`) must produce the same
-//!   actions whichever pipeline hosts the monitor;
+//!   drain thread must be byte-identical to the inline monitor's (the
+//!   ring as an oracle for the inline monitor), and the healthy
+//!   baseline must stay silent through the ring too;
 //! * a `.wcap` capture of the E1 run, decoded and re-rendered, must be
 //!   byte-identical to the live `BufferSink` output (the `convert`
 //!   golden); and the capture round-trip must preserve causal keys;
 //! * the sharded kernel with per-shard rings must merge back to the
 //!   reference trace bytes.
 
-use wmsn::core::builder::{build_mlr, build_spr, SprScenario};
-use wmsn::core::drivers::{MlrDriver, SprDriver};
-use wmsn::core::experiments::{run_attack_cell_monitored, run_attack_cell_monitored_ring, Attack};
-use wmsn::core::health_loop::drain_actions;
+use wmsn::core::builder::{build_spr, SprScenario};
+use wmsn::core::drivers::SprDriver;
+use wmsn::core::experiments::{run_attack_cell, run_attack_cell_monitored, Attack};
 use wmsn::core::params::{FieldParams, GatewayParams, TrafficParams};
-use wmsn::health::{HealthConfig, HealthMonitor, HealthPolicy};
+use wmsn::health::{HealthConfig, HealthMonitor};
 use wmsn::sim::ShardedWorld;
 use wmsn::topology::strip_shards;
 use wmsn::trace::{
-    merge_frame_buffers, BackpressurePolicy, BufferSink, CaptureConfig, CaptureReader, CaptureSink,
-    FrameBufferSink, RingConfig, RingSink, RingStats, ScanFilter,
+    expect_sink, merge_frame_buffers, BufferSink, CaptureConfig, CaptureReader, CaptureSink,
+    FrameBufferSink, RingConfig, RingSink, RingStats, ScanFilter, TraceSink,
 };
 use wmsn_attacks::sinkhole::TargetProtocol;
 
@@ -56,9 +56,9 @@ fn e1_field(seed: u64) -> (FieldParams, GatewayParams) {
 fn traced_e1(
     seed: u64,
     rounds: u32,
-    sink: Box<dyn wmsn::trace::TraceSink>,
+    sink: Box<dyn TraceSink>,
     flush_each_round: bool,
-) -> Box<dyn wmsn::trace::TraceSink> {
+) -> Box<dyn TraceSink> {
     let (field, gw) = e1_field(seed);
     let mut d = SprDriver::new(build_spr(&field, &gw, TrafficParams::default()));
     d.scenario.world.set_trace_sink(sink);
@@ -80,7 +80,38 @@ fn tight_ring() -> RingConfig {
     RingConfig {
         chunk_frames: 7,
         capacity_chunks: 3,
-        policy: BackpressurePolicy::Block,
+    }
+}
+
+#[test]
+fn hosting_never_changes_the_simulation() {
+    for protocol in [TargetProtocol::Mlr, TargetProtocol::SecMlr] {
+        for attack in Attack::all() {
+            let (untraced, _) = run_attack_cell(protocol, attack, 1, None);
+            if attack == Attack::None {
+                assert!(
+                    !untraced.deliveries.is_empty(),
+                    "{protocol:?} baseline delivers"
+                );
+            }
+            let hostings: [(&str, Box<dyn TraceSink>); 2] = [
+                (
+                    "inline monitor",
+                    HealthMonitor::boxed(HealthConfig::default()),
+                ),
+                (
+                    "ring(buffer)",
+                    RingSink::boxed(tight_ring(), vec![Box::new(BufferSink::new())]),
+                ),
+            ];
+            for (label, sink) in hostings {
+                let (hosted, _) = run_attack_cell(protocol, attack, 1, Some(sink));
+                assert_eq!(
+                    hosted, untraced,
+                    "{protocol:?} vs {attack:?}: hosting {label} changed the run"
+                );
+            }
+        }
     }
 }
 
@@ -97,12 +128,8 @@ fn ring_drained_e1_trace_is_byte_identical_to_inline() {
 
         let ring = RingSink::boxed(tight_ring(), vec![Box::new(BufferSink::new())]);
         let mut ring = traced_e1(seed, 2, ring, flush_each_round);
-        let ring = ring
-            .as_any_mut()
-            .downcast_mut::<RingSink>()
-            .expect("RingSink");
+        let ring = expect_sink::<RingSink>(Some(ring.as_mut()));
         let stats = ring.stats();
-        assert_eq!(stats.frames_dropped, 0, "Block policy never drops");
         let got = ring
             .with_sink_mut::<BufferSink, _>(|b| b.out.clone())
             .expect("drained BufferSink");
@@ -114,13 +141,30 @@ fn ring_drained_e1_trace_is_byte_identical_to_inline() {
     }
 }
 
+/// One MLR attack cell with the monitor hosted behind a ring: the
+/// monitor as the drain thread left it, finalized at the same point in
+/// the event stream where the inline monitor's take-time flush
+/// finalizes it, and the ring's telemetry.
+fn ring_monitored_cell(attack: Attack, seed: u64) -> (HealthMonitor, RingStats) {
+    let monitor = HealthMonitor::with_config(HealthConfig::default());
+    let ring = RingSink::boxed(RingConfig::default(), vec![Box::new(monitor)]);
+    let (_, mut sink) = run_attack_cell(TargetProtocol::Mlr, attack, seed, Some(ring));
+    let ring = expect_sink::<RingSink>(sink.as_deref_mut());
+    let monitor = ring
+        .with_sink_mut::<HealthMonitor, _>(|m| {
+            m.finalize();
+            m.clone()
+        })
+        .expect("the ring drains into the monitor");
+    (monitor, ring.stats())
+}
+
 #[test]
 fn e18_alert_stream_through_the_ring_is_byte_identical_to_inline() {
     for attack in [Attack::Replay, Attack::Sinkhole, Attack::HelloFlood] {
         let (_, inline_monitor) =
             run_attack_cell_monitored(TargetProtocol::Mlr, attack, 1, HealthConfig::default());
-        let (_, ring_monitor, stats) =
-            run_attack_cell_monitored_ring(TargetProtocol::Mlr, attack, 1, HealthConfig::default());
+        let (ring_monitor, stats) = ring_monitored_cell(attack, 1);
         let want = inline_monitor.alerts_jsonl();
         assert!(!want.is_empty(), "{attack:?} must raise alerts");
         assert_eq!(
@@ -129,64 +173,14 @@ fn e18_alert_stream_through_the_ring_is_byte_identical_to_inline() {
             "{attack:?}: ring-fed monitor must match inline byte for byte"
         );
         assert!(stats.frames_written > 0);
-        assert_eq!(stats.frames_dropped, 0);
     }
     // The healthy baseline must stay silent through the ring too.
-    let (_, ring_monitor, _) = run_attack_cell_monitored_ring(
-        TargetProtocol::Mlr,
-        Attack::None,
-        7,
-        HealthConfig::default(),
-    );
+    let (ring_monitor, _) = ring_monitored_cell(Attack::None, 7);
     assert_eq!(
         ring_monitor.alerts().len(),
         0,
         "healthy cell through the ring raised {}",
         ring_monitor.alerts_jsonl()
-    );
-}
-
-#[test]
-fn self_healing_loop_acts_identically_through_the_ring() {
-    // E18-recovery shape: kill a gateway mid-run, then let the policy
-    // loop drain the monitor — once hosted inline, once behind the
-    // ring. Both runs are deterministic, so the action lists (and the
-    // recovered delivery ratio) must match exactly.
-    let run = |ring: bool| {
-        let field = FieldParams {
-            battery_j: 10.0,
-            ..FieldParams::default_uniform(60, 5)
-        };
-        let mut d = MlrDriver::new(build_mlr(
-            &field,
-            &GatewayParams::default_three(),
-            TrafficParams::default(),
-            0.0,
-        ));
-        let sink: Box<dyn wmsn::trace::TraceSink> = if ring {
-            RingSink::boxed(
-                tight_ring(),
-                vec![Box::new(
-                    HealthMonitor::with_config(HealthConfig::default()),
-                )],
-            )
-        } else {
-            HealthMonitor::boxed(HealthConfig::default())
-        };
-        d.scenario.world.set_trace_sink(sink);
-        d.run_round();
-        let victim = d.scenario.gateways[0];
-        d.scenario.world.kill(victim);
-        d.run_round();
-        let actions = drain_actions(&mut d.scenario.world, &HealthPolicy::default());
-        format!("{actions:?}")
-    };
-    let inline = run(false);
-    let ring = run(true);
-    assert!(!inline.is_empty());
-    assert_eq!(
-        ring, inline,
-        "policy actions must not depend on the pipeline"
     );
 }
 
@@ -214,10 +208,8 @@ fn binary_capture_converts_to_the_exact_jsonl_bytes() {
     )
     .expect("create");
     let mut sink = traced_e1(11, 1, Box::new(sink), false);
-    let written = sink
-        .as_any_mut()
-        .downcast_mut::<CaptureSink>()
-        .and_then(CaptureSink::finalize)
+    let written = expect_sink::<CaptureSink>(Some(sink.as_mut()))
+        .finalize()
         .expect("capture finalizes")
         .frames;
     let mut frames = Vec::new();
@@ -276,7 +268,7 @@ fn sharded_per_shard_rings_merge_to_the_reference_trace_bytes() {
         .take_shard_sinks()
         .expect("shard sinks installed")
     {
-        let ring = sink.as_any_mut().downcast_mut::<RingSink>().expect("ring");
+        let ring = expect_sink::<RingSink>(Some(sink.as_mut()));
         stats.add(&ring.stats());
         buffers.push(
             ring.with_sink_mut::<FrameBufferSink, _>(|b| std::mem::take(&mut b.entries))
@@ -289,7 +281,6 @@ fn sharded_per_shard_rings_merge_to_the_reference_trace_bytes() {
         got.push('\n');
     })
     .expect("shard streams are at-monotone");
-    assert_eq!(stats.frames_dropped, 0);
     assert_eq!(stats.frames_written, merged);
     assert_eq!(
         &got, want,
