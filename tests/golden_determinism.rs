@@ -4,10 +4,16 @@
 //! Determinism is a hard invariant of the simulator (same seed → same
 //! metrics, bit for bit), and the hot-path work (allocation-free
 //! fan-out, incremental adjacency, dense medium state) must not shift a
-//! single reception. This test runs the E1, E3 and E6 kernels for four
-//! fixed seeds and compares every reported metric against committed
-//! golden values **as raw `f64` bit patterns** — an epsilon-free
-//! comparison, so even a last-ulp drift fails.
+//! single reception. This test runs the E1, E3, E5, E6, E7, E8, E12,
+//! E15 and E16 kernels for four fixed seeds and compares every reported
+//! metric against committed golden values **as raw `f64` bit patterns**
+//! — an epsilon-free comparison, so even a last-ulp drift fails.
+//!
+//! Between them the kernels cover every builder and every round driver:
+//! SPR (E1, E3), MLR with and without the table-reset ablation (E3, E5,
+//! E16 via `build_mlr_with`), SecMLR (E7), LEACH and the MLR gateway
+//! kill (E8), the three-tier architecture (E12) and the seven
+//! single-sink baselines (E15).
 //!
 //! To regenerate after an *intentional* semantic change:
 //!
@@ -20,8 +26,12 @@
 
 use wmsn::core::builder::build_spr;
 use wmsn::core::drivers::SprDriver;
-use wmsn::core::experiments::{e3_lifetime, e6_attacks};
+use wmsn::core::experiments::{
+    e12_backbone_fault, e12_three_tier, e15_baselines, e16_energy_aware, e3_lifetime, e5_overhead,
+    e6_attacks, e7_secmlr_cost, e8_robustness,
+};
 use wmsn::core::params::{FieldParams, GatewayParams, TrafficParams};
+use wmsn::prelude::ReportRow;
 
 const SEEDS: [u64; 4] = [11, 23, 37, 53];
 
@@ -52,28 +62,12 @@ fn e1_kernel(seed: u64) -> Vec<(&'static str, f64)> {
     ]
 }
 
-/// E3 kernel: lifetime-to-first-death for SPR (m=1, m=3) and MLR on a
-/// 20-sensor field — covers node death, battery accounting and the
-/// analytic optimum.
-fn e3_kernel(seed: u64) -> Vec<(&'static str, f64)> {
-    e3_lifetime(&[20], seed)
-        .into_iter()
+/// Name every row of an experiment `"<prefix>.<config> <metric>"`.
+fn rows(prefix: &str, rows: Vec<ReportRow>) -> Vec<(&'static str, f64)> {
+    rows.into_iter()
         .map(|r| {
             let name: &'static str =
-                Box::leak(format!("e3.{} {}", r.config, r.metric).into_boxed_str());
-            (name, r.value)
-        })
-        .collect()
-}
-
-/// E6 kernel: the attack suite (sinkhole/replay/wormhole vs MLR and
-/// SecMLR) — covers the security paths and adversarial forwarding.
-fn e6_kernel(seed: u64) -> Vec<(&'static str, f64)> {
-    e6_attacks(seed)
-        .into_iter()
-        .map(|r| {
-            let name: &'static str =
-                Box::leak(format!("e6.{} {}", r.config, r.metric).into_boxed_str());
+                Box::leak(format!("{prefix}.{} {}", r.config, r.metric).into_boxed_str());
             (name, r.value)
         })
         .collect()
@@ -81,8 +75,26 @@ fn e6_kernel(seed: u64) -> Vec<(&'static str, f64)> {
 
 fn fingerprint(seed: u64) -> Vec<(&'static str, f64)> {
     let mut fp = e1_kernel(seed);
-    fp.extend(e3_kernel(seed));
-    fp.extend(e6_kernel(seed));
+    // E3: lifetime-to-first-death for SPR (m=1, m=3) and MLR on a
+    // 20-sensor field — node death, battery accounting, the optimum.
+    fp.extend(rows("e3", e3_lifetime(&[20], seed)));
+    // E5: MLR's incremental tables against the table-reset ablation.
+    fp.extend(rows("e5", e5_overhead(6, seed)));
+    // E7: the SecMLR driver (μTESLA settle, secure moves) beside MLR.
+    fp.extend(rows("e7", e7_secmlr_cost(seed)));
+    // E8: the LEACH driver with its head kill, and the MLR gateway kill.
+    fp.extend(rows("e8", e8_robustness(seed)));
+    // E12: the three-tier builder driven by MLR rounds, healthy and
+    // with the base station killed.
+    fp.extend(rows("e12", e12_three_tier(seed)));
+    fp.extend(rows("e12", e12_backbone_fault(seed)));
+    // E15: all seven single-sink baselines on one shared field.
+    fp.extend(rows("e15", e15_baselines(seed)));
+    // E16: `build_mlr_with` under the table reset, run to first death.
+    fp.extend(rows("e16", e16_energy_aware(seed)));
+    // E6 last: the attack suite against MLR and SecMLR
+    // (`zero_copy_equivalence` reads these rows as the table's tail).
+    fp.extend(rows("e6", e6_attacks(seed)));
     fp
 }
 
