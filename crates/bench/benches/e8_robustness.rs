@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
                     TrafficParams::default(),
                 ))
             },
-            |mut d| std::hint::black_box(d.run_round(false)),
+            |mut d| std::hint::black_box(d.run_round()),
         )
     });
 }

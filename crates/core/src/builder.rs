@@ -1,9 +1,15 @@
-//! Scenario builders: parameters in, populated worlds out.
+//! Scenario builders: parameters in, one populated [`Scenario`] out.
 //!
 //! Node-id layout is fixed and documented: **sensors first** (ids
 //! `0..n_sensors`), **then gateways** (`n_sensors..n_sensors+m`), then —
-//! in the three-tier scenario — WMRs and finally base stations. Builders
+//! in the three-tier scenarios — WMRs and finally base stations. Builders
 //! return the id lists so drivers and experiments never guess.
+//!
+//! Every builder goes through one deployment path: sensors are drawn
+//! from the field seed's `0xB01D` stream (redrawn until connected when
+//! the field asks for it), then the initial gateway places from the same
+//! stream (LEACH's fixed sink draws none), then sensors and gateways are
+//! added in id order.
 
 use crate::params::{FieldParams, GatewayParams, TrafficParams};
 use crate::wmg::WmgBehavior;
@@ -14,57 +20,48 @@ use wmsn_routing::mesh::MeshNode;
 use wmsn_routing::mlr::{MlrConfig, MlrGateway, MlrSensor};
 use wmsn_routing::spr::{SprConfig, SprGateway, SprSensor};
 use wmsn_secure::{SecGatewayConfig, SecMlrGateway, SecMlrSensor, SecSensorConfig};
-use wmsn_sim::{NodeConfig, World};
-use wmsn_topology::{placement, FeasiblePlaces, MovementSchedule, Topology};
+use wmsn_sim::{Behavior, NodeConfig, World, WorldConfig};
+use wmsn_topology::{placement, FeasiblePlaces, MovementPolicy, MovementSchedule, Topology};
 use wmsn_util::{NodeId, Point, SplitMix64};
 
-/// Generate the sensor deployment, redrawing until connected when the
-/// field asks for it.
-fn generate_sensors(field: &FieldParams, rng: &mut SplitMix64) -> Vec<Point> {
+/// Draw `field`'s sensor deployment from `rng`, redrawing until the
+/// unit-disk graph is connected when the field asks for it: a
+/// disconnected draw would bias every delivery and hop figure. Panics
+/// after `max_draws` disconnected draws.
+pub(crate) fn draw_sensors(
+    field: &FieldParams,
+    rng: &mut SplitMix64,
+    max_draws: usize,
+) -> Vec<Point> {
     use wmsn_topology::connectivity::is_connected;
     use wmsn_util::geom::unit_disk_adjacency;
-    for attempt in 0..100 {
+    for _ in 0..max_draws {
         let pts = field.deployment.generate(field.field, rng);
         if !field.require_connected || is_connected(&unit_disk_adjacency(&pts, field.range_m)) {
             return pts;
         }
-        let _ = attempt;
     }
     panic!(
-        "could not draw a connected {}-sensor field at range {} in 100 attempts",
+        "could not draw a connected {}-sensor field at range {} in {max_draws} attempts",
         field.n_sensors, field.range_m
     );
 }
 
-/// Shared outcome of gateway placement.
-fn place_initial(
-    field: &FieldParams,
-    gw: &GatewayParams,
-    sensors: &[Point],
-    rng: &mut SplitMix64,
-) -> (FeasiblePlaces, Vec<usize>) {
-    let places = FeasiblePlaces::grid(field.field, gw.place_grid.0, gw.place_grid.1);
-    let initial = placement::place_gateways(
-        gw.placement,
-        sensors,
-        field.field,
-        field.range_m,
-        &places,
-        gw.m,
-        rng,
-    );
-    (places, initial)
-}
-
-/// An MLR scenario ready to drive.
-pub struct MlrScenario {
+/// A built scenario, ready for a [`crate::drivers::RoundDriver`].
+///
+/// Generic over the simulation host so the same scenario (and the driver
+/// running it) works on the single-threaded reference [`World`] or the
+/// sharded parallel kernel — build on a `World`, then lift with
+/// [`Scenario::map_world`].
+pub struct Scenario<H = World> {
     /// The world.
-    pub world: World,
+    pub world: H,
     /// Sensor ids (`0..n`).
     pub sensors: Vec<NodeId>,
-    /// Gateway ids (`n..n+m`).
+    /// Gateway ids (`n..n+m`): the protocol's gateways, the three-tier
+    /// WMGs, or LEACH's single sink.
     pub gateways: Vec<NodeId>,
-    /// Feasible places.
+    /// Feasible places (LEACH: the sink's position only).
     pub places: FeasiblePlaces,
     /// Movement schedule (round 0 not yet produced).
     pub schedule: MovementSchedule,
@@ -72,23 +69,147 @@ pub struct MlrScenario {
     pub traffic: TrafficParams,
     /// Sensor positions (for analytic comparisons).
     pub sensor_positions: Vec<Point>,
+    /// Gateway positions at deployment (index-aligned with `gateways`).
+    pub gateway_positions: Vec<Point>,
     /// Sensor radio range.
     pub range_m: f64,
 }
 
-impl MlrScenario {
-    /// The analytic topology for the currently-occupied places.
-    pub fn topology_for(&self, occupied: &[usize]) -> Topology {
-        let gws = occupied.iter().map(|&p| self.places.position(p)).collect();
+/// The SPR name for a [`Scenario`] (static gateways; the `m = 1` case is
+/// the flat single-sink baseline of Fig. 2(a)).
+pub type SprScenario<H = World> = Scenario<H>;
+
+impl<H> Scenario<H> {
+    /// Analytic topology of the deployment-time gateway positions.
+    pub fn topology(&self) -> Topology {
         Topology::new(
             self.sensor_positions.clone(),
-            gws,
-            wmsn_util::Rect::from_corners(
-                Point::new(f64::MIN / 4.0, f64::MIN / 4.0),
-                Point::new(f64::MAX / 4.0, f64::MAX / 4.0),
-            ),
+            self.gateway_positions.clone(),
+            wmsn_util::Rect::from_corners(Point::new(-1e9, -1e9), Point::new(1e9, 1e9)),
             self.range_m,
         )
+    }
+
+    /// Replace the host, keeping every other scenario field — the hook
+    /// that lifts a freshly built (un-started) `Scenario<World>` onto the
+    /// sharded kernel:
+    /// `s.map_world(|w| ShardedWorld::from_world(w, assignment, threads))`.
+    pub fn map_world<H2>(self, f: impl FnOnce(H) -> H2) -> Scenario<H2> {
+        Scenario {
+            world: f(self.world),
+            sensors: self.sensors,
+            gateways: self.gateways,
+            places: self.places,
+            schedule: self.schedule,
+            traffic: self.traffic,
+            sensor_positions: self.sensor_positions,
+            gateway_positions: self.gateway_positions,
+            range_m: self.range_m,
+        }
+    }
+}
+
+/// Where a deployment's gateways go.
+enum Sites<'a> {
+    /// `gw.m` gateways placed by `gw.placement` on `gw.place_grid` and
+    /// moving per `gw.movement`; the placement is drawn after the sensors.
+    Placed(&'a GatewayParams),
+    /// One static sink at a fixed point; nothing is drawn.
+    Sink(Point),
+}
+
+/// A drawn deployment: everything the RNG fixes before any node exists.
+struct Layout {
+    sensors: Vec<Point>,
+    places: FeasiblePlaces,
+    initial: Vec<usize>,
+    movement: MovementPolicy,
+}
+
+impl Layout {
+    fn draw(field: &FieldParams, sites: Sites<'_>) -> Layout {
+        let mut rng = SplitMix64::new(field.seed).split(0xB01D);
+        let sensors = draw_sensors(field, &mut rng, 100);
+        let (places, initial, movement) = match sites {
+            Sites::Placed(gw) => {
+                let places = FeasiblePlaces::grid(field.field, gw.place_grid.0, gw.place_grid.1);
+                let initial = placement::place_gateways(
+                    gw.placement,
+                    &sensors,
+                    field.field,
+                    field.range_m,
+                    &places,
+                    gw.m,
+                    &mut rng,
+                );
+                (places, initial, gw.movement.clone())
+            }
+            Sites::Sink(pos) => (
+                FeasiblePlaces::new(vec![pos]),
+                vec![0],
+                MovementPolicy::Static,
+            ),
+        };
+        Layout {
+            sensors,
+            places,
+            initial,
+            movement,
+        }
+    }
+
+    /// The id the `k`-th node after the sensors gets (gateway `k` for
+    /// `k < m`).
+    fn id_after_sensors(&self, k: usize) -> NodeId {
+        NodeId((self.sensors.len() + k) as u32)
+    }
+
+    /// Add the sensors (`sensor(i)`) and then the gateways
+    /// (`gateway(id, place)`) to a fresh world on `cfg`.
+    fn populate(
+        self,
+        field: &FieldParams,
+        cfg: WorldConfig,
+        traffic: TrafficParams,
+        mut sensor: impl FnMut(usize) -> Box<dyn Behavior>,
+        mut gateway: impl FnMut(NodeId, usize) -> Box<dyn Behavior>,
+    ) -> Scenario {
+        let mut world = World::new(cfg);
+        let sensors = self
+            .sensors
+            .iter()
+            .enumerate()
+            .map(|(i, &pos)| world.add_node(NodeConfig::sensor(pos, field.battery_j), sensor(i)))
+            .collect();
+        let gateway_positions: Vec<Point> = self
+            .initial
+            .iter()
+            .map(|&p| self.places.position(p))
+            .collect();
+        let gateways = self
+            .initial
+            .iter()
+            .zip(&gateway_positions)
+            .enumerate()
+            .map(|(j, (&place, &pos))| {
+                let id = self.id_after_sensors(j);
+                let added = world.add_node(NodeConfig::gateway(pos), gateway(id, place));
+                assert_eq!(added, id, "gateway id layout violated");
+                id
+            })
+            .collect();
+        let schedule = MovementSchedule::new(self.movement, &self.places, self.initial, field.seed);
+        Scenario {
+            world,
+            sensors,
+            gateways,
+            places: self.places,
+            schedule,
+            traffic,
+            sensor_positions: self.sensors,
+            gateway_positions,
+            range_m: field.range_m,
+        }
     }
 }
 
@@ -98,7 +219,7 @@ pub fn build_mlr(
     gw: &GatewayParams,
     traffic: TrafficParams,
     load_alpha: f64,
-) -> MlrScenario {
+) -> Scenario {
     build_mlr_with(
         field,
         gw,
@@ -117,95 +238,34 @@ pub fn build_mlr_with(
     gw: &GatewayParams,
     traffic: TrafficParams,
     mlr_cfg: MlrConfig,
-) -> MlrScenario {
-    let mut rng = SplitMix64::new(field.seed).split(0xB01D);
-    let sensor_positions = generate_sensors(field, &mut rng);
-    let (places, initial) = place_initial(field, gw, &sensor_positions, &mut rng);
-    let mut world = World::new(field.world_config());
-    let sensors: Vec<NodeId> = sensor_positions
-        .iter()
-        .map(|&pos| {
-            world.add_node(
-                NodeConfig::sensor(pos, field.battery_j),
-                MlrSensor::boxed(mlr_cfg),
-            )
-        })
-        .collect();
-    let gateways: Vec<NodeId> = initial
-        .iter()
-        .map(|&p| {
-            world.add_node(
-                NodeConfig::gateway(places.position(p)),
-                MlrGateway::boxed(p as u16),
-            )
-        })
-        .collect();
-    let schedule = MovementSchedule::new(gw.movement.clone(), &places, initial, field.seed);
-    MlrScenario {
-        world,
-        sensors,
-        gateways,
-        places,
-        schedule,
+) -> Scenario {
+    Layout::draw(field, Sites::Placed(gw)).populate(
+        field,
+        field.world_config(),
         traffic,
-        sensor_positions,
-        range_m: field.range_m,
-    }
+        |_| MlrSensor::boxed(mlr_cfg),
+        |_, place| MlrGateway::boxed(place as u16),
+    )
 }
 
-/// An SPR scenario (static gateways; the `m = 1` case is the flat
-/// single-sink baseline of Fig. 2(a)).
-///
-/// Generic over the simulation host so the same scenario (and the
-/// [`crate::drivers::SprDriver`] running it) works on the
-/// single-threaded reference [`World`] or the sharded parallel kernel
-/// — build on a `World`, then lift with [`SprScenario::map_world`].
-pub struct SprScenario<H = World> {
-    /// The world.
-    pub world: H,
-    /// Sensor ids.
-    pub sensors: Vec<NodeId>,
-    /// Gateway ids.
-    pub gateways: Vec<NodeId>,
-    /// Traffic parameters.
-    pub traffic: TrafficParams,
-    /// Sensor positions.
-    pub sensor_positions: Vec<Point>,
-    /// Gateway positions.
-    pub gateway_positions: Vec<Point>,
-    /// Radio range.
-    pub range_m: f64,
+fn build_spr_on(
+    field: &FieldParams,
+    gw: &GatewayParams,
+    traffic: TrafficParams,
+    cfg: WorldConfig,
+) -> Scenario {
+    Layout::draw(field, Sites::Placed(gw)).populate(
+        field,
+        cfg,
+        traffic,
+        |_| SprSensor::boxed(SprConfig::default()),
+        |_, _| SprGateway::boxed(),
+    )
 }
 
 /// Build an SPR scenario with `gw.m` statically-placed gateways.
 pub fn build_spr(field: &FieldParams, gw: &GatewayParams, traffic: TrafficParams) -> SprScenario {
-    let mut rng = SplitMix64::new(field.seed).split(0xB01D);
-    let sensor_positions = generate_sensors(field, &mut rng);
-    let (places, initial) = place_initial(field, gw, &sensor_positions, &mut rng);
-    let gateway_positions: Vec<Point> = initial.iter().map(|&p| places.position(p)).collect();
-    let mut world = World::new(field.world_config());
-    let sensors: Vec<NodeId> = sensor_positions
-        .iter()
-        .map(|&pos| {
-            world.add_node(
-                NodeConfig::sensor(pos, field.battery_j),
-                SprSensor::boxed(SprConfig::default()),
-            )
-        })
-        .collect();
-    let gateways: Vec<NodeId> = gateway_positions
-        .iter()
-        .map(|&pos| world.add_node(NodeConfig::gateway(pos), SprGateway::boxed()))
-        .collect();
-    SprScenario {
-        world,
-        sensors,
-        gateways,
-        traffic,
-        sensor_positions,
-        gateway_positions,
-        range_m: field.range_m,
-    }
+    build_spr_on(field, gw, traffic, field.world_config())
 }
 
 /// [`build_spr`] plus the mesh tier: one base station at the field
@@ -216,152 +276,63 @@ pub fn build_spr(field: &FieldParams, gw: &GatewayParams, traffic: TrafficParams
 /// The uplink wiring itself (`SprGateway::set_uplink`) happens at round
 /// start — see `experiments::e9_large_round` — so the returned world is
 /// still un-started and can be lifted onto the sharded kernel via
-/// [`SprScenario::map_world`].
+/// [`Scenario::map_world`].
 pub fn build_spr_three_tier(
     field: &FieldParams,
     gw: &GatewayParams,
     traffic: TrafficParams,
 ) -> (SprScenario, NodeId) {
-    let mut rng = SplitMix64::new(field.seed).split(0xB01D);
-    let sensor_positions = generate_sensors(field, &mut rng);
-    let (places, initial) = place_initial(field, gw, &sensor_positions, &mut rng);
-    let gateway_positions: Vec<Point> = initial.iter().map(|&p| places.position(p)).collect();
     let mut cfg = field.world_config();
     cfg.mesh_phy.range_m = field.field.diagonal() + 1.0;
-    let mut world = World::new(cfg);
-    let sensors: Vec<NodeId> = sensor_positions
-        .iter()
-        .map(|&pos| {
-            world.add_node(
-                NodeConfig::sensor(pos, field.battery_j),
-                SprSensor::boxed(SprConfig::default()),
-            )
-        })
-        .collect();
-    let gateways: Vec<NodeId> = gateway_positions
-        .iter()
-        .map(|&pos| world.add_node(NodeConfig::gateway(pos), SprGateway::boxed()))
-        .collect();
-    let base = world.add_node(
+    let mut s = build_spr_on(field, gw, traffic, cfg);
+    let base = s.world.add_node(
         NodeConfig::base_station(field.field.center()),
         SprGateway::boxed(),
     );
-    (
-        SprScenario {
-            world,
-            sensors,
-            gateways,
-            traffic,
-            sensor_positions,
-            gateway_positions,
-            range_m: field.range_m,
-        },
-        base,
-    )
+    (s, base)
 }
 
-impl<H> SprScenario<H> {
-    /// Analytic topology of this scenario.
-    pub fn topology(&self) -> Topology {
-        Topology::new(
-            self.sensor_positions.clone(),
-            self.gateway_positions.clone(),
-            wmsn_util::Rect::from_corners(Point::new(-1e9, -1e9), Point::new(1e9, 1e9)),
-            self.range_m,
-        )
-    }
-
-    /// Replace the host, keeping every other scenario field — the hook
-    /// that lifts a freshly built (un-started) `SprScenario<World>`
-    /// onto the sharded kernel:
-    /// `s.map_world(|w| ShardedWorld::from_world(w, assignment, threads))`.
-    pub fn map_world<H2>(self, f: impl FnOnce(H) -> H2) -> SprScenario<H2> {
-        SprScenario {
-            world: f(self.world),
-            sensors: self.sensors,
-            gateways: self.gateways,
-            traffic: self.traffic,
-            sensor_positions: self.sensor_positions,
-            gateway_positions: self.gateway_positions,
-            range_m: self.range_m,
-        }
-    }
-}
-
-/// A SecMLR scenario.
-pub struct SecMlrScenario {
-    /// The world.
-    pub world: World,
-    /// Sensor ids.
-    pub sensors: Vec<NodeId>,
-    /// Gateway ids.
-    pub gateways: Vec<NodeId>,
-    /// Feasible places.
-    pub places: FeasiblePlaces,
-    /// Movement schedule.
-    pub schedule: MovementSchedule,
-    /// Traffic parameters.
-    pub traffic: TrafficParams,
-    /// The deployment master key (kept for spawning verifying test rigs).
-    pub master: Key128,
-}
-
-/// Build a SecMLR scenario: pairwise keys and μTESLA anchors are
-/// pre-distributed; round-0 occupancy is part of deployment knowledge.
-pub fn build_secmlr(
-    field: &FieldParams,
-    gw: &GatewayParams,
-    traffic: TrafficParams,
-) -> SecMlrScenario {
-    let mut rng = SplitMix64::new(field.seed).split(0xB01D);
-    let sensor_positions = generate_sensors(field, &mut rng);
-    let (places, initial) = place_initial(field, gw, &sensor_positions, &mut rng);
-    let mut master_bytes = [0u8; 16];
+/// Build a SecMLR scenario: pairwise keys (from the field seed's
+/// `0x5EC0` master key) and μTESLA anchors are pre-distributed; round-0
+/// occupancy is part of deployment knowledge.
+pub fn build_secmlr(field: &FieldParams, gw: &GatewayParams, traffic: TrafficParams) -> Scenario {
+    let layout = Layout::draw(field, Sites::Placed(gw));
+    let mut master = [0u8; 16];
     SplitMix64::new(field.seed)
         .split(0x5EC0)
-        .fill_bytes(&mut master_bytes);
-    let master = Key128(master_bytes);
-    let n = sensor_positions.len();
-    let gateway_ids: Vec<NodeId> = (0..gw.m).map(|j| NodeId((n + j) as u32)).collect();
-    let gateway_raw: Vec<u32> = gateway_ids.iter().map(|g| g.0).collect();
-
-    let mut world = World::new(field.world_config());
-    let sensors: Vec<NodeId> = sensor_positions
-        .iter()
-        .enumerate()
-        .map(|(i, &pos)| {
+        .fill_bytes(&mut master);
+    let master = Key128(master);
+    let gateway_raw: Vec<u32> = (0..gw.m).map(|j| layout.id_after_sensors(j).0).collect();
+    let mut s = layout.populate(
+        field,
+        field.world_config(),
+        traffic,
+        |i| {
             let keys = KeyStore::for_sensor(&master, i as u32, &gateway_raw);
-            world.add_node(
-                NodeConfig::sensor(pos, field.battery_j),
-                SecMlrSensor::boxed(SecSensorConfig::default(), keys),
-            )
-        })
-        .collect();
-    let gateways: Vec<NodeId> = initial
+            SecMlrSensor::boxed(SecSensorConfig::default(), keys)
+        },
+        |id, place| SecMlrGateway::boxed(SecGatewayConfig::default(), &master, id, place as u16),
+    );
+    let occupancy: Vec<(NodeId, u16)> = s
+        .gateways
         .iter()
-        .zip(&gateway_ids)
-        .map(|(&p, &gid)| {
-            let id = world.add_node(
-                NodeConfig::gateway(places.position(p)),
-                SecMlrGateway::boxed(SecGatewayConfig::default(), &master, gid, p as u16),
-            );
-            assert_eq!(id, gid, "gateway id layout violated");
-            id
-        })
-        .collect();
-    // Deployment-time μTESLA anchoring and round-0 occupancy.
-    let occupancy: Vec<(NodeId, u16)> = gateways
-        .iter()
-        .zip(initial.iter())
+        .zip(s.schedule.current())
         .map(|(&g, &p)| (g, p as u16))
         .collect();
-    for (&g, &_p) in gateways.iter().zip(initial.iter()) {
+    anchor_secmlr(&mut s.world, &s.sensors, &occupancy);
+    s
+}
+
+/// SecMLR deployment knowledge: every sensor gets the μTESLA anchor of
+/// every `(gateway, place)` in `occupancy` and that round-0 occupancy.
+pub(crate) fn anchor_secmlr(world: &mut World, sensors: &[NodeId], occupancy: &[(NodeId, u16)]) {
+    for &(g, _) in occupancy {
         let params = world
             .behavior_as::<SecMlrGateway>(g)
             .expect("gateway behaviour")
             .tesla_params();
-        for &s in &sensors {
-            world.with_behavior::<SecMlrSensor, _>(s, |b, _| {
+        for &sensor in sensors {
+            world.with_behavior::<SecMlrSensor, _>(sensor, |b, _| {
                 b.install_tesla(
                     g,
                     TeslaReceiver::new(params.0, params.1, params.2, params.3, params.4),
@@ -369,42 +340,16 @@ pub fn build_secmlr(
             });
         }
     }
-    for &s in &sensors {
-        world.with_behavior::<SecMlrSensor, _>(s, |b, _| b.set_initial_occupancy(&occupancy));
-    }
-    let schedule = MovementSchedule::new(gw.movement.clone(), &places, initial, field.seed);
-    SecMlrScenario {
-        world,
-        sensors,
-        gateways,
-        places,
-        schedule,
-        traffic,
-        master,
+    for &sensor in sensors {
+        world.with_behavior::<SecMlrSensor, _>(sensor, |b, _| b.set_initial_occupancy(occupancy));
     }
 }
 
-/// The full three-layer architecture of Fig. 1.
-pub struct ThreeTierScenario {
-    /// The world.
-    pub world: World,
-    /// Sensor ids.
-    pub sensors: Vec<NodeId>,
-    /// WMG ids (composite behaviour).
-    pub wmgs: Vec<NodeId>,
-    /// WMR ids.
-    pub wmrs: Vec<NodeId>,
-    /// Base-station id.
-    pub base: NodeId,
-    /// Place ids the WMGs were deployed at (index-aligned with `wmgs`).
-    pub initial_places: Vec<usize>,
-    /// Traffic parameters.
-    pub traffic: TrafficParams,
-}
-
-/// Build the three-tier architecture: sensors + `gw.m` WMGs (uplinked) +
-/// a `wmr_grid` of mesh routers + one base station at `base_pos`.
-/// `mesh_range_m` sets the backbone radio range.
+/// Build the three-layer architecture of Fig. 1: sensors, `gw.m` WMGs
+/// (the scenario's gateways: MLR sinks uplinked to the base station), a
+/// `wmr_grid` of mesh routers, and one base station at `base_pos`.
+/// `mesh_range_m` sets the backbone radio range. Returns the scenario,
+/// the base-station id and the WMR ids.
 pub fn build_three_tier(
     field: &FieldParams,
     gw: &GatewayParams,
@@ -412,99 +357,56 @@ pub fn build_three_tier(
     wmr_grid: (usize, usize),
     base_pos: Point,
     mesh_range_m: f64,
-) -> ThreeTierScenario {
-    let mut rng = SplitMix64::new(field.seed).split(0xB01D);
-    let sensor_positions = generate_sensors(field, &mut rng);
-    let (places, initial) = place_initial(field, gw, &sensor_positions, &mut rng);
+) -> (Scenario, NodeId, Vec<NodeId>) {
     let mut cfg = field.world_config();
     cfg.mesh_phy.range_m = mesh_range_m;
-    let mut world = World::new(cfg);
-    let sensors: Vec<NodeId> = sensor_positions
-        .iter()
-        .map(|&pos| {
-            world.add_node(
-                NodeConfig::sensor(pos, field.battery_j),
-                MlrSensor::boxed(MlrConfig::default()),
-            )
-        })
-        .collect();
-    // Base id comes after sensors + WMGs + WMRs.
-    let base_id = NodeId((sensor_positions.len() + gw.m + wmr_grid.0 * wmr_grid.1) as u32);
-    let wmgs: Vec<NodeId> = initial
-        .iter()
-        .map(|&p| {
-            world.add_node(
-                NodeConfig::gateway(places.position(p)),
-                WmgBehavior::boxed(p as u16, Some(base_id)),
-            )
-        })
-        .collect();
-    let wmr_places = FeasiblePlaces::grid(field.field, wmr_grid.0, wmr_grid.1);
-    let wmrs: Vec<NodeId> = wmr_places
+    let layout = Layout::draw(field, Sites::Placed(gw));
+    // The base comes after the WMGs and the WMRs.
+    let base_id = layout.id_after_sensors(gw.m + wmr_grid.0 * wmr_grid.1);
+    let mut s = layout.populate(
+        field,
+        cfg,
+        traffic,
+        |_| MlrSensor::boxed(MlrConfig::default()),
+        |_, place| WmgBehavior::boxed(place as u16, Some(base_id)),
+    );
+    let wmrs = FeasiblePlaces::grid(field.field, wmr_grid.0, wmr_grid.1)
         .places
         .iter()
-        .map(|&pos| world.add_node(NodeConfig::mesh_router(pos), MeshNode::boxed()))
+        .map(|&pos| {
+            s.world
+                .add_node(NodeConfig::mesh_router(pos), MeshNode::boxed())
+        })
         .collect();
-    let base = world.add_node(NodeConfig::base_station(base_pos), MeshNode::boxed());
+    let base = s
+        .world
+        .add_node(NodeConfig::base_station(base_pos), MeshNode::boxed());
     assert_eq!(base, base_id, "base id layout violated");
-    ThreeTierScenario {
-        world,
-        sensors,
-        wmgs,
-        wmrs,
-        base,
-        initial_places: initial,
-        traffic,
-    }
+    (s, base, wmrs)
 }
 
-/// A LEACH scenario (single sink).
-pub struct LeachScenario {
-    /// The world.
-    pub world: World,
-    /// Sensor ids.
-    pub sensors: Vec<NodeId>,
-    /// The sink.
-    pub sink: NodeId,
-    /// Traffic parameters.
-    pub traffic: TrafficParams,
-}
-
-/// Build a LEACH scenario with the sink at `sink_pos`.
+/// Build a LEACH scenario whose one gateway is the sink at `sink_pos`.
 pub fn build_leach(
     field: &FieldParams,
     sink_pos: Point,
     p: f64,
     traffic: TrafficParams,
-) -> LeachScenario {
-    let mut rng = SplitMix64::new(field.seed).split(0xB01D);
-    let sensor_positions = generate_sensors(field, &mut rng);
-    let sink_id = NodeId(sensor_positions.len() as u32);
+) -> Scenario {
+    let layout = Layout::draw(field, Sites::Sink(sink_pos));
     let cfg = LeachConfig {
         p,
         payload_len: 24,
         sink_pos,
-        sink: sink_id,
+        sink: layout.id_after_sensors(0),
         max_boost_range: field.field.diagonal() + sink_pos.dist(field.field.center()) + 50.0,
     };
-    let mut world = World::new(field.world_config());
-    let sensors: Vec<NodeId> = sensor_positions
-        .iter()
-        .map(|&pos| {
-            world.add_node(
-                NodeConfig::sensor(pos, field.battery_j),
-                LeachSensor::boxed(cfg),
-            )
-        })
-        .collect();
-    let sink = world.add_node(NodeConfig::gateway(sink_pos), LeachSink::boxed());
-    assert_eq!(sink, sink_id);
-    LeachScenario {
-        world,
-        sensors,
-        sink,
+    layout.populate(
+        field,
+        field.world_config(),
         traffic,
-    }
+        |_| LeachSensor::boxed(cfg),
+        |_, _| LeachSink::boxed(),
+    )
 }
 
 #[cfg(test)]
@@ -558,7 +460,7 @@ mod tests {
             require_connected: false, // 12 sensors at range 25 rarely connect
             ..FieldParams::default_uniform(12, 3)
         };
-        let mut s = build_secmlr(
+        let s = build_secmlr(
             &field,
             &GatewayParams::default_three(),
             TrafficParams::default(),
@@ -568,13 +470,12 @@ mod tests {
             let b = s.world.behavior_as::<SecMlrSensor>(sensor).unwrap();
             assert_eq!(b.occupied_gateways().len(), 3);
         }
-        let _ = &mut s.schedule;
     }
 
     #[test]
     fn three_tier_builder_wires_the_uplink() {
         let field = FieldParams::default_uniform(20, 4);
-        let s = build_three_tier(
+        let (s, base, wmrs) = build_three_tier(
             &field,
             &GatewayParams::default_three(),
             TrafficParams::default(),
@@ -582,11 +483,11 @@ mod tests {
             Point::new(50.0, 160.0),
             120.0,
         );
-        assert_eq!(s.wmgs.len(), 3);
-        assert_eq!(s.wmrs.len(), 4);
+        assert_eq!(s.gateways.len(), 3);
+        assert_eq!(wmrs.len(), 4);
         assert_eq!(s.world.node_count(), 20 + 3 + 4 + 1);
-        let wmg = s.world.behavior_as::<WmgBehavior>(s.wmgs[0]).unwrap();
-        assert_eq!(wmg.uplink, Some(s.base));
+        let wmg = s.world.behavior_as::<WmgBehavior>(s.gateways[0]).unwrap();
+        assert_eq!(wmg.uplink, Some(base));
     }
 
     #[test]
@@ -599,6 +500,6 @@ mod tests {
             TrafficParams::default(),
         );
         assert_eq!(s.sensors.len(), 25);
-        assert_eq!(s.sink, NodeId(25));
+        assert_eq!(s.gateways, vec![NodeId(25)]);
     }
 }

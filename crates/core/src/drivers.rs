@@ -1,18 +1,23 @@
-//! Round drivers: the experiment-side orchestration of §5.1's round
+//! The round driver: the experiment-side orchestration of §5.1's round
 //! structure ("the period during which all gateways are static").
 //!
-//! A driver owns a scenario and, per round: advances the movement
-//! schedule, repositions moved gateways and triggers their announcements,
-//! lets the network settle, injects application traffic, and snapshots
-//! the metrics delta. Lifetime experiments loop rounds until the first
-//! sensor dies (the paper's lifetime definition).
+//! One [`RoundDriver`] owns a [`Scenario`] and runs every protocol's
+//! rounds the same way: a round-boundary step (gateways move and
+//! announce, tables reset, the network settles), the round's traffic,
+//! and the metrics delta with its [`wmsn_sim::RoundSnapshot`]. Lifetime
+//! experiments loop rounds until the first sensor dies (the paper's
+//! lifetime definition). A [`Protocol`] supplies only what differs:
+//! the boundary step, how a sensor originates a reading, and the salt of
+//! the traffic stream.
 
-use crate::builder::{MlrScenario, SecMlrScenario, SprScenario};
+use crate::builder::Scenario;
+use crate::wmg::WmgBehavior;
 use wmsn_routing::leach::LeachSensor;
 use wmsn_routing::mlr::{MlrGateway, MlrSensor};
 use wmsn_routing::spr::{SprGateway, SprSensor};
 use wmsn_secure::{SecMlrGateway, SecMlrSensor};
 use wmsn_sim::{Metrics, SimHost, SimTime, World};
+use wmsn_topology::movement::RoundPlacement;
 use wmsn_util::{NodeId, SplitMix64};
 
 /// Metrics delta for one round.
@@ -69,140 +74,116 @@ fn snapshot(m: &Metrics) -> (u64, u64, u64, u64, u64) {
     )
 }
 
-fn delta_report(
-    round: u32,
-    before: (u64, u64, u64, u64, u64),
-    m: &Metrics,
-    moved: usize,
-) -> RoundReport {
-    let after = snapshot(m);
-    RoundReport {
-        round,
-        originated: after.0 - before.0,
-        delivered: after.1 - before.1,
-        control_frames: after.2 - before.2,
-        data_frames: after.3 - before.3,
-        security_frames: after.4 - before.4,
-        moved_gateways: moved,
-        any_death: m.first_death.is_some(),
-    }
-}
+/// What one protocol does in the shared round model.
+pub trait Protocol {
+    /// Salt of the round traffic's RNG stream,
+    /// `SplitMix64::new(TRAFFIC_SALT ^ round_duration_us)`.
+    const TRAFFIC_SALT: u64;
 
-/// Inject one round of traffic: each reporting sensor originates
-/// `msgs` messages. Sensors are staggered by a small per-node offset —
-/// real deployments do not sample synchronously, and under the collision
-/// model a synchronized burst would destroy itself.
-fn inject_traffic<H, F>(
-    world: &mut H,
-    sensors: &[NodeId],
-    msgs: u32,
-    fraction: f64,
-    gap_us: SimTime,
-    rng: &mut SplitMix64,
-    mut originate: F,
-) where
-    H: SimHost,
-    F: FnMut(&mut H, NodeId),
-{
-    let stagger = (gap_us / (sensors.len() as u64 + 1)).clamp(1, 5_000);
-    for _ in 0..msgs {
-        let mut used = 0;
-        for &s in sensors {
-            if !world.node(s).alive {
-                continue;
-            }
-            if fraction >= 1.0 || rng.chance(fraction) {
-                originate(world, s);
-                world.run_for(stagger);
-                used += stagger;
-            }
-        }
-        world.run_for(gap_us.saturating_sub(used));
-    }
-}
+    /// The round-boundary step, before any traffic: move and announce
+    /// gateways, reset round state, let the network settle. Returns how
+    /// many gateways moved.
+    fn boundary<H: SimHost>(&mut self, s: &mut Scenario<H>, round: u32) -> usize;
 
-/// Driver for MLR scenarios.
-pub struct MlrDriver {
-    /// The scenario being driven.
-    pub scenario: MlrScenario,
-    round: u32,
-    /// Ablation: clear all sensor tables at each round boundary,
-    /// emulating a naive table-driven protocol that re-discovers every
-    /// round (the E5 baseline).
-    pub reset_tables: bool,
-    traffic_rng: SplitMix64,
-}
+    /// Have `sensor` originate one reading.
+    fn originate<H: SimHost>(world: &mut H, sensor: NodeId);
 
-impl MlrDriver {
-    /// Wrap a scenario.
-    pub fn new(scenario: MlrScenario) -> Self {
-        let traffic_rng = SplitMix64::new(0xF00D ^ scenario.traffic.round_duration_us);
-        MlrDriver {
-            scenario,
-            round: 0,
-            reset_tables: false,
-            traffic_rng,
-        }
-    }
-
-    /// Enable the table-reset ablation.
-    pub fn with_table_reset(mut self) -> Self {
-        self.reset_tables = true;
-        self
-    }
-
-    /// Rounds completed so far.
-    pub fn rounds_run(&self) -> u32 {
-        self.round
-    }
-
-    /// Execute one round.
-    pub fn run_round(&mut self) -> RoundReport {
-        let s = &mut self.scenario;
-        let before = snapshot(s.world.metrics());
-        let placement = s.schedule.next_round();
-        let round = self.round;
-        for &g in &placement.moved {
-            let place = placement.occupied[g];
-            let node = s.gateways[g];
-            s.world.set_position(node, s.places.position(place));
-            s.world.with_behavior::<MlrGateway, _>(node, |b, ctx| {
-                b.set_place(ctx, place as u16, round);
-            });
-            // Composite WMGs (three-tier) hold the gateway inside.
-            s.world
-                .with_behavior::<crate::wmg::WmgBehavior, _>(node, |b, ctx| {
-                    b.gateway.set_place(ctx, place as u16, round);
-                });
-        }
-        for &sensor in &s.sensors {
-            s.world.with_behavior::<MlrSensor, _>(sensor, |b, _| {
-                b.reset_round();
-                if self.reset_tables {
-                    b.table.clear();
-                }
-            });
-        }
-        s.world.run_for(500_000); // announcements settle
+    /// The round's traffic: by default `s.traffic`'s messages from every
+    /// live reporting sensor, staggered by a small per-node offset — real
+    /// deployments do not sample synchronously, and under the collision
+    /// model a synchronized burst would destroy itself — then one gap for
+    /// the last readings to land.
+    fn traffic<H: SimHost>(&mut self, s: &mut Scenario<H>, rng: &mut SplitMix64) {
         let msgs = s.traffic.msgs_per_sensor_per_round;
         let fraction = s.traffic.reporting_fraction;
         let gap = s.traffic.round_duration_us / (msgs as u64 + 1).max(2);
-        inject_traffic(
-            &mut s.world,
-            &s.sensors,
-            msgs,
-            fraction,
-            gap,
-            &mut self.traffic_rng,
-            |w, id| {
-                w.with_behavior::<MlrSensor, _>(id, |b, ctx| b.originate(ctx));
-            },
-        );
+        let stagger = (gap / (s.sensors.len() as u64 + 1)).clamp(1, 5_000);
+        for _ in 0..msgs {
+            let mut used = 0;
+            for &sensor in &s.sensors {
+                if !s.world.node(sensor).alive {
+                    continue;
+                }
+                if fraction >= 1.0 || rng.chance(fraction) {
+                    Self::originate(&mut s.world, sensor);
+                    s.world.run_for(stagger);
+                    used += stagger;
+                }
+            }
+            s.world.run_for(gap.saturating_sub(used));
+        }
         s.world.run_for(gap);
+    }
+}
+
+/// Drives a [`Scenario`] round by round under protocol `P`.
+///
+/// Generic over the simulation host: `RoundDriver<P, World>` (the
+/// default) drives the bit-exact reference, `RoundDriver<P,
+/// ShardedWorld>` the parallel kernel — same rounds, same traffic
+/// schedule, same RNG streams.
+pub struct RoundDriver<P, H: SimHost = World> {
+    /// The scenario being driven.
+    pub scenario: Scenario<H>,
+    /// The protocol's round step.
+    pub protocol: P,
+    round: u32,
+    traffic_rng: SplitMix64,
+}
+
+/// Driver for MLR scenarios.
+pub type MlrDriver = RoundDriver<Mlr>;
+/// Driver for SPR scenarios, on any host.
+pub type SprDriver<H = World> = RoundDriver<Spr, H>;
+/// Driver for SecMLR scenarios.
+pub type SecMlrDriver = RoundDriver<SecMlr>;
+/// Driver for LEACH scenarios.
+pub type LeachDriver = RoundDriver<Leach>;
+
+impl<P: Protocol + Default, H: SimHost> RoundDriver<P, H> {
+    /// Wrap a scenario.
+    pub fn new(scenario: Scenario<H>) -> Self {
+        let traffic_rng = SplitMix64::new(P::TRAFFIC_SALT ^ scenario.traffic.round_duration_us);
+        RoundDriver {
+            scenario,
+            protocol: P::default(),
+            round: 0,
+            traffic_rng,
+        }
+    }
+}
+
+impl<P: Protocol, H: SimHost> RoundDriver<P, H> {
+    /// Execute one round.
+    pub fn run_round(&mut self) -> RoundReport {
+        self.run_round_with(|_| {})
+    }
+
+    /// Execute one round with `fault` injected between the boundary step
+    /// and the traffic (E8: LEACH heads dying right after their members
+    /// joined them).
+    pub fn run_round_with(&mut self, fault: impl FnOnce(&mut Scenario<H>)) -> RoundReport {
+        let s = &mut self.scenario;
+        let round = self.round;
+        let before = snapshot(s.world.metrics());
+        let moved = self.protocol.boundary(s, round);
+        fault(s);
+        self.protocol.traffic(s, &mut self.traffic_rng);
         self.round += 1;
         let at = s.world.now();
-        s.world.metrics_mut().snapshot_round(round, at);
-        delta_report(round, before, s.world.metrics(), placement.moved.len())
+        s.world.snapshot_round(round, at);
+        let m = s.world.metrics();
+        let after = snapshot(m);
+        RoundReport {
+            round,
+            originated: after.0 - before.0,
+            delivered: after.1 - before.1,
+            control_frames: after.2 - before.2,
+            data_frames: after.3 - before.3,
+            security_frames: after.4 - before.4,
+            moved_gateways: moved,
+            any_death: m.first_death.is_some(),
+        }
     }
 
     /// Run `n` rounds.
@@ -230,40 +211,71 @@ impl MlrDriver {
     }
 }
 
-/// Driver for SPR scenarios (static gateways; per-round table reset is
-/// the protocol's own semantics, §5.2).
-///
-/// Generic over the simulation host: `SprDriver<World>` (the default)
-/// drives the bit-exact reference, `SprDriver<ShardedWorld>` the
-/// parallel kernel — same rounds, same traffic schedule, same RNG
-/// streams.
-pub struct SprDriver<H: SimHost = World> {
-    /// The scenario being driven.
-    pub scenario: SprScenario<H>,
-    round: u32,
-    /// Reset tables each round (SPR's defined behaviour; disable to
-    /// measure the pure on-demand cache steady state).
-    pub reset_each_round: bool,
-    traffic_rng: SplitMix64,
+/// Reposition every gateway `placement` moved and let `announce` tell
+/// it its new place.
+fn move_gateways<H: SimHost>(
+    s: &mut Scenario<H>,
+    placement: &RoundPlacement,
+    mut announce: impl FnMut(&mut H, NodeId, u16),
+) {
+    for &g in &placement.moved {
+        let place = placement.occupied[g];
+        let node = s.gateways[g];
+        s.world.set_position(node, s.places.position(place));
+        announce(&mut s.world, node, place as u16);
+    }
 }
 
-impl<H: SimHost> SprDriver<H> {
-    /// Wrap a scenario.
-    pub fn new(scenario: SprScenario<H>) -> Self {
-        let traffic_rng = SplitMix64::new(0xF00E ^ scenario.traffic.round_duration_us);
-        SprDriver {
-            scenario,
-            round: 0,
-            reset_each_round: true,
-            traffic_rng,
+/// MLR (§5.3): gateways move and announce at every boundary, round 0
+/// included; sensors keep their incremental per-place tables.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Mlr {
+    /// Ablation: clear all sensor tables at each round boundary,
+    /// emulating a naive table-driven protocol that re-discovers every
+    /// round (the E5 baseline).
+    pub reset_tables: bool,
+}
+
+impl Protocol for Mlr {
+    const TRAFFIC_SALT: u64 = 0xF00D;
+
+    fn boundary<H: SimHost>(&mut self, s: &mut Scenario<H>, round: u32) -> usize {
+        let placement = s.schedule.next_round();
+        move_gateways(s, &placement, |w, node, place| {
+            w.with_behavior::<MlrGateway, _>(node, |b, ctx| b.set_place(ctx, place, round));
+            // Composite WMGs (three-tier) hold the gateway inside.
+            w.with_behavior::<WmgBehavior, _>(node, |b, ctx| {
+                b.gateway.set_place(ctx, place, round);
+            });
+        });
+        let reset_tables = self.reset_tables;
+        for &sensor in &s.sensors {
+            s.world.with_behavior::<MlrSensor, _>(sensor, |b, _| {
+                b.reset_round();
+                if reset_tables {
+                    b.table.clear();
+                }
+            });
         }
+        s.world.run_for(500_000); // announcements settle
+        placement.moved.len()
     }
 
-    /// Execute one round.
-    pub fn run_round(&mut self) -> RoundReport {
-        let s = &mut self.scenario;
-        let before = snapshot(s.world.metrics());
-        if self.reset_each_round && self.round > 0 {
+    fn originate<H: SimHost>(world: &mut H, sensor: NodeId) {
+        world.with_behavior::<MlrSensor, _>(sensor, |b, ctx| b.originate(ctx));
+    }
+}
+
+/// SPR (§5.2): static gateways; every round after the first starts from
+/// empty tables and re-discovers on demand.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Spr;
+
+impl Protocol for Spr {
+    const TRAFFIC_SALT: u64 = 0xF00E;
+
+    fn boundary<H: SimHost>(&mut self, s: &mut Scenario<H>, round: u32) -> usize {
+        if round > 0 {
             for &sensor in &s.sensors {
                 s.world
                     .with_behavior::<SprSensor, _>(sensor, |b, _| b.reset_round());
@@ -273,168 +285,89 @@ impl<H: SimHost> SprDriver<H> {
                     .with_behavior::<SprGateway, _>(g, |b, _| b.reset_round());
             }
         }
-        let msgs = s.traffic.msgs_per_sensor_per_round;
-        let fraction = s.traffic.reporting_fraction;
-        let gap = s.traffic.round_duration_us / (msgs as u64 + 1).max(2);
-        inject_traffic(
-            &mut s.world,
-            &s.sensors,
-            msgs,
-            fraction,
-            gap,
-            &mut self.traffic_rng,
-            |w, id| {
-                w.with_behavior::<SprSensor, _>(id, |b, ctx| b.originate(ctx));
-            },
-        );
-        s.world.run_for(gap);
-        let round = self.round;
-        self.round += 1;
-        let at = s.world.now();
-        s.world.snapshot_round(round, at);
-        delta_report(round, before, s.world.metrics(), 0)
+        0
     }
 
-    /// Run `n` rounds.
-    pub fn run_rounds(&mut self, n: u32) -> Vec<RoundReport> {
-        (0..n).map(|_| self.run_round()).collect()
-    }
-
-    /// Run until the first sensor dies or `max_rounds` elapse.
-    pub fn run_until_first_death(&mut self, max_rounds: u32) -> LifetimeResult {
-        for _ in 0..max_rounds {
-            let report = self.run_round();
-            if report.any_death {
-                return LifetimeResult {
-                    lifetime_rounds: Some(report.round),
-                    rounds_run: self.round,
-                    death_time: self.scenario.world.metrics().first_death,
-                };
-            }
-        }
-        LifetimeResult {
-            lifetime_rounds: None,
-            rounds_run: self.round,
-            death_time: None,
-        }
+    fn originate<H: SimHost>(world: &mut H, sensor: NodeId) {
+        world.with_behavior::<SprSensor, _>(sensor, |b, ctx| b.originate(ctx));
     }
 }
 
-/// Driver for SecMLR scenarios.
-pub struct SecMlrDriver {
-    /// The scenario being driven.
-    pub scenario: SecMlrScenario,
-    round: u32,
-    traffic_rng: SplitMix64,
-}
+/// SecMLR: MLR's rounds with authenticated moves. Round-0 occupancy was
+/// pre-loaded at deployment; later moves are announced over the air and
+/// the settle covers the μTESLA disclosure delay, so they authenticate
+/// before traffic flows.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SecMlr;
 
-impl SecMlrDriver {
-    /// Wrap a scenario.
-    pub fn new(scenario: SecMlrScenario) -> Self {
-        let traffic_rng = SplitMix64::new(0xF00F ^ scenario.traffic.round_duration_us);
-        SecMlrDriver {
-            scenario,
-            round: 0,
-            traffic_rng,
-        }
-    }
+impl Protocol for SecMlr {
+    const TRAFFIC_SALT: u64 = 0xF00F;
 
-    /// Execute one round. Settling covers the μTESLA disclosure delay so
-    /// moved-gateway announcements authenticate before traffic flows.
-    pub fn run_round(&mut self) -> RoundReport {
-        let s = &mut self.scenario;
-        let before = snapshot(s.world.metrics());
+    fn boundary<H: SimHost>(&mut self, s: &mut Scenario<H>, round: u32) -> usize {
         let placement = s.schedule.next_round();
-        let round = self.round;
-        // Round 0 occupancy was pre-loaded at deployment; later rounds
-        // announce moves over the air.
         if round > 0 {
-            for &g in &placement.moved {
-                let place = placement.occupied[g];
-                let node = s.gateways[g];
-                s.world.set_position(node, s.places.position(place));
-                s.world.with_behavior::<SecMlrGateway, _>(node, |b, ctx| {
-                    b.set_place(ctx, place as u16, round);
-                });
-            }
+            move_gateways(s, &placement, |w, node, place| {
+                w.with_behavior::<SecMlrGateway, _>(node, |b, ctx| b.set_place(ctx, place, round));
+            });
             if !placement.moved.is_empty() {
                 // μTESLA: interval 250 ms × (delay 2 + 1) plus slack.
                 s.world.run_for(1_000_000);
             }
         }
         s.world.run_for(200_000);
-        let msgs = s.traffic.msgs_per_sensor_per_round;
-        let fraction = s.traffic.reporting_fraction;
-        let gap = s.traffic.round_duration_us / (msgs as u64 + 1).max(2);
-        inject_traffic(
-            &mut s.world,
-            &s.sensors,
-            msgs,
-            fraction,
-            gap,
-            &mut self.traffic_rng,
-            |w, id| {
-                w.with_behavior::<SecMlrSensor, _>(id, |b, ctx| b.originate(ctx));
-            },
-        );
-        s.world.run_for(gap);
-        self.round += 1;
-        let at = s.world.now();
-        s.world.metrics_mut().snapshot_round(round, at);
-        delta_report(round, before, s.world.metrics(), placement.moved.len())
+        placement.moved.len()
     }
 
-    /// Run `n` rounds.
-    pub fn run_rounds(&mut self, n: u32) -> Vec<RoundReport> {
-        (0..n).map(|_| self.run_round()).collect()
+    fn originate<H: SimHost>(world: &mut H, sensor: NodeId) {
+        world.with_behavior::<SecMlrSensor, _>(sensor, |b, ctx| b.originate(ctx));
     }
 }
 
-/// Driver for LEACH scenarios.
-pub struct LeachDriver {
-    /// The scenario being driven.
-    pub scenario: crate::builder::LeachScenario,
-    round: u32,
+/// LEACH (single sink): every round elects heads and members join them
+/// (the boundary), then members report and heads flush to the sink.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Leach;
+
+impl Leach {
+    /// Kill every current cluster head (E8's fault injection; pass to
+    /// [`RoundDriver::run_round_with`]).
+    pub fn kill_heads<H: SimHost>(s: &mut Scenario<H>) {
+        let heads: Vec<NodeId> = s
+            .sensors
+            .iter()
+            .copied()
+            .filter(|&id| {
+                s.world
+                    .behavior_as::<LeachSensor>(id)
+                    .is_some_and(|b| b.is_head)
+            })
+            .collect();
+        for h in heads {
+            s.world.kill(h);
+        }
+    }
 }
 
-impl LeachDriver {
-    /// Wrap a scenario.
-    pub fn new(scenario: crate::builder::LeachScenario) -> Self {
-        LeachDriver { scenario, round: 0 }
-    }
+impl Protocol for Leach {
+    /// LEACH's reports draw nothing from the traffic stream.
+    const TRAFFIC_SALT: u64 = 0;
 
-    /// Execute one LEACH round (elect → advertise → report → flush).
-    /// `kill_heads_after_join` implements the E8 fault injection: heads
-    /// die right after members joined them.
-    pub fn run_round(&mut self, kill_heads_after_join: bool) -> RoundReport {
-        let s = &mut self.scenario;
-        let before = snapshot(s.world.metrics());
-        let round = self.round;
-        for &id in &s.sensors {
-            s.world.with_behavior::<LeachSensor, _>(id, |b, ctx| {
-                b.start_round(ctx, round);
-            });
-        }
-        s.world.run_for(200_000);
-        if kill_heads_after_join {
-            let heads: Vec<NodeId> = s
-                .sensors
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    s.world
-                        .behavior_as::<LeachSensor>(id)
-                        .map(|b| b.is_head)
-                        .unwrap_or(false)
-                })
-                .collect();
-            for h in heads {
-                s.world.kill(h);
-            }
-        }
+    fn boundary<H: SimHost>(&mut self, s: &mut Scenario<H>, round: u32) -> usize {
         for &id in &s.sensors {
             s.world
-                .with_behavior::<LeachSensor, _>(id, |b, ctx| b.report(ctx));
+                .with_behavior::<LeachSensor, _>(id, |b, ctx| b.start_round(ctx, round));
+        }
+        s.world.run_for(200_000);
+        0
+    }
+
+    fn originate<H: SimHost>(world: &mut H, sensor: NodeId) {
+        world.with_behavior::<LeachSensor, _>(sensor, |b, ctx| b.report(ctx));
+    }
+
+    fn traffic<H: SimHost>(&mut self, s: &mut Scenario<H>, _rng: &mut SplitMix64) {
+        for &id in &s.sensors {
+            Self::originate(&mut s.world, id);
         }
         s.world.run_for(200_000);
         for &id in &s.sensors {
@@ -442,29 +375,6 @@ impl LeachDriver {
                 .with_behavior::<LeachSensor, _>(id, |b, ctx| b.flush(ctx));
         }
         s.world.run_for(200_000);
-        self.round += 1;
-        let at = s.world.now();
-        s.world.metrics_mut().snapshot_round(round, at);
-        delta_report(round, before, s.world.metrics(), 0)
-    }
-
-    /// Run until the first sensor dies or `max_rounds` elapse.
-    pub fn run_until_first_death(&mut self, max_rounds: u32) -> LifetimeResult {
-        for _ in 0..max_rounds {
-            let report = self.run_round(false);
-            if report.any_death {
-                return LifetimeResult {
-                    lifetime_rounds: Some(report.round),
-                    rounds_run: self.round,
-                    death_time: self.scenario.world.metrics().first_death,
-                };
-            }
-        }
-        LifetimeResult {
-            lifetime_rounds: None,
-            rounds_run: self.round,
-            death_time: None,
-        }
     }
 }
 
@@ -533,7 +443,8 @@ mod tests {
             )
         };
         let mut incremental = MlrDriver::new(build());
-        let mut reset = MlrDriver::new(build()).with_table_reset();
+        let mut reset = MlrDriver::new(build());
+        reset.protocol.reset_tables = true;
         let inc: u64 = incremental
             .run_rounds(4)
             .iter()
@@ -658,9 +569,9 @@ mod tests {
             TrafficParams::default(),
         );
         let mut d = LeachDriver::new(s);
-        let healthy = d.run_round(false);
+        let healthy = d.run_round();
         assert!(healthy.delivery_ratio() > 0.95, "{:?}", healthy);
-        let faulty = d.run_round(true);
+        let faulty = d.run_round_with(Leach::kill_heads);
         assert!(
             faulty.delivery_ratio() < healthy.delivery_ratio(),
             "killing heads must hurt: {} vs {}",

@@ -1,4 +1,4 @@
-//! Experiment runners E1–E12: one function per paper artefact or
+//! Experiment runners E1–E18: one function per paper artefact or
 //! quantified claim (see DESIGN.md's experiment index and EXPERIMENTS.md
 //! for paper-vs-measured records).
 //!
@@ -7,10 +7,12 @@
 //! examples. Parameterised sizes let benches scale runs up or down.
 
 use crate::builder::{
-    build_leach, build_mlr, build_secmlr, build_spr, build_spr_three_tier, build_three_tier,
-    SprScenario,
+    build_leach, build_mlr, build_mlr_with, build_secmlr, build_spr, build_spr_three_tier,
+    build_three_tier, draw_sensors, Scenario, SprScenario,
 };
-use crate::drivers::{LeachDriver, MlrDriver, SecMlrDriver, SprDriver};
+use crate::drivers::{
+    Leach, LeachDriver, Mlr, MlrDriver, Protocol, RoundDriver, SecMlr, Spr, SprDriver,
+};
 use crate::params::{FieldParams, GatewayParams, ParallelConfig, TrafficParams};
 use wmsn_attacks::announcer::{AnnounceTarget, FalseAnnouncer};
 use wmsn_attacks::sinkhole::TargetProtocol;
@@ -24,9 +26,8 @@ use wmsn_secure::{SecMlrGateway, SecMlrSensor};
 use wmsn_sim::{NodeConfig, PacketKind, ShardedWorld, SimHost, World};
 use wmsn_topology::connectivity::HopField;
 use wmsn_topology::paper::{
-    fig2_single_sink, fig2_three_gateways, table1_field, table1_topology, FIG2_NAMED,
-    FIG2_SINGLE_SINK_HOPS, FIG2_THREE_GATEWAY_HOPS, PAPER_RANGE, TABLE1_HOPS, TABLE1_ROUNDS,
-    TABLE1_SELECTED,
+    fig2_single_sink, fig2_three_gateways, table1_topology, FIG2_NAMED, FIG2_SINGLE_SINK_HOPS,
+    FIG2_THREE_GATEWAY_HOPS, PAPER_RANGE, TABLE1_HOPS, TABLE1_ROUNDS, TABLE1_SELECTED,
 };
 use wmsn_topology::places::FeasiblePlaces;
 use wmsn_topology::strip_shards;
@@ -86,17 +87,9 @@ pub fn e1_random_fields(ns: &[usize], seed: u64) -> Vec<ReportRow> {
                 ..FieldParams::default_uniform(n, seed)
             };
             let mut rng = SplitMix64::new(seed).split(0xE1);
-            // Redraw until connected: a disconnected draw would bias the
-            // mean (unreachable sensors are excluded from it).
-            let sensors = loop {
-                let pts = field.deployment.generate(field.field, &mut rng);
-                if wmsn_topology::connectivity::is_connected(&wmsn_util::geom::unit_disk_adjacency(
-                    &pts,
-                    field.range_m,
-                )) {
-                    break pts;
-                }
-            };
+            // Connected draws only, however many it takes: unreachable
+            // sensors would be excluded from the mean and bias it.
+            let sensors = draw_sensors(&field, &mut rng, usize::MAX);
             let places = FeasiblePlaces::grid(field.field, 4, 4);
             let chosen = placement::place_gateways(
                 placement::PlacementAlgorithm::KMeans { iterations: 10 },
@@ -157,7 +150,6 @@ pub fn e2_table1() -> Vec<ReportRow> {
             )
         })
         .collect();
-    let _ = table1_field();
     let mut rows = Vec::new();
     let mut prev: Vec<usize> = Vec::new();
     for (round, occupied) in TABLE1_ROUNDS.iter().enumerate() {
@@ -226,8 +218,8 @@ pub fn e2_table1() -> Vec<ReportRow> {
 // ---------------------------------------------------------------- E3 --
 
 /// E3: network lifetime (first sensor death, in rounds) — single-sink
-/// SPR vs 3-gateway SPR vs MLR with rotating gateways, against the exact
-/// optimal upper bound.
+/// SPR vs 3-gateway SPR vs MLR on the same three gateways, against the
+/// exact optimal upper bound.
 pub fn e3_lifetime(ns: &[usize], seed: u64) -> Vec<ReportRow> {
     let mut rows = Vec::new();
     for &n in ns {
@@ -242,70 +234,47 @@ pub fn e3_lifetime(ns: &[usize], seed: u64) -> Vec<ReportRow> {
             msgs_per_sensor_per_round: 5,
             ..TrafficParams::default()
         };
-        let mk_field = || FieldParams {
+        let field = FieldParams {
             battery_j: battery,
             ..FieldParams::default_uniform(n, seed)
         };
-        let max_rounds = 400;
-        // Single sink.
-        let single = build_spr(
-            &mk_field(),
-            &GatewayParams {
-                m: 1,
-                ..GatewayParams::default_three()
-            },
-            traffic,
-        );
-        let bound_single = optimal_lifetime_rounds(&single.topology(), battery, 1e-3, 1e-3, 5.0);
-        let mut d = SprDriver::new(single);
-        let lt = d.run_until_first_death(max_rounds);
-        rows.push(ReportRow::new(
-            "E3",
-            format!("n={n} spr m=1"),
-            "lifetime_rounds",
-            lt.lifetime_rounds.map(f64::from).unwrap_or(f64::NAN),
-        ));
-        rows.push(ReportRow::new(
-            "E3",
-            format!("n={n} spr m=1"),
-            "optimal_bound_rounds",
-            bound_single,
-        ));
-        // Three static gateways.
-        let spr3 = build_spr(&mk_field(), &GatewayParams::default_three(), traffic);
-        let bound3 = optimal_lifetime_rounds(&spr3.topology(), battery, 1e-3, 1e-3, 5.0);
-        let mut d = SprDriver::new(spr3);
-        let lt = d.run_until_first_death(max_rounds);
-        rows.push(ReportRow::new(
-            "E3",
-            format!("n={n} spr m=3"),
-            "lifetime_rounds",
-            lt.lifetime_rounds.map(f64::from).unwrap_or(f64::NAN),
-        ));
-        rows.push(ReportRow::new(
-            "E3",
-            format!("n={n} spr m=3"),
-            "optimal_bound_rounds",
-            bound3,
-        ));
-        // MLR with three static gateways: one discovery, then pure data.
-        let mlr = build_mlr(&mk_field(), &GatewayParams::default_three(), traffic, 0.0);
-        let mut d = MlrDriver::new(mlr);
-        let lt = d.run_until_first_death(max_rounds);
-        rows.push(ReportRow::new(
-            "E3",
-            format!("n={n} mlr m=3"),
-            "lifetime_rounds",
-            lt.lifetime_rounds.map(f64::from).unwrap_or(f64::NAN),
-        ));
-        rows.push(ReportRow::new(
-            "E3",
-            format!("n={n} mlr m=3"),
-            "optimal_bound_rounds",
-            bound3,
-        ));
+        let spr = |m| {
+            build_spr(
+                &field,
+                &GatewayParams {
+                    m,
+                    ..GatewayParams::default_three()
+                },
+                traffic,
+            )
+        };
+        // Single sink, three static gateways, and MLR on the same three:
+        // one discovery, then pure data.
+        e3_arm::<Spr>(&mut rows, format!("n={n} spr m=1"), spr(1), battery);
+        e3_arm::<Spr>(&mut rows, format!("n={n} spr m=3"), spr(3), battery);
+        let mlr = build_mlr(&field, &GatewayParams::default_three(), traffic, 0.0);
+        e3_arm::<Mlr>(&mut rows, format!("n={n} mlr m=3"), mlr, battery);
     }
     rows
+}
+
+/// One E3 arm: the lifetime of `scen` under `P` (at most 400 rounds)
+/// beside the optimal bound for its gateway positions.
+fn e3_arm<P: Protocol + Default>(
+    rows: &mut Vec<ReportRow>,
+    label: String,
+    scen: Scenario,
+    battery: f64,
+) {
+    let bound = optimal_lifetime_rounds(&scen.topology(), battery, 1e-3, 1e-3, 5.0);
+    let lt = RoundDriver::<P>::new(scen).run_until_first_death(400);
+    rows.push(ReportRow::new(
+        "E3",
+        &label,
+        "lifetime_rounds",
+        lt.lifetime_rounds.map(f64::from).unwrap_or(f64::NAN),
+    ));
+    rows.push(ReportRow::new("E3", label, "optimal_bound_rounds", bound));
 }
 
 // ---------------------------------------------------------------- E4 --
@@ -403,9 +372,7 @@ pub fn e5_overhead(rounds: u32, seed: u64) -> Vec<ReportRow> {
     let mut rows = Vec::new();
     for (name, reset) in [("incremental", false), ("reset_each_round", true)] {
         let mut driver = MlrDriver::new(build());
-        if reset {
-            driver = driver.with_table_reset();
-        }
+        driver.protocol.reset_tables = reset;
         let reports = driver.run_rounds(rounds);
         let total_control: u64 = reports.iter().map(|r| r.control_frames).sum();
         let steady_control: u64 = reports
@@ -616,21 +583,7 @@ pub fn run_attack_cell(
             world.run_for(500_000);
         }
         TargetProtocol::SecMlr => {
-            let params = world
-                .behavior_as::<SecMlrGateway>(gw)
-                .unwrap()
-                .tesla_params();
-            for &s in &sensors {
-                world.with_behavior::<SecMlrSensor, _>(s, |b, _| {
-                    b.install_tesla(
-                        gw,
-                        wmsn_crypto::tesla::TeslaReceiver::new(
-                            params.0, params.1, params.2, params.3, params.4,
-                        ),
-                    );
-                    b.set_initial_occupancy(&[(gw, 0)]);
-                });
-            }
+            crate::builder::anchor_secmlr(&mut world, &sensors, &[(gw, 0)]);
             world.start();
             world.run_for(500_000);
         }
@@ -703,39 +656,28 @@ pub fn e7_secmlr_cost(seed: u64) -> Vec<ReportRow> {
     let gw = GatewayParams::rotating(3, 3, 3);
     let traffic = TrafficParams::default();
     let mut rows = Vec::new();
-
-    let mut mlr = MlrDriver::new(build_mlr(&field, &gw, traffic, 0.0));
-    mlr.run_rounds(3);
-    let sensors = mlr.scenario.sensors.clone();
-    let m = mlr.scenario.world.metrics();
-    for (metric, value) in [
-        ("total_frames", m.total_sent() as f64),
-        ("total_bytes", m.total_bytes() as f64),
-        ("control_bytes", m.sent_bytes_control as f64),
-        ("security_bytes", m.sent_bytes_security as f64),
-        ("mean_latency_us", m.mean_latency_us()),
-        ("delivery_ratio", m.delivery_ratio()),
-        ("sensor_energy_j", m.total_energy(&sensors)),
-    ] {
-        rows.push(ReportRow::new("E7", "mlr", metric, value));
-    }
-
-    let mut sec = SecMlrDriver::new(build_secmlr(&field, &gw, traffic));
-    sec.run_rounds(3);
-    let sensors = sec.scenario.sensors.clone();
-    let m = sec.scenario.world.metrics();
-    for (metric, value) in [
-        ("total_frames", m.total_sent() as f64),
-        ("total_bytes", m.total_bytes() as f64),
-        ("control_bytes", m.sent_bytes_control as f64),
-        ("security_bytes", m.sent_bytes_security as f64),
-        ("mean_latency_us", m.mean_latency_us()),
-        ("delivery_ratio", m.delivery_ratio()),
-        ("sensor_energy_j", m.total_energy(&sensors)),
-    ] {
-        rows.push(ReportRow::new("E7", "secmlr", metric, value));
-    }
+    e7_arm::<Mlr>(&mut rows, "mlr", build_mlr(&field, &gw, traffic, 0.0));
+    e7_arm::<SecMlr>(&mut rows, "secmlr", build_secmlr(&field, &gw, traffic));
     rows
+}
+
+/// One E7 arm: three rounds of `scen` under `P`, then its costs.
+fn e7_arm<P: Protocol + Default>(rows: &mut Vec<ReportRow>, label: &str, scen: Scenario) {
+    let mut d = RoundDriver::<P>::new(scen);
+    d.run_rounds(3);
+    let s = &d.scenario;
+    let m = s.world.metrics();
+    for (metric, value) in [
+        ("total_frames", m.total_sent() as f64),
+        ("total_bytes", m.total_bytes() as f64),
+        ("control_bytes", m.sent_bytes_control as f64),
+        ("security_bytes", m.sent_bytes_security as f64),
+        ("mean_latency_us", m.mean_latency_us()),
+        ("delivery_ratio", m.delivery_ratio()),
+        ("sensor_energy_j", m.total_energy(&s.sensors)),
+    ] {
+        rows.push(ReportRow::new("E7", label, metric, value));
+    }
 }
 
 // ---------------------------------------------------------------- E8 --
@@ -744,80 +686,61 @@ pub fn e7_secmlr_cost(seed: u64) -> Vec<ReportRow> {
 /// Reports the delivery ratio in the failure round and in the recovery
 /// round that follows.
 pub fn e8_robustness(seed: u64) -> Vec<ReportRow> {
-    let mut rows = Vec::new();
     // LEACH: healthy round, then a round whose heads die post-join.
-    let field = FieldParams {
-        battery_j: 10.0,
-        ..FieldParams::default_uniform(60, seed)
-    };
     let mut leach = LeachDriver::new(build_leach(
-        &field,
+        &failover_field(seed),
         Point::new(50.0, 140.0),
         0.12,
         TrafficParams::default(),
     ));
-    let healthy = leach.run_round(false);
-    let faulty = leach.run_round(true);
+    let leach_healthy = leach.run_round();
+    let heads_killed = leach.run_round_with(Leach::kill_heads);
     // LEACH has no recovery mechanism within the failed round; the next
     // election round recovers (heads are re-elected among survivors).
-    let recovered = leach.run_round(false);
-    rows.push(ReportRow::new(
-        "E8",
-        "leach healthy",
-        "delivery_ratio",
-        healthy.delivery_ratio(),
-    ));
-    rows.push(ReportRow::new(
-        "E8",
-        "leach heads_killed",
-        "delivery_ratio",
-        faulty.delivery_ratio(),
-    ));
-    rows.push(ReportRow::new(
-        "E8",
-        "leach next_round",
-        "delivery_ratio",
-        recovered.delivery_ratio(),
-    ));
+    let next_round = leach.run_round();
 
     // MLR: three gateways; kill one and let the watchdog redirect.
-    let mut mlr = MlrDriver::new(build_mlr(
-        &field,
+    let mut mlr = failover_driver(seed);
+    let mlr_healthy = mlr.run_round();
+    let victim = mlr.scenario.gateways[0];
+    mlr.scenario.world.kill(victim);
+    let gateway_killed = mlr.run_round();
+    // Watchdog: sensors that lost traffic drop the dead gateway.
+    let s = &mut mlr.scenario;
+    for &sensor in &s.sensors {
+        s.world
+            .with_behavior::<MlrSensor, _>(sensor, |b, _| b.remove_gateway(victim));
+    }
+    let after_redirect = mlr.run_round();
+    [
+        ("leach healthy", leach_healthy),
+        ("leach heads_killed", heads_killed),
+        ("leach next_round", next_round),
+        ("mlr healthy", mlr_healthy),
+        ("mlr gateway_killed", gateway_killed),
+        ("mlr after_redirect", after_redirect),
+    ]
+    .into_iter()
+    .map(|(label, r)| ReportRow::new("E8", label, "delivery_ratio", r.delivery_ratio()))
+    .collect()
+}
+
+/// The gateway-death field of E8 and E18: 60 sensors, 10 J batteries.
+fn failover_field(seed: u64) -> FieldParams {
+    FieldParams {
+        battery_j: 10.0,
+        ..FieldParams::default_uniform(60, seed)
+    }
+}
+
+/// MLR on the [`failover_field`] with three static gateways.
+fn failover_driver(seed: u64) -> MlrDriver {
+    MlrDriver::new(build_mlr(
+        &failover_field(seed),
         &GatewayParams::default_three(),
         TrafficParams::default(),
         0.0,
-    ));
-    let healthy = mlr.run_round();
-    let victim = mlr.scenario.gateways[0];
-    mlr.scenario.world.kill(victim);
-    let failure = mlr.run_round();
-    // Watchdog: sensors that lost traffic drop the dead gateway.
-    let sensors = mlr.scenario.sensors.clone();
-    for &s in &sensors {
-        mlr.scenario
-            .world
-            .with_behavior::<MlrSensor, _>(s, |b, _| b.remove_gateway(victim));
-    }
-    let recovered = mlr.run_round();
-    rows.push(ReportRow::new(
-        "E8",
-        "mlr healthy",
-        "delivery_ratio",
-        healthy.delivery_ratio(),
-    ));
-    rows.push(ReportRow::new(
-        "E8",
-        "mlr gateway_killed",
-        "delivery_ratio",
-        failure.delivery_ratio(),
-    ));
-    rows.push(ReportRow::new(
-        "E8",
-        "mlr after_redirect",
-        "delivery_ratio",
-        recovered.delivery_ratio(),
-    ));
-    rows
+    ))
 }
 
 // ---------------------------------------------------------------- E9 --
@@ -1149,11 +1072,12 @@ pub fn e10_load_balance(seed: u64) -> Vec<ReportRow> {
 // --------------------------------------------------------------- E12 --
 
 /// Build the E12 three-tier scenario (Fig. 1: 60 sensors on a 200×200 m
-/// field, three WMGs, a 2×2 WMR mesh, the base station off-field) and
-/// let the mesh backbone converge. An optional trace sink is installed
-/// *before* convergence so a monitor sees the whole run, hellos
-/// included. Returns the driver, the base-station id, and the WMG ids.
-fn e12_scenario(seed: u64, sink: Option<Box<dyn TraceSink>>) -> (MlrDriver, NodeId, Vec<NodeId>) {
+/// field, three static WMGs, a 2×2 WMR mesh, the base station off-field)
+/// and let the mesh backbone converge. An optional trace sink is
+/// installed *before* convergence so a monitor sees the whole run, hellos
+/// included. Returns the driver (its gateways are the WMGs) and the
+/// base-station id.
+fn e12_scenario(seed: u64, sink: Option<Box<dyn TraceSink>>) -> (MlrDriver, NodeId) {
     let field = FieldParams {
         field: Rect::field(200.0, 200.0),
         range_m: 45.0,
@@ -1161,7 +1085,7 @@ fn e12_scenario(seed: u64, sink: Option<Box<dyn TraceSink>>) -> (MlrDriver, Node
         battery_j: 10.0,
         ..FieldParams::default_uniform(60, seed)
     };
-    let scen = build_three_tier(
+    let (scen, base, _) = build_three_tier(
         &field,
         &GatewayParams {
             m: 3,
@@ -1173,88 +1097,39 @@ fn e12_scenario(seed: u64, sink: Option<Box<dyn TraceSink>>) -> (MlrDriver, Node
         Point::new(100.0, 260.0),
         150.0,
     );
-    let base = scen.base;
-    let wmgs = scen.wmgs.clone();
-    let initial = scen.initial_places.clone();
-    let places = FeasiblePlaces::grid(field.field, 3, 3);
-    let mut driver = MlrDriver::new(crate::builder::MlrScenario {
-        world: scen.world,
-        sensors: scen.sensors,
-        gateways: scen.wmgs,
-        places: places.clone(),
-        // The builder already sat the WMGs at these places; a static
-        // schedule seeded with the same ids keeps round 0 move-free (a
-        // spurious move would invalidate the converged mesh neighbour
-        // sets — hellos run once at start-up).
-        schedule: wmsn_topology::MovementSchedule::new(
-            wmsn_topology::MovementPolicy::Static,
-            &places,
-            initial,
-            seed,
-        ),
-        traffic: TrafficParams::default(),
-        sensor_positions: Vec::new(),
-        range_m: field.range_m,
-    });
+    let mut driver = MlrDriver::new(scen);
     if let Some(sink) = sink {
         driver.scenario.world.set_trace_sink(sink);
     }
     // Let the mesh backbone converge before any sensor traffic.
     driver.scenario.world.run_until(2_000_000);
-    (driver, base, wmgs)
+    (driver, base)
 }
 
 /// E12: the three-layer architecture end-to-end — sensor readings
 /// reaching a base station across the mesh backbone (Fig. 1).
 pub fn e12_three_tier(seed: u64) -> Vec<ReportRow> {
-    let (mut driver, base, wmgs) = e12_scenario(seed, None);
+    let (mut driver, base) = e12_scenario(seed, None);
     let r0 = driver.run_round();
     let r1 = driver.run_round();
-    let world = &driver.scenario.world;
-    let base_delivered = world
+    let (world, wmgs) = (&driver.scenario.world, &driver.scenario.gateways);
+    let base_received = world
         .behavior_as::<MeshNode>(base)
-        .map(|b| b.delivered.len())
-        .unwrap_or(0);
-    let wmg_absorbed: u64 = wmgs
+        .map_or(0, |b| b.delivered.len());
+    let (absorbed, uplinked) = wmgs
         .iter()
-        .map(|&g| {
-            world
-                .behavior_as::<crate::wmg::WmgBehavior>(g)
-                .map(|b| b.gateway.absorbed)
-                .unwrap_or(0)
-        })
-        .sum();
-    let uplinked: u64 = wmgs
-        .iter()
-        .map(|&g| {
-            world
-                .behavior_as::<crate::wmg::WmgBehavior>(g)
-                .map(|b| b.uplinked)
-                .unwrap_or(0)
-        })
-        .sum();
-    vec![
-        ReportRow::new(
-            "E12",
-            "three-tier",
-            "round0_delivery_ratio",
-            r0.delivery_ratio(),
-        ),
-        ReportRow::new(
-            "E12",
-            "three-tier",
-            "round1_delivery_ratio",
-            r1.delivery_ratio(),
-        ),
-        ReportRow::new("E12", "three-tier", "wmg_absorbed", wmg_absorbed as f64),
-        ReportRow::new("E12", "three-tier", "uplinked", uplinked as f64),
-        ReportRow::new(
-            "E12",
-            "three-tier",
-            "base_station_received",
-            base_delivered as f64,
-        ),
+        .filter_map(|&g| world.behavior_as::<crate::wmg::WmgBehavior>(g))
+        .fold((0, 0), |(a, u), b| (a + b.gateway.absorbed, u + b.uplinked));
+    [
+        ("round0_delivery_ratio", r0.delivery_ratio()),
+        ("round1_delivery_ratio", r1.delivery_ratio()),
+        ("wmg_absorbed", absorbed as f64),
+        ("uplinked", uplinked as f64),
+        ("base_station_received", base_received as f64),
     ]
+    .into_iter()
+    .map(|(metric, value)| ReportRow::new("E12", "three-tier", metric, value))
+    .collect()
 }
 
 /// E12 backbone-fault coverage: the two backbone-tier detectors
@@ -1283,12 +1158,12 @@ pub fn e12_backbone_fault(seed: u64) -> Vec<ReportRow> {
     }
     let monitor = || Some(HealthMonitor::boxed(HealthConfig::default()));
 
-    let (mut healthy, _, _) = e12_scenario(seed, monitor());
+    let (mut healthy, _) = e12_scenario(seed, monitor());
     healthy.run_round();
     healthy.run_round();
     let (h_asym, h_sil, _) = backbone_counts(healthy.scenario.world.take_trace_sink());
 
-    let (mut faulty, base, _) = e12_scenario(seed, monitor());
+    let (mut faulty, base) = e12_scenario(seed, monitor());
     faulty.run_round();
     faulty.scenario.world.kill(base);
     faulty.run_round();
@@ -1389,6 +1264,7 @@ pub fn e13_sleep_scheduling(seed: u64) -> Vec<ReportRow> {
 /// loss for MLR and SecMLR, plus the receiver-overlap collision model
 /// on/off for MLR.
 pub fn e14_loss_and_collisions(seed: u64) -> Vec<ReportRow> {
+    let (gw, traffic) = (GatewayParams::default_three(), TrafficParams::default());
     let mut rows = Vec::new();
     for loss in [0.0, 0.02, 0.05, 0.10] {
         let field = FieldParams {
@@ -1396,35 +1272,16 @@ pub fn e14_loss_and_collisions(seed: u64) -> Vec<ReportRow> {
             battery_j: 10.0,
             ..FieldParams::default_uniform(40, seed)
         };
-        let mut mlr = MlrDriver::new(build_mlr(
-            &field,
-            &GatewayParams::default_three(),
-            TrafficParams::default(),
-            0.0,
-        ));
-        let reports = mlr.run_rounds(2);
-        let delivered: u64 = reports.iter().map(|r| r.delivered).sum();
-        let originated: u64 = reports.iter().map(|r| r.originated).sum();
-        rows.push(ReportRow::new(
-            "E14",
-            format!("mlr loss={loss}"),
-            "delivery_ratio",
-            delivered as f64 / originated.max(1) as f64,
-        ));
-        let mut sec = SecMlrDriver::new(build_secmlr(
-            &field,
-            &GatewayParams::default_three(),
-            TrafficParams::default(),
-        ));
-        let reports = sec.run_rounds(2);
-        let delivered: u64 = reports.iter().map(|r| r.delivered).sum();
-        let originated: u64 = reports.iter().map(|r| r.originated).sum();
-        rows.push(ReportRow::new(
-            "E14",
-            format!("secmlr loss={loss}"),
-            "delivery_ratio",
-            delivered as f64 / originated.max(1) as f64,
-        ));
+        for (name, (delivery, _)) in [
+            ("mlr", e14_arm::<Mlr>(build_mlr(&field, &gw, traffic, 0.0))),
+            (
+                "secmlr",
+                e14_arm::<SecMlr>(build_secmlr(&field, &gw, traffic)),
+            ),
+        ] {
+            let cfg_label = format!("{name} loss={loss}");
+            rows.push(ReportRow::new("E14", cfg_label, "delivery_ratio", delivery));
+        }
     }
     for (collisions, csma) in [(false, false), (true, false), (true, true)] {
         let field = FieldParams {
@@ -1433,30 +1290,35 @@ pub fn e14_loss_and_collisions(seed: u64) -> Vec<ReportRow> {
             battery_j: 10.0,
             ..FieldParams::default_uniform(40, seed)
         };
-        let mut mlr = MlrDriver::new(build_mlr(
-            &field,
-            &GatewayParams::default_three(),
-            TrafficParams::default(),
-            0.0,
-        ));
-        let reports = mlr.run_rounds(2);
-        let delivered: u64 = reports.iter().map(|r| r.delivered).sum();
-        let originated: u64 = reports.iter().map(|r| r.originated).sum();
+        let (delivery, collided) = e14_arm::<Mlr>(build_mlr(&field, &gw, traffic, 0.0));
         let cfg_label = format!("mlr collisions={collisions} csma={csma}");
         rows.push(ReportRow::new(
             "E14",
             &cfg_label,
             "delivery_ratio",
-            delivered as f64 / originated.max(1) as f64,
+            delivery,
         ));
         rows.push(ReportRow::new(
             "E14",
-            &cfg_label,
+            cfg_label,
             "collided_frames",
-            mlr.scenario.world.metrics().collided as f64,
+            collided,
         ));
     }
     rows
+}
+
+/// One E14 arm: two rounds of `scen` under `P`; returns the delivery
+/// ratio over both and the collided-frame count.
+fn e14_arm<P: Protocol + Default>(scen: Scenario) -> (f64, f64) {
+    let mut d = RoundDriver::<P>::new(scen);
+    let reports = d.run_rounds(2);
+    let delivered: u64 = reports.iter().map(|r| r.delivered).sum();
+    let originated: u64 = reports.iter().map(|r| r.originated).sum();
+    (
+        delivered as f64 / originated.max(1) as f64,
+        d.scenario.world.metrics().collided as f64,
+    )
 }
 
 // --------------------------------------------------------------- E15 --
@@ -1472,7 +1334,20 @@ pub fn e15_baselines(seed: u64) -> Vec<ReportRow> {
     use wmsn_routing::mcfa::{McfaSensor, McfaSink};
     use wmsn_routing::pegasis::{build_chain, PegasisConfig, PegasisSensor, PegasisSink};
     use wmsn_routing::spin::{SpinConfig, SpinSensor, SpinSink};
-    use wmsn_routing::spr::{SprConfig, SprGateway, SprSensor};
+    use wmsn_routing::spr::SprConfig;
+    use wmsn_sim::{Behavior, Ctx};
+
+    /// Every sensor originates one reading; 20 s for them to land.
+    fn originate_all<T: 'static>(
+        w: &mut World,
+        sensors: &[NodeId],
+        originate: fn(&mut T, &mut Ctx<'_>),
+    ) {
+        for &s in sensors {
+            w.with_behavior::<T, _>(s, originate);
+        }
+        w.run_for(20_000_000);
+    }
 
     let n = 40usize;
     let field = FieldParams {
@@ -1480,239 +1355,131 @@ pub fn e15_baselines(seed: u64) -> Vec<ReportRow> {
         ..FieldParams::default_uniform(n, seed)
     };
     // A shared connected deployment and a sink at the field edge.
-    let mut rng = SplitMix64::new(seed).split(0xE15);
-    let positions: Vec<Point> = loop {
-        let pts = field.deployment.generate(field.field, &mut rng);
-        if wmsn_topology::connectivity::is_connected(&wmsn_util::geom::unit_disk_adjacency(
-            &pts,
-            field.range_m,
-        )) {
-            break pts;
-        }
-    };
+    let positions = draw_sensors(&field, &mut SplitMix64::new(seed).split(0xE15), usize::MAX);
     let sink_pos = Point::new(50.0, 110.0);
     let sink_id = NodeId(n as u32);
 
     let mut rows = Vec::new();
-    let mut record = |name: &str, world: &World, sensors: &[NodeId]| {
-        let m = world.metrics();
-        rows.push(ReportRow::new(
-            "E15",
-            name,
-            "delivery_ratio",
-            m.delivery_ratio(),
-        ));
-        rows.push(ReportRow::new(
-            "E15",
-            name,
-            "data_frames",
-            m.sent_data as f64,
-        ));
-        rows.push(ReportRow::new(
-            "E15",
-            name,
-            "control_frames",
-            m.sent_control as f64,
-        ));
-        rows.push(ReportRow::new(
-            "E15",
-            name,
-            "total_bytes",
-            m.total_bytes() as f64,
-        ));
-        rows.push(ReportRow::new(
-            "E15",
-            name,
-            "sensor_energy_j",
-            m.total_energy(sensors),
-        ));
-    };
-
-    let base_world = || {
-        let mut w = World::new(field.world_config());
-        let sensors: Vec<NodeId> = Vec::new();
-        let _ = &sensors;
-        w.metrics_mut(); // touch
-        w
-    };
-    let _ = base_world;
-
-    // Flooding.
-    {
-        let mut w = World::new(field.world_config());
-        let sensors: Vec<NodeId> = positions
-            .iter()
-            .map(|&p| {
-                w.add_node(
-                    NodeConfig::sensor(p, field.battery_j),
-                    FloodSensor::boxed(FloodMode::Flood, 32),
-                )
-            })
-            .collect();
-        w.add_node(NodeConfig::gateway(sink_pos), FloodSink::boxed());
-        w.start();
-        for &s in &sensors {
-            w.with_behavior::<FloodSensor, _>(s, |b, ctx| b.originate(ctx));
-        }
-        w.run_for(20_000_000);
-        record("flooding", &w, &sensors);
-    }
-    // Gossiping.
-    {
-        let mut w = World::new(field.world_config());
-        let sensors: Vec<NodeId> = positions
-            .iter()
-            .map(|&p| {
-                w.add_node(
-                    NodeConfig::sensor(p, field.battery_j),
-                    FloodSensor::boxed(FloodMode::Gossip, 64),
-                )
-            })
-            .collect();
-        w.add_node(NodeConfig::gateway(sink_pos), FloodSink::boxed());
-        w.start();
-        for &s in &sensors {
-            w.with_behavior::<FloodSensor, _>(s, |b, ctx| b.originate(ctx));
-        }
-        w.run_for(20_000_000);
-        record("gossiping", &w, &sensors);
-    }
-    // SPIN.
-    {
-        let mut w = World::new(field.world_config());
-        let sensors: Vec<NodeId> = positions
-            .iter()
-            .map(|&p| {
-                w.add_node(
-                    NodeConfig::sensor(p, field.battery_j),
-                    SpinSensor::boxed(SpinConfig::default()),
-                )
-            })
-            .collect();
-        w.add_node(NodeConfig::gateway(sink_pos), SpinSink::boxed());
-        w.start();
-        for &s in &sensors {
-            w.with_behavior::<SpinSensor, _>(s, |b, ctx| b.originate(ctx));
-        }
-        w.run_for(20_000_000);
-        record("spin", &w, &sensors);
-    }
-    // MCFA.
-    {
-        let mut w = World::new(field.world_config());
-        let sensors: Vec<NodeId> = positions
-            .iter()
-            .map(|&p| w.add_node(NodeConfig::sensor(p, field.battery_j), McfaSensor::boxed()))
-            .collect();
-        w.add_node(NodeConfig::gateway(sink_pos), McfaSink::boxed());
-        w.run_until(2_000_000); // cost field converges
-        for &s in &sensors {
-            w.with_behavior::<McfaSensor, _>(s, |b, ctx| b.originate(ctx));
-        }
-        w.run_for(20_000_000);
-        record("mcfa", &w, &sensors);
-    }
-    // LEACH (one round).
-    {
-        let cfg = LeachConfig {
-            p: 0.12,
-            payload_len: 24,
-            sink_pos,
-            sink: sink_id,
-            max_boost_range: 400.0,
-        };
-        let mut w = World::new(field.world_config());
-        let sensors: Vec<NodeId> = positions
-            .iter()
-            .map(|&p| {
-                w.add_node(
-                    NodeConfig::sensor(p, field.battery_j),
-                    LeachSensor::boxed(cfg),
-                )
-            })
-            .collect();
-        w.add_node(NodeConfig::gateway(sink_pos), LeachSink::boxed());
-        w.start();
-        for &s in &sensors {
-            w.with_behavior::<LeachSensor, _>(s, |b, ctx| {
-                b.start_round(ctx, 0);
-            });
-        }
-        w.run_for(200_000);
-        for &s in &sensors {
-            w.with_behavior::<LeachSensor, _>(s, |b, ctx| b.report(ctx));
-        }
-        w.run_for(200_000);
-        for &s in &sensors {
-            w.with_behavior::<LeachSensor, _>(s, |b, ctx| b.flush(ctx));
-        }
-        w.run_for(500_000);
-        record("leach", &w, &sensors);
-    }
-    // PEGASIS (one round).
-    {
-        let chain_order = build_chain(&positions, sink_pos);
-        let chain_ids: Vec<NodeId> = chain_order.iter().map(|&i| NodeId(i as u32)).collect();
-        let chain_positions: Vec<Point> = chain_order.iter().map(|&i| positions[i]).collect();
+    // One baseline: `sensor(i)` at every position, then the sink, on a
+    // fresh started world; `drive` runs the round.
+    let mut baseline = |name: &str,
+                        sensor: &dyn Fn(usize) -> Box<dyn Behavior>,
+                        sink: Box<dyn Behavior>,
+                        drive: &dyn Fn(&mut World, &[NodeId])| {
         let mut w = World::new(field.world_config());
         let sensors: Vec<NodeId> = positions
             .iter()
             .enumerate()
-            .map(|(i, &p)| {
-                let chain_index = chain_order.iter().position(|&c| c == i).unwrap();
-                w.add_node(
-                    NodeConfig::sensor(p, field.battery_j),
-                    PegasisSensor::boxed(PegasisConfig {
-                        chain_index,
-                        chain: chain_ids.clone(),
-                        chain_positions: chain_positions.clone(),
-                        sink: sink_id,
-                        sink_pos,
-                        max_boost_range: 400.0,
-                    }),
-                )
-            })
+            .map(|(i, &p)| w.add_node(NodeConfig::sensor(p, field.battery_j), sensor(i)))
             .collect();
-        w.add_node(
-            NodeConfig::gateway(sink_pos),
-            PegasisSink::boxed(chain_ids.clone()),
-        );
+        w.add_node(NodeConfig::gateway(sink_pos), sink);
         w.start();
-        for &s in &sensors {
-            w.with_behavior::<PegasisSensor, _>(s, |b, _| b.start_round(0));
+        drive(&mut w, &sensors);
+        let m = w.metrics();
+        for (metric, value) in [
+            ("delivery_ratio", m.delivery_ratio()),
+            ("data_frames", m.sent_data as f64),
+            ("control_frames", m.sent_control as f64),
+            ("total_bytes", m.total_bytes() as f64),
+            ("sensor_energy_j", m.total_energy(&sensors)),
+        ] {
+            rows.push(ReportRow::new("E15", name, metric, value));
         }
-        let li = PegasisSensor::leader_index(0, chain_order.len());
-        let mut order: Vec<usize> = (0..li).collect();
-        order.extend((li + 1..chain_order.len()).rev());
-        order.push(li);
-        for k in order {
-            let node = NodeId(chain_order[k] as u32);
-            w.with_behavior::<PegasisSensor, _>(node, |b, ctx| b.gather(ctx, 0));
-            w.run_for(50_000);
-        }
-        w.run_for(500_000);
-        record("pegasis", &w, &sensors);
-    }
+    };
+
+    baseline(
+        "flooding",
+        &|_| FloodSensor::boxed(FloodMode::Flood, 32),
+        FloodSink::boxed(),
+        &|w, s| originate_all(w, s, FloodSensor::originate),
+    );
+    baseline(
+        "gossiping",
+        &|_| FloodSensor::boxed(FloodMode::Gossip, 64),
+        FloodSink::boxed(),
+        &|w, s| originate_all(w, s, FloodSensor::originate),
+    );
+    baseline(
+        "spin",
+        &|_| SpinSensor::boxed(SpinConfig::default()),
+        SpinSink::boxed(),
+        &|w, s| originate_all(w, s, SpinSensor::originate),
+    );
+    baseline(
+        "mcfa",
+        &|_| McfaSensor::boxed(),
+        McfaSink::boxed(),
+        &|w, s| {
+            w.run_until(2_000_000); // cost field converges
+            originate_all(w, s, McfaSensor::originate);
+        },
+    );
+    // LEACH, one round: elect, report, flush.
+    let leach = LeachConfig {
+        p: 0.12,
+        payload_len: 24,
+        sink_pos,
+        sink: sink_id,
+        max_boost_range: 400.0,
+    };
+    baseline(
+        "leach",
+        &|_| LeachSensor::boxed(leach),
+        LeachSink::boxed(),
+        &|w, sensors| {
+            for &s in sensors {
+                w.with_behavior::<LeachSensor, _>(s, |b, ctx| b.start_round(ctx, 0));
+            }
+            w.run_for(200_000);
+            for &s in sensors {
+                w.with_behavior::<LeachSensor, _>(s, |b, ctx| b.report(ctx));
+            }
+            w.run_for(200_000);
+            for &s in sensors {
+                w.with_behavior::<LeachSensor, _>(s, |b, ctx| b.flush(ctx));
+            }
+            w.run_for(500_000);
+        },
+    );
+    // PEGASIS, one round: gather along the chain towards the leader.
+    let chain_order = build_chain(&positions, sink_pos);
+    let chain: Vec<NodeId> = chain_order.iter().map(|&i| NodeId(i as u32)).collect();
+    let chain_positions: Vec<Point> = chain_order.iter().map(|&i| positions[i]).collect();
+    baseline(
+        "pegasis",
+        &|i| {
+            PegasisSensor::boxed(PegasisConfig {
+                chain_index: chain_order.iter().position(|&c| c == i).unwrap(),
+                chain: chain.clone(),
+                chain_positions: chain_positions.clone(),
+                sink: sink_id,
+                sink_pos,
+                max_boost_range: 400.0,
+            })
+        },
+        PegasisSink::boxed(chain.clone()),
+        &|w, sensors| {
+            for &s in sensors {
+                w.with_behavior::<PegasisSensor, _>(s, |b, _| b.start_round(0));
+            }
+            let li = PegasisSensor::leader_index(0, chain.len());
+            let mut order: Vec<usize> = (0..li).collect();
+            order.extend((li + 1..chain.len()).rev());
+            order.push(li);
+            for k in order {
+                w.with_behavior::<PegasisSensor, _>(chain[k], |b, ctx| b.gather(ctx, 0));
+                w.run_for(50_000);
+            }
+            w.run_for(500_000);
+        },
+    );
     // SPR with the single sink (the paper's own flat case).
-    {
-        let mut w = World::new(field.world_config());
-        let sensors: Vec<NodeId> = positions
-            .iter()
-            .map(|&p| {
-                w.add_node(
-                    NodeConfig::sensor(p, field.battery_j),
-                    SprSensor::boxed(SprConfig::default()),
-                )
-            })
-            .collect();
-        w.add_node(NodeConfig::gateway(sink_pos), SprGateway::boxed());
-        w.start();
-        for &s in &sensors {
-            w.with_behavior::<SprSensor, _>(s, |b, ctx| b.originate(ctx));
-        }
-        w.run_for(20_000_000);
-        record("spr_m1", &w, &sensors);
-    }
+    baseline(
+        "spr_m1",
+        &|_| SprSensor::boxed(SprConfig::default()),
+        SprGateway::boxed(),
+        &|w, s| originate_all(w, s, SprSensor::originate),
+    );
     rows
 }
 
@@ -1737,7 +1504,7 @@ pub fn e16_energy_aware(seed: u64) -> Vec<ReportRow> {
             msgs_per_sensor_per_round: 10,
             ..TrafficParams::default()
         };
-        let scen = crate::builder::build_mlr_with(
+        let scen = build_mlr_with(
             &field,
             &GatewayParams::default_three(),
             traffic,
@@ -1747,7 +1514,8 @@ pub fn e16_energy_aware(seed: u64) -> Vec<ReportRow> {
             },
         );
         let sensors = scen.sensors.clone();
-        let mut driver = MlrDriver::new(scen).with_table_reset();
+        let mut driver = MlrDriver::new(scen);
+        driver.protocol.reset_tables = true;
         // D² is only comparable at equal elapsed rounds: snapshot the
         // balance after 8 rounds (both arms still fully alive), then run
         // on to first death for the lifetime figure.
@@ -1934,16 +1702,7 @@ pub fn e18_detection(seed: u64) -> Vec<ReportRow> {
 /// experiment never names the victim itself.
 pub fn e18_recovery(seed: u64) -> Vec<ReportRow> {
     use wmsn_health::{HealthConfig, HealthMonitor, HealthPolicy};
-    let field = FieldParams {
-        battery_j: 10.0,
-        ..FieldParams::default_uniform(60, seed)
-    };
-    let mut mlr = MlrDriver::new(build_mlr(
-        &field,
-        &GatewayParams::default_three(),
-        TrafficParams::default(),
-        0.0,
-    ));
+    let mut mlr = failover_driver(seed);
     mlr.scenario
         .world
         .set_trace_sink(HealthMonitor::boxed(HealthConfig::default()));
@@ -1954,11 +1713,9 @@ pub fn e18_recovery(seed: u64) -> Vec<ReportRow> {
     // The self-healing loop: whatever the monitor flagged, the policy
     // maps to levers. No victim id flows from the script to the repair.
     let policy = HealthPolicy::default();
-    let actions = crate::health_loop::drain_actions(&mut mlr.scenario.world, &policy);
-    let sensors = mlr.scenario.sensors.clone();
-    let gateways = mlr.scenario.gateways.clone();
-    let applied =
-        crate::health_loop::apply_to_mlr(&mut mlr.scenario.world, &sensors, &gateways, &actions);
+    let s = &mut mlr.scenario;
+    let actions = crate::health_loop::drain_actions(&mut s.world, &policy);
+    let applied = crate::health_loop::apply_to_mlr(&mut s.world, &s.sensors, &s.gateways, &actions);
     let recovered = mlr.run_round();
     vec![
         ReportRow::new(
@@ -1997,16 +1754,7 @@ pub fn e18_forensics_capture(
     seed: u64,
 ) -> (wmsn_trace::CaptureStats, usize) {
     use wmsn_health::{ForensicCaptureSink, HealthConfig};
-    let field = FieldParams {
-        battery_j: 10.0,
-        ..FieldParams::default_uniform(60, seed)
-    };
-    let mut mlr = MlrDriver::new(build_mlr(
-        &field,
-        &GatewayParams::default_three(),
-        TrafficParams::default(),
-        0.0,
-    ));
+    let mut mlr = failover_driver(seed);
     let sink = ForensicCaptureSink::create(
         path,
         wmsn_trace::CaptureConfig {

@@ -4,15 +4,17 @@
 //!
 //! * [`params`] — declarative scenario descriptions (field, energy,
 //!   gateways, movement, traffic).
-//! * [`builder`] — turn a scenario into a running [`wmsn_sim::World`]
-//!   populated with the right behaviours, including the full three-layer
-//!   architecture of Fig. 1 (sensors + WMGs + WMRs + base stations) via
-//!   the composite [`wmg::WmgBehavior`].
-//! * [`drivers`] — round orchestration: gateway movement, announcements,
-//!   traffic generation, per-round metrics snapshots, and
-//!   run-until-first-death lifetime loops for SPR, MLR, SecMLR, and
-//!   LEACH.
-//! * [`experiments`] — `e1_…` through `e12_…`, each returning
+//! * [`builder`] — turn parameters into one [`builder::Scenario`]: a
+//!   [`wmsn_sim::World`] populated with the right behaviours, for SPR,
+//!   MLR, SecMLR, LEACH, and the full three-layer architecture of Fig. 1
+//!   (sensors + WMGs + WMRs + base stations) via the composite
+//!   [`wmg::WmgBehavior`].
+//! * [`drivers`] — one [`drivers::RoundDriver`] for every protocol:
+//!   gateway movement and announcements at the round boundary, traffic
+//!   generation, per-round metrics snapshots, and run-until-first-death
+//!   lifetime loops; a [`drivers::Protocol`] (SPR, MLR, SecMLR, LEACH)
+//!   supplies only its boundary step and origination.
+//! * [`experiments`] — `e1_…` through `e18_…`, each returning
 //!   [`wmsn_util::stats::ReportRow`]s; the criterion benches and the
 //!   examples print these, and EXPERIMENTS.md records them against the
 //!   paper.
@@ -34,10 +36,13 @@ pub mod wmg;
 /// Common imports for examples and downstream users.
 pub mod prelude {
     pub use crate::builder::{
-        build_mlr, build_mlr_with, build_secmlr, build_spr, build_three_tier, MlrScenario,
-        SecMlrScenario, SprScenario, ThreeTierScenario,
+        build_leach, build_mlr, build_mlr_with, build_secmlr, build_spr, build_spr_three_tier,
+        build_three_tier, Scenario, SprScenario,
     };
-    pub use crate::drivers::{LifetimeResult, MlrDriver, RoundReport, SecMlrDriver, SprDriver};
+    pub use crate::drivers::{
+        Leach, LeachDriver, LifetimeResult, Mlr, MlrDriver, Protocol, RoundDriver, RoundReport,
+        SecMlr, SecMlrDriver, Spr, SprDriver,
+    };
     pub use crate::health_loop::{apply_to_mlr, apply_to_secmlr, drain_actions};
     pub use crate::params::{FieldParams, GatewayParams, TrafficParams};
     pub use crate::report::{print_rows, rows_to_json};

@@ -15,14 +15,13 @@
 //! cargo run --release --example building_hvac
 //! ```
 
-use wmsn::core::builder::{build_three_tier, MlrScenario};
+use wmsn::core::builder::build_three_tier;
 use wmsn::core::drivers::MlrDriver;
 use wmsn::core::params::{FieldParams, GatewayParams, TrafficParams};
 use wmsn::core::wmg::WmgBehavior;
 use wmsn::prelude::*;
 use wmsn::routing::mesh::MeshNode;
-use wmsn::topology::places::FeasiblePlaces;
-use wmsn::topology::{Deployment, MovementPolicy, MovementSchedule};
+use wmsn::topology::Deployment;
 
 fn main() {
     let field = FieldParams {
@@ -37,7 +36,7 @@ fn main() {
         place_grid: (3, 3),
         ..GatewayParams::default_three()
     };
-    let scen = build_three_tier(
+    let (scen, base, wmrs) = build_three_tier(
         &field,
         &gateways,
         TrafficParams::default(),
@@ -48,24 +47,13 @@ fn main() {
     println!(
         "architecture: {} sensors, {} WMGs, {} WMRs, 1 base station",
         scen.sensors.len(),
-        scen.wmgs.len(),
-        scen.wmrs.len()
+        scen.gateways.len(),
+        wmrs.len()
     );
 
-    let base = scen.base;
-    let wmgs = scen.wmgs.clone();
-    let places = FeasiblePlaces::grid(field.field, 3, 3);
-    let initial = scen.initial_places.clone();
-    let mut driver = MlrDriver::new(MlrScenario {
-        world: scen.world,
-        sensors: scen.sensors,
-        gateways: wmgs.clone(),
-        places: places.clone(),
-        schedule: MovementSchedule::new(MovementPolicy::Static, &places, initial, 7),
-        traffic: TrafficParams::default(),
-        sensor_positions: Vec::new(),
-        range_m: field.range_m,
-    });
+    // The WMGs are the scenario's gateways, static at their places.
+    let wmgs = scen.gateways.clone();
+    let mut driver = MlrDriver::new(scen);
 
     // Let hellos + LSAs converge on the backbone before sensor traffic.
     driver.scenario.world.run_until(2_000_000);

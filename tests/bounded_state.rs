@@ -128,7 +128,7 @@ fn mlr_tables_hold_at_most_one_entry_per_place_and_relay_state_one_round() {
     };
     for rediscover_every_round in [false, true] {
         let mut d = MlrDriver::new(build_mlr(&field, &gw, TrafficParams::default(), 0.0));
-        d.reset_tables = rediscover_every_round;
+        d.protocol.reset_tables = rediscover_every_round;
         let sensors = d.scenario.sensors.clone();
         let mut first_round_peak = 0;
         for round in 0..40 {
