@@ -6,7 +6,7 @@ use wmsn_bench::{criterion_group, criterion_main};
 use wmsn_core::builder::build_leach;
 use wmsn_core::drivers::LeachDriver;
 use wmsn_core::experiments::e8_robustness;
-use wmsn_core::params::{FieldParams, TrafficParams};
+use wmsn_core::params::FieldParams;
 use wmsn_util::Point;
 
 fn bench(c: &mut Criterion) {
@@ -21,7 +21,6 @@ fn bench(c: &mut Criterion) {
                     },
                     Point::new(50.0, 140.0),
                     0.12,
-                    TrafficParams::default(),
                 ))
             },
             |mut d| std::hint::black_box(d.run_round()),

@@ -386,12 +386,10 @@ pub fn build_three_tier(
 }
 
 /// Build a LEACH scenario whose one gateway is the sink at `sink_pos`.
-pub fn build_leach(
-    field: &FieldParams,
-    sink_pos: Point,
-    p: f64,
-    traffic: TrafficParams,
-) -> Scenario {
+/// Every sensor reports once per round (LEACH's own traffic pattern),
+/// so the scenario carries the default [`TrafficParams`], which no
+/// LEACH round reads.
+pub fn build_leach(field: &FieldParams, sink_pos: Point, p: f64) -> Scenario {
     let layout = Layout::draw(field, Sites::Sink(sink_pos));
     let cfg = LeachConfig {
         p,
@@ -403,7 +401,7 @@ pub fn build_leach(
     layout.populate(
         field,
         field.world_config(),
-        traffic,
+        TrafficParams::default(),
         |_| LeachSensor::boxed(cfg),
         |_, _| LeachSink::boxed(),
     )
@@ -493,12 +491,7 @@ mod tests {
     #[test]
     fn leach_builder_configures_the_sink() {
         let field = FieldParams::default_uniform(25, 5);
-        let s = build_leach(
-            &field,
-            Point::new(50.0, 130.0),
-            0.1,
-            TrafficParams::default(),
-        );
+        let s = build_leach(&field, Point::new(50.0, 130.0), 0.1);
         assert_eq!(s.sensors.len(), 25);
         assert_eq!(s.gateways, vec![NodeId(25)]);
     }

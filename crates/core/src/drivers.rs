@@ -562,12 +562,7 @@ mod tests {
     #[test]
     fn leach_driver_round_and_fault_injection() {
         let field = small_field(8);
-        let s = build_leach(
-            &field,
-            wmsn_util::Point::new(50.0, 140.0),
-            0.15,
-            TrafficParams::default(),
-        );
+        let s = build_leach(&field, wmsn_util::Point::new(50.0, 140.0), 0.15);
         let mut d = LeachDriver::new(s);
         let healthy = d.run_round();
         assert!(healthy.delivery_ratio() > 0.95, "{:?}", healthy);

@@ -691,7 +691,6 @@ pub fn e8_robustness(seed: u64) -> Vec<ReportRow> {
         &failover_field(seed),
         Point::new(50.0, 140.0),
         0.12,
-        TrafficParams::default(),
     ));
     let leach_healthy = leach.run_round();
     let heads_killed = leach.run_round_with(Leach::kill_heads);

@@ -75,36 +75,10 @@ impl Enc {
     }
 }
 
-fn kind_tag(k: TraceKind) -> u8 {
-    match k {
-        TraceKind::Control => 0,
-        TraceKind::Data => 1,
-        TraceKind::Security => 2,
-    }
-}
-
-fn kind_of_tag(tag: u8) -> Result<TraceKind, String> {
-    match tag {
-        0 => Ok(TraceKind::Control),
-        1 => Ok(TraceKind::Data),
-        2 => Ok(TraceKind::Security),
-        t => Err(format!("checkpoint: unknown trace kind tag {t}")),
-    }
-}
-
-fn tier_tag(t: TraceTier) -> u8 {
-    match t {
-        TraceTier::Sensor => 0,
-        TraceTier::Mesh => 1,
-    }
-}
-
-fn tier_of_tag(tag: u8) -> Result<TraceTier, String> {
-    match tag {
-        0 => Ok(TraceTier::Sensor),
-        1 => Ok(TraceTier::Mesh),
-        t => Err(format!("checkpoint: unknown trace tier tag {t}")),
-    }
+/// A trace enum's wire byte back to the enum, or an error naming the
+/// field if it names no variant.
+fn trace_enum<E>(b: u8, what: &str, from_byte: fn(u8) -> Option<E>) -> Result<E, String> {
+    from_byte(b).ok_or_else(|| format!("checkpoint: unknown trace {what} tag {b}"))
 }
 
 fn alert_kind_tag(k: AlertKind) -> u8 {
@@ -235,8 +209,8 @@ pub fn snapshot(m: &HealthMonitor) -> Vec<u8> {
     e.u64(seqs.len() as u64);
     for (seq, kind, tier, count) in seqs {
         e.u64(seq);
-        e.u8(kind_tag(kind));
-        e.u8(tier_tag(tier));
+        e.u8(kind.byte());
+        e.u8(tier.byte());
         e.u32(count);
     }
     let mut fwd: Vec<(u64, u64, u64)> = m.forwarded.iter().copied().collect();
@@ -458,8 +432,8 @@ pub fn restore(bytes: &[u8]) -> Result<HealthMonitor, String> {
     let mut seq_kinds = HashMap::with_capacity(n_seqs);
     for _ in 0..n_seqs {
         let seq = d.u64()?;
-        let kind = kind_of_tag(d.u8()?)?;
-        let tier = tier_of_tag(d.u8()?)?;
+        let kind = trace_enum(d.u8()?, "kind", TraceKind::from_byte)?;
+        let tier = trace_enum(d.u8()?, "tier", TraceTier::from_byte)?;
         let count = d.u32()?;
         seq_kinds.insert(seq, (kind, tier, count));
     }

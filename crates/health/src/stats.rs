@@ -9,36 +9,19 @@
 
 use wmsn_trace::DropCause;
 
-/// Number of [`DropCause`] variants, and the canonical dense index of
-/// each. Kept next to [`drop_cause_index`] so the exhaustiveness test
-/// can pin the mapping.
-pub const DROP_CAUSE_COUNT: usize = 5;
+/// Number of [`DropCause`] variants: the length of the per-cause
+/// tally arrays.
+pub const DROP_CAUSE_COUNT: usize = DropCause::ALL.len();
 
-/// Dense index of a drop cause into per-node/per-network tally arrays.
-///
-/// The `match` is exhaustive on purpose: adding a `DropCause` variant
-/// fails compilation here until the monitor learns to account for it.
+/// Dense index of a drop cause into per-node/per-network tally arrays:
+/// its index in [`DropCause::ALL`], which is also its wire byte.
 pub fn drop_cause_index(cause: DropCause) -> usize {
-    match cause {
-        DropCause::Collision => 0,
-        DropCause::Loss => 1,
-        DropCause::Dead => 2,
-        DropCause::OutOfRange => 3,
-        DropCause::Energy => 4,
-    }
+    cause.byte() as usize
 }
 
 /// The drop cause at a dense index (inverse of [`drop_cause_index`]).
 pub fn drop_cause_at(index: usize) -> Option<DropCause> {
-    [
-        DropCause::Collision,
-        DropCause::Loss,
-        DropCause::Dead,
-        DropCause::OutOfRange,
-        DropCause::Energy,
-    ]
-    .get(index)
-    .copied()
+    DropCause::ALL.get(index).copied()
 }
 
 /// Exponentially weighted moving average over per-window samples.

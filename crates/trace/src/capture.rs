@@ -70,7 +70,7 @@
 //! warns on stderr before answering queries from a file whose count is
 //! non-zero, because such a file is a sample, not a transcript.
 
-use crate::event::TraceEvent;
+use crate::event::{DropCause, TraceEvent, TraceKind, TraceTier, Visit};
 use crate::frame::{decode_frame, encode_frame, event_tag, tag_name, FRAME_LEN, TAG_COUNT};
 use crate::merge::Frame;
 use crate::replay::EventSource;
@@ -79,6 +79,7 @@ use std::any::Any;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use wmsn_util::codec::{DecodeError, Reader};
 use wmsn_util::NodeId;
 
 /// Magic bytes opening a segmented trace capture.
@@ -188,10 +189,8 @@ impl SegmentMeta {
 
     /// Exact count of frames with wire tag `tag` (0 for unknown tags).
     pub fn count_of_tag(&self, tag: u8) -> u64 {
-        match tag {
-            1..=17 => self.kind_counts[tag as usize - 1] as u64,
-            _ => 0,
-        }
+        let i = usize::from(tag).wrapping_sub(1);
+        self.kind_counts.get(i).map_or(0, |&c| c as u64)
     }
 
     /// Whether this segment's frame data has been removed by
@@ -219,55 +218,30 @@ fn filter_insert(filter: &mut [u8; NODE_FILTER_LEN], id: NodeId) {
     filter[b / 8] |= 1 << (b % 8);
 }
 
-/// Visit every node id an event mentions (sender, receiver, origin,
-/// next hop, gateway — whichever the variant carries). Exhaustive over
-/// the event enum so a new variant is a compile error here, not a
-/// silent index hole.
-fn visit_event_nodes(ev: &TraceEvent, mut f: impl FnMut(NodeId)) {
-    match *ev {
-        TraceEvent::TxStart { src, dst, .. } => {
-            f(src);
-            if let Some(d) = dst {
-                f(d);
-            }
-        }
-        TraceEvent::TxDefer { src, .. } | TraceEvent::TxGiveUp { src, .. } => f(src),
-        TraceEvent::Rx { node, .. } | TraceEvent::Drop { node, .. } => f(node),
-        TraceEvent::Forward {
-            node, origin, next, ..
-        } => {
-            f(node);
-            f(origin);
-            if let Some(n) = next {
-                f(n);
-            }
-        }
-        TraceEvent::Deliver { node, origin, .. } | TraceEvent::RreqFlood { node, origin, .. } => {
-            f(node);
-            f(origin);
-        }
-        TraceEvent::CacheReply {
-            node,
-            origin,
-            gateway,
-            ..
-        } => {
-            f(node);
-            f(origin);
-            f(gateway);
-        }
-        TraceEvent::RouteInstall { node, gateway, .. }
-        | TraceEvent::RouteSelect { node, gateway, .. } => {
-            f(node);
-            f(gateway);
-        }
-        TraceEvent::GatewayMove { gateway, .. } => f(gateway),
-        TraceEvent::NodeMove { node, .. }
-        | TraceEvent::NodeSleep { node, .. }
-        | TraceEvent::NodeWake { node, .. }
-        | TraceEvent::NodeKill { node, .. }
-        | TraceEvent::Energy { node, .. } => f(node),
+/// Hands every node id an event mentions to the wrapped closure: the
+/// `id` fields and the present `opt_id` fields of its schema row
+/// (sender, receiver, origin, next hop, gateway — whichever the
+/// variant carries).
+struct NodeIds<F>(F);
+
+impl<F: FnMut(NodeId)> Visit for NodeIds<F> {
+    fn u8(&mut self, _: &'static str, _: u8) {}
+    fn u16(&mut self, _: &'static str, _: u16) {}
+    fn u32(&mut self, _: &'static str, _: u32) {}
+    fn u64(&mut self, _: &'static str, _: u64) {}
+    fn f64(&mut self, _: &'static str, _: f64) {}
+    fn bool(&mut self, _: &'static str, _: bool) {}
+    fn id(&mut self, _: &'static str, v: NodeId) {
+        (self.0)(v);
     }
+    fn opt_id(&mut self, _: &'static str, v: Option<NodeId>) {
+        if let Some(n) = v {
+            (self.0)(n);
+        }
+    }
+    fn tier(&mut self, _: &'static str, _: TraceTier) {}
+    fn kind(&mut self, _: &'static str, _: TraceKind) {}
+    fn cause(&mut self, _: &'static str, _: DropCause) {}
 }
 
 /// Whether an event mentions `id` in any of its node fields. Runs once
@@ -275,7 +249,7 @@ fn visit_event_nodes(ev: &TraceEvent, mut f: impl FnMut(NodeId)) {
 #[inline]
 fn event_mentions(ev: &TraceEvent, id: NodeId) -> bool {
     let mut hit = false;
-    visit_event_nodes(ev, |n| hit |= n == id);
+    ev.walk(&mut NodeIds(|n| hit |= n == id));
     hit
 }
 
@@ -336,7 +310,7 @@ impl<W: Write> CaptureWriter<W> {
         cur.at_min = cur.at_min.min(at);
         cur.at_max = cur.at_max.max(at);
         cur.kind_counts[event_tag(ev) as usize - 1] += 1;
-        visit_event_nodes(ev, |n| filter_insert(&mut cur.node_filter, n));
+        ev.walk(&mut NodeIds(|n| filter_insert(&mut cur.node_filter, n)));
         let full = cur.frames as usize >= self.segment_frames;
         self.w.write_all(&frame)?;
         self.pos += FRAME_LEN as u64;
@@ -654,9 +628,10 @@ impl ScanFilter {
     }
 
     /// Exact per-frame check. Runs once per decoded frame, so it is
-    /// `#[inline]`: scan loops are instantiated in the calling crate,
-    /// where this would otherwise stay an out-of-line call.
-    #[inline]
+    /// always inlined: scan loops are instantiated in the calling
+    /// crate, where this would otherwise stay an out-of-line call that
+    /// reloads the event it was just handed.
+    #[inline(always)]
     pub(crate) fn admits_frame(&self, ev: &TraceEvent, at: u64) -> bool {
         if let Some((lo, hi)) = self.at_range {
             if at < lo || at > hi {
@@ -698,40 +673,53 @@ type ExtensionContents = (Vec<(u64, Vec<u8>)>, String);
 /// must consume `ext` exactly — trailing or missing bytes are
 /// corruption, not slack.
 fn parse_extension(ext: &[u8]) -> Result<ExtensionContents, String> {
-    if ext.len() < 16 || ext[0..8] != EXT_MAGIC {
+    let bad = |e: DecodeError| format!("corrupt extension block: {e}");
+    let mut r = Reader::new(ext);
+    if r.raw(EXT_MAGIC.len()).map_err(bad)? != EXT_MAGIC {
         return Err("corrupt extension block: bad magic".into());
     }
-    let n_checkpoints = u32::from_le_bytes(ext[8..12].try_into().unwrap()) as usize;
-    let alerts_len = u32::from_le_bytes(ext[12..16].try_into().unwrap()) as usize;
-    let mut pos = 16usize;
-    let mut checkpoints = Vec::with_capacity(n_checkpoints);
+    let n_checkpoints = r.u32().map_err(bad)?;
+    let alerts_len = r.u32().map_err(bad)? as usize;
+    let mut checkpoints = Vec::new();
     for i in 0..n_checkpoints {
-        if ext.len() < pos + 12 {
-            return Err(format!(
-                "corrupt extension block: short checkpoint header {i}"
-            ));
-        }
-        let seg = u64::from_le_bytes(ext[pos..pos + 8].try_into().unwrap());
-        let blob_len = u32::from_le_bytes(ext[pos + 8..pos + 12].try_into().unwrap()) as usize;
-        pos += 12;
-        if ext.len() < pos + blob_len {
-            return Err(format!(
-                "corrupt extension block: short checkpoint blob {i}"
-            ));
-        }
-        checkpoints.push((seg, ext[pos..pos + blob_len].to_vec()));
-        pos += blob_len;
+        let bad = |e: DecodeError| format!("corrupt extension block: checkpoint {i}: {e}");
+        let seg = r.u64().map_err(bad)?;
+        let blob_len = r.u32().map_err(bad)? as usize;
+        checkpoints.push((seg, r.raw(blob_len).map_err(bad)?.to_vec()));
     }
-    if ext.len() != pos + alerts_len {
+    if r.remaining() != alerts_len {
         return Err(format!(
-            "corrupt extension block: {} bytes, parsed {pos} + {alerts_len} alert bytes",
-            ext.len()
+            "corrupt extension block: {} bytes, parsed {} + {alerts_len} alert bytes",
+            ext.len(),
+            ext.len() - r.remaining()
         ));
     }
-    let alerts = std::str::from_utf8(&ext[pos..])
+    let alerts = std::str::from_utf8(r.raw(alerts_len).map_err(bad)?)
         .map_err(|e| format!("corrupt extension block: alerts not UTF-8: {e}"))?
         .to_string();
     Ok((checkpoints, alerts))
+}
+
+/// Parse one directory entry (the inverse of the layout
+/// [`CaptureWriter::finish`] writes).
+fn parse_entry(entry: &[u8; SEGMENT_ENTRY_LEN]) -> Result<SegmentMeta, DecodeError> {
+    let mut r = Reader::new(entry);
+    let (offset, frames, at_min, at_max) = (r.u64()?, r.u32()?, r.u64()?, r.u64()?);
+    let mut kind_counts = [0u32; TAG_COUNT];
+    for c in &mut kind_counts {
+        *c = r.u32()?;
+    }
+    let mut node_filter = [0u8; NODE_FILTER_LEN];
+    node_filter.copy_from_slice(r.raw(NODE_FILTER_LEN)?);
+    r.finish()?;
+    Ok(SegmentMeta {
+        offset,
+        frames,
+        at_min,
+        at_max,
+        kind_counts,
+        node_filter,
+    })
 }
 
 /// Seekable reader over a segmented capture: validates the footer and
@@ -766,16 +754,18 @@ impl<R: Read + Seek> CaptureReader<R> {
         let mut head = [0u8; CAPTURE_HEADER_LEN];
         r.read_exact(&mut head)
             .map_err(|e| format!("short capture header: {e}"))?;
-        if head[0..8] != CAPTURE_MAGIC {
+        let bad = |e: DecodeError| format!("corrupt capture header: {e}");
+        let mut h = Reader::new(&head);
+        if h.raw(CAPTURE_MAGIC.len()).map_err(bad)? != CAPTURE_MAGIC {
             return Err("bad magic: not a segmented trace capture".into());
         }
-        let version = u32::from_le_bytes(head[8..12].try_into().unwrap());
+        let version = h.u32().map_err(bad)?;
         if version != 1 && version != CAPTURE_VERSION {
             return Err(format!(
                 "unsupported capture version {version} (expected 1..={CAPTURE_VERSION})"
             ));
         }
-        let flen = u32::from_le_bytes(head[12..16].try_into().unwrap()) as usize;
+        let flen = h.u32().map_err(bad)? as usize;
         if flen != FRAME_LEN {
             return Err(format!(
                 "unsupported frame length {flen} (expected {FRAME_LEN})"
@@ -794,16 +784,19 @@ impl<R: Read + Seek> CaptureReader<R> {
         let mut tr = [0u8; TRAILER_LEN];
         r.read_exact(&mut tr)
             .map_err(|e| format!("short trailer: {e}"))?;
-        if tr[40..48] != TRAILER_MAGIC {
+        let bad = |e: DecodeError| format!("corrupt trailer: {e}");
+        let mut t = Reader::new(&tr);
+        let dir_offset = t.u64().map_err(bad)?;
+        let segments = t.u64().map_err(bad)?;
+        let frames = t.u64().map_err(bad)?;
+        let frames_dropped = t.u64().map_err(bad)?;
+        let ext_offset = t.u64().map_err(bad)?;
+        if t.raw(TRAILER_MAGIC.len()).map_err(bad)? != TRAILER_MAGIC {
             return Err("bad trailer magic: capture not finalized (unfinished write?)".into());
         }
-        let dir_offset = u64::from_le_bytes(tr[0..8].try_into().unwrap());
-        let segments = u64::from_le_bytes(tr[8..16].try_into().unwrap());
-        let frames = u64::from_le_bytes(tr[16..24].try_into().unwrap());
-        let frames_dropped = u64::from_le_bytes(tr[24..32].try_into().unwrap());
-        let ext_offset = u64::from_le_bytes(tr[32..40].try_into().unwrap());
-        let want_len = dir_offset
-            .checked_add(segments * SEGMENT_ENTRY_LEN as u64)
+        let want_len = segments
+            .checked_mul(SEGMENT_ENTRY_LEN as u64)
+            .and_then(|d| d.checked_add(dir_offset))
             .and_then(|v| v.checked_add(TRAILER_LEN as u64));
         if dir_offset < CAPTURE_HEADER_LEN as u64 || want_len != Some(bytes) {
             return Err(format!(
@@ -841,18 +834,7 @@ impl<R: Read + Seek> CaptureReader<R> {
         for i in 0..segments {
             r.read_exact(&mut entry)
                 .map_err(|e| format!("short directory entry {i}: {e}"))?;
-            let mut kind_counts = [0u32; TAG_COUNT];
-            for (k, c) in kind_counts.iter_mut().enumerate() {
-                *c = u32::from_le_bytes(entry[28 + 4 * k..32 + 4 * k].try_into().unwrap());
-            }
-            let m = SegmentMeta {
-                offset: u64::from_le_bytes(entry[0..8].try_into().unwrap()),
-                frames: u32::from_le_bytes(entry[8..12].try_into().unwrap()),
-                at_min: u64::from_le_bytes(entry[12..20].try_into().unwrap()),
-                at_max: u64::from_le_bytes(entry[20..28].try_into().unwrap()),
-                kind_counts,
-                node_filter: entry[96..128].try_into().unwrap(),
-            };
+            let m = parse_entry(&entry).map_err(|e| format!("corrupt directory entry {i}: {e}"))?;
             if m.frames == 0 || (!m.is_compacted() && m.offset != expected_offset) {
                 return Err(format!(
                     "corrupt directory: segment {i} at offset {} (expected {expected_offset}), {} frames",
@@ -950,9 +932,11 @@ impl<R: Read + Seek> CaptureReader<R> {
     }
 
     fn decode_loaded(&self, idx: usize, j: usize) -> Result<(TraceEvent, u64, u64), String> {
-        let b: &[u8; FRAME_LEN] = self.buf[j * FRAME_LEN..(j + 1) * FRAME_LEN]
-            .try_into()
-            .unwrap();
+        let b = self
+            .buf
+            .get(j * FRAME_LEN..(j + 1) * FRAME_LEN)
+            .and_then(|b| <&[u8; FRAME_LEN]>::try_from(b).ok())
+            .ok_or_else(|| format!("segment {idx} frame {j}: not loaded"))?;
         decode_frame(b).map_err(|e| format!("segment {idx} frame {j}: {e}"))
     }
 
@@ -1130,7 +1114,9 @@ mod tests {
             let mut counts = [0u32; TAG_COUNT];
             for (ev, _, _) in slice {
                 counts[event_tag(ev) as usize - 1] += 1;
-                visit_event_nodes(ev, |n| assert!(seg.maybe_mentions(n), "false negative"));
+                ev.walk(&mut NodeIds(|n| {
+                    assert!(seg.maybe_mentions(n), "false negative")
+                }));
             }
             assert_eq!(seg.kind_counts, counts);
         }
@@ -1248,6 +1234,33 @@ mod tests {
         bad[dir_offset] ^= 0xFF;
         let e = CaptureReader::new(Cursor::new(bad)).unwrap_err();
         assert!(e.contains("corrupt directory"), "{e}");
+
+        // A cut inside any region — header, segment data, extension
+        // block, directory, trailer — is an error, never a panic.
+        let mut w =
+            CaptureWriter::new(Vec::new(), CaptureConfig { segment_frames: 8 }).expect("header");
+        for (ev, at, key) in &frames {
+            w.push(ev, *at, *key).expect("push");
+        }
+        w.add_checkpoint(1, vec![1, 2, 3]);
+        w.set_alerts_jsonl("{}\n".into());
+        let (bytes, _) = w.finish().expect("finish");
+        let trailer_u64 = |at: usize| {
+            let mut r = Reader::new(&bytes[bytes.len() - TRAILER_LEN + at..]);
+            r.u64().expect("trailer field") as usize
+        };
+        let (dir_offset, ext_offset) = (trailer_u64(0), trailer_u64(32));
+        assert!(CaptureReader::new(Cursor::new(bytes.clone())).is_ok());
+        for (region, cut) in [
+            ("header", CAPTURE_HEADER_LEN / 2),
+            ("segment", CAPTURE_HEADER_LEN + 3 * FRAME_LEN + 5),
+            ("extension", ext_offset + 10),
+            ("directory", dir_offset + SEGMENT_ENTRY_LEN / 2),
+            ("trailer", bytes.len() - TRAILER_LEN / 2),
+        ] {
+            let r = CaptureReader::new(Cursor::new(bytes[..cut].to_vec()));
+            assert!(r.is_err(), "cut in the {region} at byte {cut} was accepted");
+        }
     }
 
     #[test]

@@ -1,114 +1,102 @@
-//! The structured event model.
+//! The structured event model and its one schema.
 //!
 //! One [`TraceEvent`] per observable simulator fact. Events are small
 //! `Copy` values — no heap allocation happens on the emitting side —
 //! and every variant carries the simulation time `t` (microseconds) as
-//! its first field. Serialisation to a single JSON object per event
-//! (fixed key order, so output is byte-deterministic) lives here too.
+//! its first field.
+//!
+//! Each variant's wire fields are written once, in the `schema!` table
+//! below: its tag, its name, and its fields in wire order with their
+//! types. The table generates `TraceEvent::walk` (visit the fields of
+//! an event) and `TraceEvent::build` (construct a variant from a field
+//! source); the JSONL codec here, the frame codec in [`crate::frame`]
+//! and the capture's node index are a `Visit` or a `Source` over those
+//! two, so a new variant or field is one table row, not a change to
+//! every codec.
 
+use crate::parse::{get, Value};
 use wmsn_util::json::Json;
 use wmsn_util::NodeId;
 
-/// Radio tier of a traced frame. Mirrors the simulator's `Tier` without
-/// depending on it (the sim crate depends on this crate, not the other
-/// way round).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceTier {
-    /// Low-power sensor tier (ZigBee-class).
-    Sensor,
-    /// Mesh backbone tier (WiFi-class).
-    Mesh,
+/// Defines a fieldless enum together with its string names. A
+/// variant's index in `ALL` is its wire byte (frames, checkpoints) and
+/// its name is its JSONL form; both follow from the declaration order.
+macro_rules! wire_enum {
+    ($(#[$doc:meta])* $name:ident { $($(#[$vdoc:meta])* $v:ident = $s:literal,)+ }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vdoc])* $v,)+
+        }
+
+        impl $name {
+            /// Every variant, indexed by its wire byte.
+            pub const ALL: &'static [$name] = &[$($name::$v),+];
+            const NAMES: &'static [&'static str] = &[$($s),+];
+
+            /// Stable string form used in JSONL output.
+            pub fn as_str(self) -> &'static str {
+                Self::NAMES[self as usize]
+            }
+
+            /// Inverse of [`Self::as_str`].
+            pub fn from_name(s: &str) -> Option<$name> {
+                Self::NAMES.iter().position(|&n| n == s).map(|i| Self::ALL[i])
+            }
+
+            /// Wire byte: the variant's index in [`Self::ALL`].
+            #[inline]
+            pub fn byte(self) -> u8 {
+                self as u8
+            }
+
+            /// Inverse of [`Self::byte`].
+            #[inline]
+            pub fn from_byte(b: u8) -> Option<$name> {
+                Self::ALL.get(b as usize).copied()
+            }
+        }
+    };
 }
 
-impl TraceTier {
-    /// Stable string form used in JSONL output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceTier::Sensor => "sensor",
-            TraceTier::Mesh => "mesh",
-        }
-    }
-
-    /// Inverse of [`TraceTier::as_str`].
-    pub fn from_name(s: &str) -> Option<TraceTier> {
-        match s {
-            "sensor" => Some(TraceTier::Sensor),
-            "mesh" => Some(TraceTier::Mesh),
-            _ => None,
-        }
-    }
-}
-
-/// Frame kind of a traced transmission. Mirrors the simulator's
-/// `PacketKind`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Routing-control frame.
-    Control,
-    /// Application data frame.
-    Data,
-    /// Security-protocol frame.
-    Security,
-}
-
-impl TraceKind {
-    /// Stable string form used in JSONL output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceKind::Control => "control",
-            TraceKind::Data => "data",
-            TraceKind::Security => "security",
-        }
-    }
-
-    /// Inverse of [`TraceKind::as_str`].
-    pub fn from_name(s: &str) -> Option<TraceKind> {
-        match s {
-            "control" => Some(TraceKind::Control),
-            "data" => Some(TraceKind::Data),
-            "security" => Some(TraceKind::Security),
-            _ => None,
-        }
+wire_enum! {
+    /// Radio tier of a traced frame. Mirrors the simulator's `Tier`
+    /// without depending on it (the sim crate depends on this crate, not
+    /// the other way round).
+    TraceTier {
+        /// Low-power sensor tier (ZigBee-class).
+        Sensor = "sensor",
+        /// Mesh backbone tier (WiFi-class).
+        Mesh = "mesh",
     }
 }
 
-/// Why a scheduled reception never reached the behaviour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DropCause {
-    /// Overlapping airtime at the receiver (collision model).
-    Collision,
-    /// Random medium loss.
-    Loss,
-    /// Receiver was dead (or asleep) at arrival time.
-    Dead,
-    /// Unicast link destination was outside the sender's radio range.
-    OutOfRange,
-    /// Receiver's battery died paying the receive cost.
-    Energy,
+wire_enum! {
+    /// Frame kind of a traced transmission. Mirrors the simulator's
+    /// `PacketKind`.
+    TraceKind {
+        /// Routing-control frame.
+        Control = "control",
+        /// Application data frame.
+        Data = "data",
+        /// Security-protocol frame.
+        Security = "security",
+    }
 }
 
-impl DropCause {
-    /// Stable string form used in JSONL output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DropCause::Collision => "collision",
-            DropCause::Loss => "loss",
-            DropCause::Dead => "dead",
-            DropCause::OutOfRange => "out_of_range",
-            DropCause::Energy => "energy",
-        }
-    }
-
-    /// Inverse of [`DropCause::as_str`].
-    pub fn from_name(s: &str) -> Option<DropCause> {
-        match s {
-            "collision" => Some(DropCause::Collision),
-            "loss" => Some(DropCause::Loss),
-            "dead" => Some(DropCause::Dead),
-            "out_of_range" => Some(DropCause::OutOfRange),
-            "energy" => Some(DropCause::Energy),
-            _ => None,
-        }
+wire_enum! {
+    /// Why a scheduled reception never reached the behaviour.
+    DropCause {
+        /// Overlapping airtime at the receiver (collision model).
+        Collision = "collision",
+        /// Random medium loss.
+        Loss = "loss",
+        /// Receiver was dead (or asleep) at arrival time.
+        Dead = "dead",
+        /// Unicast link destination was outside the sender's radio range.
+        OutOfRange = "out_of_range",
+        /// Receiver's battery died paying the receive cost.
+        Energy = "energy",
     }
 }
 
@@ -320,14 +308,247 @@ pub enum TraceEvent {
     },
 }
 
-fn id(n: NodeId) -> Json {
-    Json::from(n.0 as u64)
+/// Receives an event's fields after `t`, in wire order: one method per
+/// field type, each given the field's name and value.
+pub(crate) trait Visit {
+    fn u8(&mut self, name: &'static str, v: u8);
+    fn u16(&mut self, name: &'static str, v: u16);
+    fn u32(&mut self, name: &'static str, v: u32);
+    fn u64(&mut self, name: &'static str, v: u64);
+    fn f64(&mut self, name: &'static str, v: f64);
+    fn bool(&mut self, name: &'static str, v: bool);
+    fn id(&mut self, name: &'static str, v: NodeId);
+    fn opt_id(&mut self, name: &'static str, v: Option<NodeId>);
+    fn tier(&mut self, name: &'static str, v: TraceTier);
+    fn kind(&mut self, name: &'static str, v: TraceKind);
+    fn cause(&mut self, name: &'static str, v: DropCause);
 }
 
-fn opt_id(n: Option<NodeId>) -> Json {
-    match n {
-        Some(n) => id(n),
-        None => Json::Null,
+/// Supplies a variant's fields after `t`, in wire order — the decoding
+/// mirror of [`Visit`]. A missing or malformed field is an error.
+pub(crate) trait Source {
+    fn u8(&mut self, name: &'static str) -> Result<u8, String>;
+    fn u16(&mut self, name: &'static str) -> Result<u16, String>;
+    fn u32(&mut self, name: &'static str) -> Result<u32, String>;
+    fn u64(&mut self, name: &'static str) -> Result<u64, String>;
+    fn f64(&mut self, name: &'static str) -> Result<f64, String>;
+    fn bool(&mut self, name: &'static str) -> Result<bool, String>;
+    fn id(&mut self, name: &'static str) -> Result<NodeId, String>;
+    fn opt_id(&mut self, name: &'static str) -> Result<Option<NodeId>, String>;
+    fn tier(&mut self, name: &'static str) -> Result<TraceTier, String>;
+    fn kind(&mut self, name: &'static str) -> Result<TraceKind, String>;
+    fn cause(&mut self, name: &'static str) -> Result<DropCause, String>;
+    /// Called after the variant's last field: a source that must be
+    /// consumed exactly checks the rest here.
+    fn end(&mut self) -> Result<(), String>;
+}
+
+/// Generates the tag-indexed name table, [`TraceEvent::tag`],
+/// [`TraceEvent::t`], [`TraceEvent::walk`] and [`TraceEvent::build`]
+/// from one row per variant: `tag name Variant { field: type, .. }`,
+/// fields in wire order, `t` implied first. Each `type` names the
+/// [`Visit`]/[`Source`] method that carries the field.
+macro_rules! schema {
+    ($($tag:literal $name:literal $V:ident { $($f:ident: $ty:ident),+ })+) => {
+        /// Variant names indexed by wire tag − 1.
+        pub(crate) const NAMES: &[&str] = &[$($name),+];
+
+        // Tags are 1, 2, 3, … in row order, so `NAMES[tag - 1]` is the
+        // row's own name.
+        const _: () = {
+            let mut next = 0u8;
+            $(
+                next += 1;
+                assert!($tag == next, "schema tags must run 1, 2, 3, … in row order");
+            )+
+        };
+
+        impl TraceEvent {
+            /// The wire tag (`1..=TAG_COUNT`) this event encodes under.
+            #[inline]
+            pub(crate) fn tag(&self) -> u8 {
+                match self {
+                    $(TraceEvent::$V { .. } => $tag,)+
+                }
+            }
+
+            /// Simulation time of the event, microseconds.
+            pub fn t(&self) -> u64 {
+                match *self {
+                    $(TraceEvent::$V { t, .. })|+ => t,
+                }
+            }
+
+            /// Hand the event's fields after `t` to `v`, in wire order.
+            /// Always inlined: the frame encoder and the capture's node
+            /// filter run it once per frame, and out of line the
+            /// visitor would reload the event from memory.
+            #[inline(always)]
+            pub(crate) fn walk<V: Visit>(&self, v: &mut V) {
+                match *self {
+                    $(TraceEvent::$V { $($f,)+ .. } => {
+                        $(v.$ty(stringify!($f), $f);)+
+                    })+
+                }
+            }
+
+            /// Construct the variant with wire tag `tag` at time `t`,
+            /// taking its fields from `s` in wire order.
+            #[inline]
+            pub(crate) fn build<S: Source>(tag: u8, t: u64, s: &mut S) -> Result<TraceEvent, String> {
+                Ok(match tag {
+                    $($tag => {
+                        let ev = TraceEvent::$V { t, $($f: s.$ty(stringify!($f))?,)+ };
+                        s.end()?;
+                        ev
+                    })+
+                    other => return Err(format!("unknown frame tag {other}")),
+                })
+            }
+        }
+    };
+}
+
+schema! {
+    1  "tx_start"      TxStart      { seq: u64, src: id, dst: opt_id, tier: tier, kind: kind, bytes: u32 }
+    2  "tx_defer"      TxDefer      { src: id, tier: tier, attempt: u8 }
+    3  "tx_giveup"     TxGiveUp     { src: id, tier: tier }
+    4  "rx"            Rx           { seq: u64, node: id }
+    5  "drop"          Drop         { seq: u64, node: id, cause: cause }
+    6  "forward"       Forward      { node: id, origin: id, msg_id: u64, next: opt_id, hops: u32 }
+    7  "deliver"       Deliver      { node: id, origin: id, msg_id: u64, hops: u32, latency_us: u64 }
+    8  "rreq_flood"    RreqFlood    { node: id, origin: id, req_id: u64, forwarded: bool }
+    9  "cache_reply"   CacheReply   { node: id, origin: id, req_id: u64, gateway: id, place: u16 }
+    10 "route_install" RouteInstall { node: id, gateway: id, place: u16, hops: u32, energy_pm: u16 }
+    11 "route_select"  RouteSelect  { node: id, gateway: id, place: u16, hops: u32, energy_pm: u16 }
+    12 "gateway_move"  GatewayMove  { gateway: id, place: u16 }
+    13 "node_move"     NodeMove     { node: id, x: f64, y: f64 }
+    14 "node_sleep"    NodeSleep    { node: id }
+    15 "node_wake"     NodeWake     { node: id }
+    16 "node_kill"     NodeKill     { node: id }
+    17 "energy"        Energy       { node: id, consumed_j: f64 }
+}
+
+/// Number of distinct wire tags (tags are `1..=TAG_COUNT`).
+pub const TAG_COUNT: usize = NAMES.len();
+
+/// The JSONL writer: one `(key, value)` pair per field.
+struct JsonFields(Vec<(&'static str, Json)>);
+
+impl JsonFields {
+    fn push(&mut self, name: &'static str, v: impl Into<Json>) {
+        self.0.push((name, v.into()));
+    }
+}
+
+impl Visit for JsonFields {
+    fn u8(&mut self, name: &'static str, v: u8) {
+        self.push(name, v as u64);
+    }
+    fn u16(&mut self, name: &'static str, v: u16) {
+        self.push(name, v as u64);
+    }
+    fn u32(&mut self, name: &'static str, v: u32) {
+        self.push(name, v as u64);
+    }
+    fn u64(&mut self, name: &'static str, v: u64) {
+        self.push(name, v);
+    }
+    fn f64(&mut self, name: &'static str, v: f64) {
+        self.push(name, v);
+    }
+    fn bool(&mut self, name: &'static str, v: bool) {
+        self.push(name, v);
+    }
+    fn id(&mut self, name: &'static str, v: NodeId) {
+        self.push(name, v.0 as u64);
+    }
+    fn opt_id(&mut self, name: &'static str, v: Option<NodeId>) {
+        self.push(name, v.map_or(Json::Null, |n| Json::from(n.0 as u64)));
+    }
+    fn tier(&mut self, name: &'static str, v: TraceTier) {
+        self.push(name, v.as_str());
+    }
+    fn kind(&mut self, name: &'static str, v: TraceKind) {
+        self.push(name, v.as_str());
+    }
+    fn cause(&mut self, name: &'static str, v: DropCause) {
+        self.push(name, v.as_str());
+    }
+}
+
+/// The JSONL reader: fields looked up by key in a parsed line.
+struct JsonRecord<'a>(&'a [(String, Value)]);
+
+impl JsonRecord<'_> {
+    fn value(&self, key: &str) -> Result<&Value, String> {
+        get(self.0, key).ok_or_else(|| format!("missing field '{key}'"))
+    }
+
+    fn str(&self, key: &str) -> Result<&str, String> {
+        self.value(key)?
+            .as_str()
+            .ok_or_else(|| format!("missing string field '{key}'"))
+    }
+
+    fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let n = self
+            .value(key)?
+            .as_u64()
+            .ok_or_else(|| format!("missing integer field '{key}'"))?;
+        T::try_from(n).map_err(|_| format!("field '{key}' out of range"))
+    }
+
+    fn named<E>(&self, key: &str, from_name: fn(&str) -> Option<E>) -> Result<E, String> {
+        let s = self.str(key)?;
+        from_name(s).ok_or_else(|| format!("unknown {key} '{s}'"))
+    }
+}
+
+impl Source for JsonRecord<'_> {
+    fn u8(&mut self, name: &'static str) -> Result<u8, String> {
+        self.int(name)
+    }
+    fn u16(&mut self, name: &'static str) -> Result<u16, String> {
+        self.int(name)
+    }
+    fn u32(&mut self, name: &'static str) -> Result<u32, String> {
+        self.int(name)
+    }
+    fn u64(&mut self, name: &'static str) -> Result<u64, String> {
+        self.int(name)
+    }
+    fn f64(&mut self, name: &'static str) -> Result<f64, String> {
+        self.value(name)?
+            .as_f64()
+            .ok_or_else(|| format!("missing number field '{name}'"))
+    }
+    fn bool(&mut self, name: &'static str) -> Result<bool, String> {
+        match self.value(name)? {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(format!("missing bool field '{name}'")),
+        }
+    }
+    fn id(&mut self, name: &'static str) -> Result<NodeId, String> {
+        self.int(name).map(NodeId)
+    }
+    fn opt_id(&mut self, name: &'static str) -> Result<Option<NodeId>, String> {
+        match self.value(name)? {
+            Value::Null => Ok(None),
+            _ => self.id(name).map(Some),
+        }
+    }
+    fn tier(&mut self, name: &'static str) -> Result<TraceTier, String> {
+        self.named(name, TraceTier::from_name)
+    }
+    fn kind(&mut self, name: &'static str) -> Result<TraceKind, String> {
+        self.named(name, TraceKind::from_name)
+    }
+    fn cause(&mut self, name: &'static str) -> Result<DropCause, String> {
+        self.named(name, DropCause::from_name)
+    }
+    fn end(&mut self) -> Result<(), String> {
+        Ok(())
     }
 }
 
@@ -335,175 +556,18 @@ impl TraceEvent {
     /// Stable name of this event's variant — the `"ev"` field of the
     /// JSONL form and the key of [`crate::CountingSink`] tallies.
     pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::TxStart { .. } => "tx_start",
-            TraceEvent::TxDefer { .. } => "tx_defer",
-            TraceEvent::TxGiveUp { .. } => "tx_giveup",
-            TraceEvent::Rx { .. } => "rx",
-            TraceEvent::Drop { .. } => "drop",
-            TraceEvent::Forward { .. } => "forward",
-            TraceEvent::Deliver { .. } => "deliver",
-            TraceEvent::RreqFlood { .. } => "rreq_flood",
-            TraceEvent::CacheReply { .. } => "cache_reply",
-            TraceEvent::RouteInstall { .. } => "route_install",
-            TraceEvent::RouteSelect { .. } => "route_select",
-            TraceEvent::GatewayMove { .. } => "gateway_move",
-            TraceEvent::NodeMove { .. } => "node_move",
-            TraceEvent::NodeSleep { .. } => "node_sleep",
-            TraceEvent::NodeWake { .. } => "node_wake",
-            TraceEvent::NodeKill { .. } => "node_kill",
-            TraceEvent::Energy { .. } => "energy",
-        }
+        NAMES[self.tag() as usize - 1]
     }
 
     /// Serialise to one flat JSON object with fixed key order
     /// (`ev`, `t`, then variant fields) — the JSONL wire form.
     pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(&'static str, Json)> =
-            vec![("ev", Json::from(self.name())), ("t", Json::from(self.t()))];
-        match *self {
-            TraceEvent::TxStart {
-                seq,
-                src,
-                dst,
-                tier,
-                kind,
-                bytes,
-                ..
-            } => {
-                fields.push(("seq", Json::from(seq)));
-                fields.push(("src", id(src)));
-                fields.push(("dst", opt_id(dst)));
-                fields.push(("tier", Json::from(tier.as_str())));
-                fields.push(("kind", Json::from(kind.as_str())));
-                fields.push(("bytes", Json::from(bytes as u64)));
-            }
-            TraceEvent::TxDefer {
-                src, tier, attempt, ..
-            } => {
-                fields.push(("src", id(src)));
-                fields.push(("tier", Json::from(tier.as_str())));
-                fields.push(("attempt", Json::from(attempt as u64)));
-            }
-            TraceEvent::TxGiveUp { src, tier, .. } => {
-                fields.push(("src", id(src)));
-                fields.push(("tier", Json::from(tier.as_str())));
-            }
-            TraceEvent::Rx { seq, node, .. } => {
-                fields.push(("seq", Json::from(seq)));
-                fields.push(("node", id(node)));
-            }
-            TraceEvent::Drop {
-                seq, node, cause, ..
-            } => {
-                fields.push(("seq", Json::from(seq)));
-                fields.push(("node", id(node)));
-                fields.push(("cause", Json::from(cause.as_str())));
-            }
-            TraceEvent::Forward {
-                node,
-                origin,
-                msg_id,
-                next,
-                hops,
-                ..
-            } => {
-                fields.push(("node", id(node)));
-                fields.push(("origin", id(origin)));
-                fields.push(("msg_id", Json::from(msg_id)));
-                fields.push(("next", opt_id(next)));
-                fields.push(("hops", Json::from(hops as u64)));
-            }
-            TraceEvent::Deliver {
-                node,
-                origin,
-                msg_id,
-                hops,
-                latency_us,
-                ..
-            } => {
-                fields.push(("node", id(node)));
-                fields.push(("origin", id(origin)));
-                fields.push(("msg_id", Json::from(msg_id)));
-                fields.push(("hops", Json::from(hops as u64)));
-                fields.push(("latency_us", Json::from(latency_us)));
-            }
-            TraceEvent::RreqFlood {
-                node,
-                origin,
-                req_id,
-                forwarded,
-                ..
-            } => {
-                fields.push(("node", id(node)));
-                fields.push(("origin", id(origin)));
-                fields.push(("req_id", Json::from(req_id)));
-                fields.push(("forwarded", Json::from(forwarded)));
-            }
-            TraceEvent::CacheReply {
-                node,
-                origin,
-                req_id,
-                gateway,
-                place,
-                ..
-            } => {
-                fields.push(("node", id(node)));
-                fields.push(("origin", id(origin)));
-                fields.push(("req_id", Json::from(req_id)));
-                fields.push(("gateway", id(gateway)));
-                fields.push(("place", Json::from(place as u64)));
-            }
-            TraceEvent::RouteInstall {
-                node,
-                gateway,
-                place,
-                hops,
-                energy_pm,
-                ..
-            } => {
-                fields.push(("node", id(node)));
-                fields.push(("gateway", id(gateway)));
-                fields.push(("place", Json::from(place as u64)));
-                fields.push(("hops", Json::from(hops as u64)));
-                fields.push(("energy_pm", Json::from(energy_pm as u64)));
-            }
-            TraceEvent::RouteSelect {
-                node,
-                gateway,
-                place,
-                hops,
-                energy_pm,
-                ..
-            } => {
-                fields.push(("node", id(node)));
-                fields.push(("gateway", id(gateway)));
-                fields.push(("place", Json::from(place as u64)));
-                fields.push(("hops", Json::from(hops as u64)));
-                fields.push(("energy_pm", Json::from(energy_pm as u64)));
-            }
-            TraceEvent::GatewayMove { gateway, place, .. } => {
-                fields.push(("gateway", id(gateway)));
-                fields.push(("place", Json::from(place as u64)));
-            }
-            TraceEvent::NodeMove { node, x, y, .. } => {
-                fields.push(("node", id(node)));
-                fields.push(("x", Json::from(x)));
-                fields.push(("y", Json::from(y)));
-            }
-            TraceEvent::NodeSleep { node, .. }
-            | TraceEvent::NodeWake { node, .. }
-            | TraceEvent::NodeKill { node, .. } => {
-                fields.push(("node", id(node)));
-            }
-            TraceEvent::Energy {
-                node, consumed_j, ..
-            } => {
-                fields.push(("node", id(node)));
-                fields.push(("consumed_j", Json::from(consumed_j)));
-            }
-        }
-        Json::obj(fields)
+        let mut fields = JsonFields(vec![
+            ("ev", Json::from(self.name())),
+            ("t", Json::from(self.t())),
+        ]);
+        self.walk(&mut fields);
+        Json::obj(fields.0)
     }
 
     /// Decode a parsed trace line back into the event it serialised
@@ -511,189 +575,21 @@ impl TraceEvent {
     /// JSONL can be replayed through online consumers (the health
     /// monitor's offline mode). Unknown event names and missing or
     /// mistyped fields are hard errors, same discipline as the parser.
-    pub fn from_record(rec: &[(String, crate::parse::Value)]) -> Result<TraceEvent, String> {
-        use crate::parse::get;
-        let str_of = |key: &str| -> Result<&str, String> {
-            get(rec, key)
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| format!("missing string field '{key}'"))
-        };
-        let u64_of = |key: &str| -> Result<u64, String> {
-            get(rec, key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("missing integer field '{key}'"))
-        };
-        let f64_of = |key: &str| -> Result<f64, String> {
-            get(rec, key)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("missing number field '{key}'"))
-        };
-        let node_of = |key: &str| -> Result<NodeId, String> {
-            let n = u64_of(key)?;
-            u32::try_from(n)
-                .map(NodeId)
-                .map_err(|_| format!("field '{key}' out of NodeId range"))
-        };
-        let opt_node_of = |key: &str| -> Result<Option<NodeId>, String> {
-            match get(rec, key) {
-                Some(crate::parse::Value::Null) => Ok(None),
-                Some(_) => node_of(key).map(Some),
-                None => Err(format!("missing field '{key}'")),
-            }
-        };
-        let place_of = || -> Result<u16, String> {
-            u16::try_from(u64_of("place")?).map_err(|_| "field 'place' out of range".into())
-        };
-        let hops_of = || -> Result<u32, String> {
-            u32::try_from(u64_of("hops")?).map_err(|_| "field 'hops' out of range".into())
-        };
-        let energy_pm_of = || -> Result<u16, String> {
-            u16::try_from(u64_of("energy_pm")?).map_err(|_| "field 'energy_pm' out of range".into())
-        };
-        let tier_of = || -> Result<TraceTier, String> {
-            TraceTier::from_name(str_of("tier")?).ok_or_else(|| "unknown tier".into())
-        };
-        let ev = str_of("ev")?;
-        let t = u64_of("t")?;
-        match ev {
-            "tx_start" => Ok(TraceEvent::TxStart {
-                t,
-                seq: u64_of("seq")?,
-                src: node_of("src")?,
-                dst: opt_node_of("dst")?,
-                tier: tier_of()?,
-                kind: TraceKind::from_name(str_of("kind")?).ok_or("unknown kind")?,
-                bytes: u32::try_from(u64_of("bytes")?).map_err(|_| "field 'bytes' out of range")?,
-            }),
-            "tx_defer" => Ok(TraceEvent::TxDefer {
-                t,
-                src: node_of("src")?,
-                tier: tier_of()?,
-                attempt: u8::try_from(u64_of("attempt")?)
-                    .map_err(|_| "field 'attempt' out of range")?,
-            }),
-            "tx_giveup" => Ok(TraceEvent::TxGiveUp {
-                t,
-                src: node_of("src")?,
-                tier: tier_of()?,
-            }),
-            "rx" => Ok(TraceEvent::Rx {
-                t,
-                seq: u64_of("seq")?,
-                node: node_of("node")?,
-            }),
-            "drop" => Ok(TraceEvent::Drop {
-                t,
-                seq: u64_of("seq")?,
-                node: node_of("node")?,
-                cause: DropCause::from_name(str_of("cause")?).ok_or("unknown drop cause")?,
-            }),
-            "forward" => Ok(TraceEvent::Forward {
-                t,
-                node: node_of("node")?,
-                origin: node_of("origin")?,
-                msg_id: u64_of("msg_id")?,
-                next: opt_node_of("next")?,
-                hops: hops_of()?,
-            }),
-            "deliver" => Ok(TraceEvent::Deliver {
-                t,
-                node: node_of("node")?,
-                origin: node_of("origin")?,
-                msg_id: u64_of("msg_id")?,
-                hops: hops_of()?,
-                latency_us: u64_of("latency_us")?,
-            }),
-            "rreq_flood" => Ok(TraceEvent::RreqFlood {
-                t,
-                node: node_of("node")?,
-                origin: node_of("origin")?,
-                req_id: u64_of("req_id")?,
-                forwarded: matches!(get(rec, "forwarded"), Some(crate::parse::Value::Bool(true))),
-            }),
-            "cache_reply" => Ok(TraceEvent::CacheReply {
-                t,
-                node: node_of("node")?,
-                origin: node_of("origin")?,
-                req_id: u64_of("req_id")?,
-                gateway: node_of("gateway")?,
-                place: place_of()?,
-            }),
-            "route_install" => Ok(TraceEvent::RouteInstall {
-                t,
-                node: node_of("node")?,
-                gateway: node_of("gateway")?,
-                place: place_of()?,
-                hops: hops_of()?,
-                energy_pm: energy_pm_of()?,
-            }),
-            "route_select" => Ok(TraceEvent::RouteSelect {
-                t,
-                node: node_of("node")?,
-                gateway: node_of("gateway")?,
-                place: place_of()?,
-                hops: hops_of()?,
-                energy_pm: energy_pm_of()?,
-            }),
-            "gateway_move" => Ok(TraceEvent::GatewayMove {
-                t,
-                gateway: node_of("gateway")?,
-                place: place_of()?,
-            }),
-            "node_move" => Ok(TraceEvent::NodeMove {
-                t,
-                node: node_of("node")?,
-                x: f64_of("x")?,
-                y: f64_of("y")?,
-            }),
-            "node_sleep" => Ok(TraceEvent::NodeSleep {
-                t,
-                node: node_of("node")?,
-            }),
-            "node_wake" => Ok(TraceEvent::NodeWake {
-                t,
-                node: node_of("node")?,
-            }),
-            "node_kill" => Ok(TraceEvent::NodeKill {
-                t,
-                node: node_of("node")?,
-            }),
-            "energy" => Ok(TraceEvent::Energy {
-                t,
-                node: node_of("node")?,
-                consumed_j: f64_of("consumed_j")?,
-            }),
-            other => Err(format!("unknown event '{other}'")),
-        }
+    pub fn from_record(rec: &[(String, Value)]) -> Result<TraceEvent, String> {
+        let mut rec = JsonRecord(rec);
+        let ev = rec.str("ev")?;
+        let tag = NAMES
+            .iter()
+            .position(|&n| n == ev)
+            .ok_or_else(|| format!("unknown event '{ev}'"))?;
+        let t = rec.int("t")?;
+        TraceEvent::build(tag as u8 + 1, t, &mut rec)
     }
 
     /// Parse one JSONL trace line and decode it — a convenience over
     /// [`crate::parse::parse_line`] + [`TraceEvent::from_record`].
     pub fn from_json_line(line: &str) -> Result<TraceEvent, String> {
         Self::from_record(&crate::parse::parse_line(line)?)
-    }
-
-    /// Simulation time of the event, microseconds.
-    pub fn t(&self) -> u64 {
-        match *self {
-            TraceEvent::TxStart { t, .. }
-            | TraceEvent::TxDefer { t, .. }
-            | TraceEvent::TxGiveUp { t, .. }
-            | TraceEvent::Rx { t, .. }
-            | TraceEvent::Drop { t, .. }
-            | TraceEvent::Forward { t, .. }
-            | TraceEvent::Deliver { t, .. }
-            | TraceEvent::RreqFlood { t, .. }
-            | TraceEvent::CacheReply { t, .. }
-            | TraceEvent::RouteInstall { t, .. }
-            | TraceEvent::RouteSelect { t, .. }
-            | TraceEvent::GatewayMove { t, .. }
-            | TraceEvent::NodeMove { t, .. }
-            | TraceEvent::NodeSleep { t, .. }
-            | TraceEvent::NodeWake { t, .. }
-            | TraceEvent::NodeKill { t, .. }
-            | TraceEvent::Energy { t, .. } => t,
-        }
     }
 }
 
@@ -856,6 +752,13 @@ mod tests {
         )
         .is_err());
         assert!(TraceEvent::from_json_line("not json").is_err());
+        // Every field is required and typed, bools included.
+        for forwarded in ["", r#","forwarded":1"#, r#","forwarded":null"#] {
+            let line =
+                format!(r#"{{"ev":"rreq_flood","t":8,"node":2,"origin":2,"req_id":1{forwarded}}}"#);
+            let err = TraceEvent::from_json_line(&line).unwrap_err();
+            assert!(err.contains("forwarded"), "{line}: {err}");
+        }
     }
 
     #[test]
