@@ -13,9 +13,10 @@ use wmsn::sim::Metrics;
 use wmsn::trace::{DropCause, TraceEvent};
 use wmsn::util::NodeId;
 
-/// Every `DropCause` variant. The match in `drop_cause_index` is
-/// exhaustive, so adding a variant breaks the health crate's build; this
-/// array pins the count and the dense-index round trip at test level.
+/// Every `DropCause` variant. `DROP_CAUSE_COUNT` is the length of
+/// `DropCause::ALL`, which is generated with the enum, so adding a
+/// variant breaks this array's build; it pins the count and the
+/// dense-index round trip at test level.
 const ALL_CAUSES: [DropCause; DROP_CAUSE_COUNT] = [
     DropCause::Collision,
     DropCause::Loss,
