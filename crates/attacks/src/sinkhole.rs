@@ -16,7 +16,7 @@ use std::any::Any;
 use wmsn_crypto::mac::Tag;
 use wmsn_crypto::SealedMessage;
 use wmsn_routing::wire::{RoutingMsg, RoutingMsgView};
-use wmsn_secure::wire::{sdata_peek, SecMsg, SrreqView};
+use wmsn_secure::wire::{SecMsg, SecMsgView};
 use wmsn_sim::{Behavior, Ctx, Packet, PacketKind, Tier};
 use wmsn_util::NodeId;
 
@@ -129,14 +129,14 @@ impl Behavior for Sinkhole {
                 Ok(RoutingMsgView::Data { .. }) => self.swallowed += 1,
                 _ => {}
             },
-            TargetProtocol::SecMlr => {
-                if let Ok(view) = SrreqView::decode(&pkt.payload) {
-                    let path = view.path.iter().map(NodeId).collect();
-                    self.forge_secmlr_reply(ctx, view.origin, path);
-                } else if sdata_peek(&pkt.payload).is_some() {
-                    self.swallowed += 1;
+            TargetProtocol::SecMlr => match SecMsgView::decode(&pkt.payload) {
+                Ok(SecMsgView::Rreq { origin, path, .. }) => {
+                    let path = path.iter().map(NodeId).collect();
+                    self.forge_secmlr_reply(ctx, origin, path);
                 }
-            }
+                Ok(SecMsgView::Data { .. }) => self.swallowed += 1,
+                _ => {}
+            },
         }
     }
 

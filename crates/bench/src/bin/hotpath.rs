@@ -46,7 +46,7 @@ use wmsn_core::experiments::{
 };
 use wmsn_core::params::ParallelConfig;
 use wmsn_health::{HealthConfig, HealthMonitor};
-use wmsn_routing::wire::{rreq_append_forward, RoutingMsg};
+use wmsn_routing::wire::{rreq_append_forward, RoutingMsg, RoutingMsgView};
 use wmsn_trace::{log_error, log_record, CaptureStats, RingStats, TraceSink};
 use wmsn_util::json::Json;
 use wmsn_util::NodeId;
@@ -60,8 +60,9 @@ fn before_snapshot_path() -> std::path::PathBuf {
 }
 
 /// In-place flood-forward microbench: the per-hop RREQ rebroadcast
-/// operation (validate header, memcpy the frame, patch the path count,
-/// append our id) that the zero-copy control plane put on the hot path.
+/// operation (decode and validate the frame into a view, memcpy the
+/// frame, patch the path count, append our id) that the zero-copy
+/// control plane put on the hot path.
 fn flood_forward_kernel() -> usize {
     const ITERS: usize = 1_000_000;
     let frame = RoutingMsg::Rreq {
@@ -74,8 +75,11 @@ fn flood_forward_kernel() -> usize {
     let mut out = Vec::with_capacity(frame.len() + 4);
     let mut acc = 0usize;
     for i in 0..ITERS {
-        rreq_append_forward(black_box(&frame), NodeId(1000 + i as u32), &mut out)
-            .expect("valid frame");
+        let frame = black_box(&frame[..]);
+        let Ok(RoutingMsgView::Rreq { path, .. }) = RoutingMsgView::decode(frame) else {
+            panic!("valid frame");
+        };
+        rreq_append_forward(frame, path, NodeId(1000 + i as u32), &mut out).expect("valid frame");
         acc = acc.wrapping_add(black_box(&out).len());
     }
     acc

@@ -10,7 +10,7 @@
 use std::any::Any;
 use wmsn_routing::mesh::MeshRouter;
 use wmsn_routing::mlr::MlrGateway;
-use wmsn_routing::wire::{peek, PeekHeader};
+use wmsn_routing::wire::RoutingMsgView;
 use wmsn_sim::{Behavior, Ctx, Packet, Tier};
 use wmsn_util::NodeId;
 
@@ -57,10 +57,10 @@ impl Behavior for WmgBehavior {
             }
             Tier::Sensor => {
                 // Detect accepted data before handing to the sink logic —
-                // a fixed-offset header peek, no frame materialisation.
+                // a borrowed decode, no frame materialisation.
                 let is_my_data = matches!(
-                    peek(&pkt.payload),
-                    Ok(PeekHeader::Data { gateway, .. }) if gateway == ctx.id()
+                    RoutingMsgView::decode(&pkt.payload),
+                    Ok(RoutingMsgView::Data { gateway, .. }) if gateway == ctx.id()
                 );
                 self.gateway.on_packet(ctx, pkt);
                 if is_my_data {

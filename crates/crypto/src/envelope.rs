@@ -9,6 +9,7 @@
 use crate::ctr;
 use crate::keys::Key128;
 use crate::mac::{mac_with_counter, Tag};
+use wmsn_util::codec::{DecodeError, Field, Reader, Writer};
 
 /// A sealed (encrypted + authenticated) message plus its counter.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -27,6 +28,44 @@ impl SealedMessage {
     /// used by the energy model to charge for security overhead.
     pub fn wire_len(&self) -> usize {
         8 + 2 + self.ciphertext.len() + 8
+    }
+}
+
+/// Borrowed view of a [`SealedMessage`] inside a received frame. On the
+/// air a sealed section is `| 8 counter | 2 clen | clen ciphertext | 8
+/// mac |` — the [`Field`] kind of SecMLR's sealed fields.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SealedView<'a> {
+    /// The counter `C`.
+    pub counter: u64,
+    /// The ciphertext bytes.
+    pub ciphertext: &'a [u8],
+    /// The MAC.
+    pub tag: Tag,
+}
+
+impl Field for SealedMessage {
+    type Owned = SealedMessage;
+    type View<'a> = SealedView<'a>;
+    const SIZE: Option<usize> = None;
+    #[inline(always)]
+    fn read<'a>(r: &mut Reader<'a>) -> Result<SealedView<'a>, DecodeError> {
+        Ok(SealedView {
+            counter: r.u64()?,
+            ciphertext: r.bytes(u16::MAX as usize)?,
+            tag: Tag::read(r)?,
+        })
+    }
+    #[inline]
+    fn write(w: &mut Writer, s: &SealedMessage) {
+        w.u64(s.counter).bytes(&s.ciphertext).raw(&s.tag.0);
+    }
+    fn own(v: SealedView<'_>) -> SealedMessage {
+        SealedMessage {
+            counter: v.counter,
+            ciphertext: v.ciphertext.to_vec(),
+            tag: v.tag,
+        }
     }
 }
 

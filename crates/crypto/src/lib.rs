@@ -35,7 +35,7 @@ pub mod mac;
 pub mod speck;
 pub mod tesla;
 
-pub use envelope::{open, seal, SealedMessage};
+pub use envelope::{open, seal, SealedMessage, SealedView};
 pub use hash::Digest;
 pub use keys::{Key128, KeyStore, ReplayGuard};
 pub use mac::Tag;

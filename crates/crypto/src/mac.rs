@@ -8,10 +8,29 @@
 
 use crate::keys::Key128;
 use crate::speck::Speck64;
+use wmsn_util::codec::{DecodeError, Field, Reader, Writer};
 
 /// A 64-bit authentication tag.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Tag(pub [u8; 8]);
+
+impl Field for Tag {
+    type Owned = Tag;
+    type View<'a> = Tag;
+    const SIZE: Option<usize> = Some(8);
+    #[inline(always)]
+    fn read<'a>(r: &mut Reader<'a>) -> Result<Tag, DecodeError> {
+        r.array().map(Tag)
+    }
+    #[inline]
+    fn write(w: &mut Writer, t: &Tag) {
+        w.raw(&t.0);
+    }
+    #[inline]
+    fn own(t: Tag) -> Tag {
+        t
+    }
+}
 
 impl Tag {
     /// Constant-shape comparison (bitwise OR of differences). The

@@ -11,23 +11,21 @@
 use std::any::Any;
 use wmsn_sim::{Behavior, Ctx, Packet, PacketKind, Tier};
 use wmsn_trace::TraceEvent;
-use wmsn_util::codec::{DecodeError, Reader, Writer};
+use wmsn_util::codec::{self, Pad};
 use wmsn_util::seen::SeenTable;
 use wmsn_util::NodeId;
-
-/// Byte offsets of the mutable header fields (see [`FloodMsg::encode`]).
-const OFF_HOPS: usize = 21;
-const OFF_TTL: usize = 25;
 
 /// Rebuild a received flood frame for forwarding without re-encoding:
 /// copy the frame into `out` and patch the hops/ttl words in place. The
 /// padding bytes are carried verbatim, so the result is byte-identical
 /// to decode → bump → re-encode.
 fn patch_forward(frame: &[u8], hops: u32, ttl: u32, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(frame);
-    out[OFF_HOPS..OFF_HOPS + 4].copy_from_slice(&hops.to_le_bytes());
-    out[OFF_TTL..OFF_TTL + 4].copy_from_slice(&ttl.to_le_bytes());
+    let fields: [(usize, &[u8]); 2] = [
+        (layout::Data::hops, &hops.to_le_bytes()),
+        (layout::Data::ttl, &ttl.to_le_bytes()),
+    ];
+    // The frame was decoded by the caller, so both fields are in range.
+    let _ = codec::patch(frame, &fields, out);
 }
 
 /// Forwarding discipline.
@@ -39,58 +37,30 @@ pub enum FloodMode {
     Gossip,
 }
 
-/// Flood/gossip frame.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FloodMsg {
-    /// Source sensor.
-    pub origin: NodeId,
-    /// Source-unique id.
-    pub msg_id: u64,
-    /// Origination time (µs).
-    pub sent_at: u64,
-    /// Hops taken so far.
-    pub hops: u32,
-    /// Remaining time-to-live.
-    pub ttl: u32,
-    /// Payload padding size.
-    pub payload_len: u16,
-}
+wmsn_util::packet_schema! {
+    /// Flood/gossip frame.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum FloodMsg;
+    /// Borrowed decode of a flood/gossip frame.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum FloodMsgView<'a>;
+    /// Fixed byte offsets of the flood frame's fields.
+    pub mod layout;
 
-impl FloodMsg {
-    /// Encode.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(30 + self.payload_len as usize);
-        w.u8(0x10)
-            .u32(self.origin.0)
-            .u64(self.msg_id)
-            .u64(self.sent_at)
-            .u32(self.hops)
-            .u32(self.ttl)
-            .u16(self.payload_len);
-        for _ in 0..self.payload_len {
-            w.u8(0);
-        }
-        w.into_bytes()
-    }
-
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        if tag != 0x10 {
-            return Err(DecodeError::BadTag(tag));
-        }
-        let msg = FloodMsg {
-            origin: NodeId(r.u32()?),
-            msg_id: r.u64()?,
-            sent_at: r.u64()?,
-            hops: r.u32()?,
-            ttl: r.u32()?,
-            payload_len: r.u16()?,
-        };
-        let _ = r.raw(msg.payload_len as usize)?;
-        r.finish()?;
-        Ok(msg)
+    /// The one flood/gossip message: a reading on its way to a sink.
+    0x10 Data {
+        /// Source sensor.
+        origin: NodeId,
+        /// Source-unique id.
+        msg_id: u64,
+        /// Origination time (µs).
+        sent_at: u64,
+        /// Hops taken so far.
+        hops: u32,
+        /// Remaining time-to-live.
+        ttl: u32,
+        /// Payload padding size.
+        payload_len: Pad,
     }
 }
 
@@ -125,34 +95,36 @@ impl FloodSensor {
 
     /// Originate one message.
     pub fn originate(&mut self, ctx: &mut Ctx<'_>) {
-        let msg = FloodMsg {
-            origin: ctx.id(),
-            msg_id: self.next_msg_id,
+        let (origin, msg_id) = (ctx.id(), self.next_msg_id);
+        let frame = FloodMsg::Data {
+            origin,
+            msg_id,
             sent_at: ctx.now(),
             hops: 1,
             ttl: self.initial_ttl,
             payload_len: self.payload_len,
-        };
+        }
+        .encode();
         self.next_msg_id += 1;
-        self.seen.insert(msg.origin.0, msg.msg_id);
+        self.seen.insert(origin.0, msg_id);
         ctx.record_origination();
-        self.emit(ctx, &msg);
+        self.emit(ctx, origin, msg_id, frame);
     }
 
-    fn emit(&mut self, ctx: &mut Ctx<'_>, msg: &FloodMsg) {
+    fn emit(&mut self, ctx: &mut Ctx<'_>, origin: NodeId, msg_id: u64, frame: Vec<u8>) {
         match self.mode {
             FloodMode::Flood => {
                 if ctx.trace_enabled() {
                     ctx.trace(TraceEvent::Forward {
                         t: ctx.now(),
                         node: ctx.id(),
-                        origin: msg.origin,
-                        msg_id: msg.msg_id,
+                        origin,
+                        msg_id,
                         next: None,
-                        hops: msg.hops,
+                        hops: 1,
                     });
                 }
-                ctx.send(None, Tier::Sensor, PacketKind::Data, msg.encode());
+                ctx.send(None, Tier::Sensor, PacketKind::Data, frame);
             }
             FloodMode::Gossip => {
                 let neighbors = ctx.neighbors(Tier::Sensor);
@@ -164,13 +136,13 @@ impl FloodSensor {
                     ctx.trace(TraceEvent::Forward {
                         t: ctx.now(),
                         node: ctx.id(),
-                        origin: msg.origin,
-                        msg_id: msg.msg_id,
+                        origin,
+                        msg_id,
                         next: Some(pick),
-                        hops: msg.hops,
+                        hops: 1,
                     });
                 }
-                ctx.send(Some(pick), Tier::Sensor, PacketKind::Data, msg.encode());
+                ctx.send(Some(pick), Tier::Sensor, PacketKind::Data, frame);
             }
         }
     }
@@ -178,19 +150,26 @@ impl FloodSensor {
 
 impl Behavior for FloodSensor {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let Ok(msg) = FloodMsg::decode(&pkt.payload) else {
+        let Ok(FloodMsgView::Data {
+            origin,
+            msg_id,
+            hops,
+            ttl,
+            ..
+        }) = FloodMsgView::decode(&pkt.payload)
+        else {
             return;
         };
         // Flooding drops duplicates; gossiping is a random walk, so a
         // revisited node keeps the walk alive (otherwise walks die on the
         // first loop and nothing ever propagates far).
-        if self.mode == FloodMode::Flood && !self.seen.insert(msg.origin.0, msg.msg_id) {
+        if self.mode == FloodMode::Flood && !self.seen.insert(origin.0, msg_id) {
             return;
         }
-        if msg.ttl == 0 {
+        if ttl == 0 {
             return;
         }
-        let (fwd_hops, fwd_ttl) = (msg.hops + 1, msg.ttl - 1);
+        let (fwd_hops, fwd_ttl) = (hops + 1, ttl - 1);
         self.forwarded += 1;
         match self.mode {
             FloodMode::Flood => {
@@ -198,8 +177,8 @@ impl Behavior for FloodSensor {
                     ctx.trace(TraceEvent::Forward {
                         t: ctx.now(),
                         node: ctx.id(),
-                        origin: msg.origin,
-                        msg_id: msg.msg_id,
+                        origin,
+                        msg_id,
                         next: None,
                         hops: fwd_hops,
                     });
@@ -229,8 +208,8 @@ impl Behavior for FloodSensor {
                     ctx.trace(TraceEvent::Forward {
                         t: ctx.now(),
                         node: ctx.id(),
-                        origin: msg.origin,
-                        msg_id: msg.msg_id,
+                        origin,
+                        msg_id,
                         next: Some(pick),
                         hops: fwd_hops,
                     });
@@ -281,14 +260,21 @@ impl Default for FloodSink {
 
 impl Behavior for FloodSink {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let Ok(msg) = FloodMsg::decode(&pkt.payload) else {
+        let Ok(FloodMsgView::Data {
+            origin,
+            msg_id,
+            sent_at,
+            hops,
+            ..
+        }) = FloodMsgView::decode(&pkt.payload)
+        else {
             return;
         };
-        if !self.seen.insert(msg.origin.0, msg.msg_id) {
+        if !self.seen.insert(origin.0, msg_id) {
             return;
         }
         self.absorbed += 1;
-        ctx.record_delivery(msg.origin, msg.msg_id, msg.sent_at, msg.hops);
+        ctx.record_delivery(origin, msg_id, sent_at, hops);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -333,7 +319,7 @@ mod tests {
 
     #[test]
     fn wire_roundtrip() {
-        let msg = FloodMsg {
+        let msg = FloodMsg::Data {
             origin: NodeId(3),
             msg_id: 9,
             sent_at: 77,

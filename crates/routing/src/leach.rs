@@ -24,18 +24,21 @@
 
 use std::any::Any;
 use wmsn_sim::{Behavior, Ctx, Packet, PacketKind, Tier};
-use wmsn_util::codec::{DecodeError, Reader, Writer};
+use wmsn_util::codec::{List, Pad};
 use wmsn_util::{NodeId, Point};
 
-const TAG_ADV: u8 = 0x30;
-const TAG_REPORT: u8 = 0x31;
-const TAG_AGGREGATE: u8 = 0x32;
+wmsn_util::packet_schema! {
+    /// LEACH wire messages.
+    #[derive(Clone, PartialEq, Debug)]
+    pub enum LeachMsg;
+    /// Borrowed decode of a LEACH frame.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    pub enum LeachMsgView<'a>;
+    /// Fixed byte offsets of the LEACH frames' fields.
+    pub mod layout;
 
-/// LEACH wire messages.
-#[derive(Clone, PartialEq, Debug)]
-pub enum LeachMsg {
     /// Cluster-head advertisement.
-    Adv {
+    0x30 Adv {
         /// The head.
         head: NodeId,
         /// Head position (signal-strength surrogate for nearest-head
@@ -43,9 +46,9 @@ pub enum LeachMsg {
         x: f64,
         /// Head position, y coordinate.
         y: f64,
-    },
+    }
     /// Member → head data report.
-    Report {
+    0x31 Report {
         /// Reporting member.
         origin: NodeId,
         /// Member-unique message id.
@@ -53,89 +56,14 @@ pub enum LeachMsg {
         /// Origination time.
         sent_at: u64,
         /// Payload padding.
-        payload_len: u16,
-    },
+        payload_len: Pad,
+    }
     /// Head → sink aggregate.
-    Aggregate {
+    0x32 Aggregate {
         /// The head.
         head: NodeId,
         /// (origin, msg_id, sent_at) of every aggregated report.
-        entries: Vec<(NodeId, u64, u64)>,
-    },
-}
-
-impl LeachMsg {
-    /// Encode.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            LeachMsg::Adv { head, x, y } => {
-                w.u8(TAG_ADV).u32(head.0).u64(x.to_bits()).u64(y.to_bits());
-            }
-            LeachMsg::Report {
-                origin,
-                msg_id,
-                sent_at,
-                payload_len,
-            } => {
-                w.u8(TAG_REPORT)
-                    .u32(origin.0)
-                    .u64(*msg_id)
-                    .u64(*sent_at)
-                    .u16(*payload_len);
-                for _ in 0..*payload_len {
-                    w.u8(0);
-                }
-            }
-            LeachMsg::Aggregate { head, entries } => {
-                w.u8(TAG_AGGREGATE).u32(head.0).u16(entries.len() as u16);
-                for (o, m, t) in entries {
-                    w.u32(o.0).u64(*m).u64(*t);
-                }
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let msg = match tag {
-            TAG_ADV => LeachMsg::Adv {
-                head: NodeId(r.u32()?),
-                x: f64::from_bits(r.u64()?),
-                y: f64::from_bits(r.u64()?),
-            },
-            TAG_REPORT => {
-                let origin = NodeId(r.u32()?);
-                let msg_id = r.u64()?;
-                let sent_at = r.u64()?;
-                let payload_len = r.u16()?;
-                let _ = r.raw(payload_len as usize)?;
-                LeachMsg::Report {
-                    origin,
-                    msg_id,
-                    sent_at,
-                    payload_len,
-                }
-            }
-            TAG_AGGREGATE => {
-                let head = NodeId(r.u32()?);
-                let n = r.u16()? as usize;
-                if n > 4096 {
-                    return Err(DecodeError::LengthOutOfRange(n));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push((NodeId(r.u32()?), r.u64()?, r.u64()?));
-                }
-                LeachMsg::Aggregate { head, entries }
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        r.finish()?;
-        Ok(msg)
+        entries: List<(NodeId, u64, u64), 4096>,
     }
 }
 

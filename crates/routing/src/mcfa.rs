@@ -14,26 +14,31 @@
 use std::any::Any;
 use std::collections::HashSet;
 use wmsn_sim::{Behavior, Ctx, Packet, PacketKind, Tier};
-use wmsn_util::codec::{DecodeError, Reader, Writer};
+use wmsn_util::codec::Pad;
 use wmsn_util::NodeId;
 
-const TAG_BEACON: u8 = 0x20;
-const TAG_DATA: u8 = 0x21;
 const TIMER_BEACON: u64 = 0x4D43_0001;
 
 /// Cost not yet known.
 pub const COST_INF: u32 = u32::MAX;
 
-/// MCFA wire messages.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum McfaMsg {
+wmsn_util::packet_schema! {
+    /// MCFA wire messages.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum McfaMsg;
+    /// Borrowed decode of an MCFA frame.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum McfaMsgView<'a>;
+    /// Fixed byte offsets of the MCFA frames' fields.
+    pub mod layout;
+
     /// Cost advertisement: "I can reach a sink in `cost` hops".
-    Beacon {
+    0x20 Beacon {
         /// Advertised cost.
         cost: u32,
-    },
+    }
     /// Data with a remaining-cost budget.
-    Data {
+    0x21 Data {
         /// Source node (metrics only — MCFA itself never reads it).
         origin: NodeId,
         /// Source-unique id (duplicate suppression).
@@ -45,68 +50,7 @@ pub enum McfaMsg {
         /// Remaining cost budget.
         budget: u32,
         /// Payload padding.
-        payload_len: u16,
-    },
-}
-
-impl McfaMsg {
-    /// Encode.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            McfaMsg::Beacon { cost } => {
-                w.u8(TAG_BEACON).u32(*cost);
-            }
-            McfaMsg::Data {
-                origin,
-                msg_id,
-                sent_at,
-                hops,
-                budget,
-                payload_len,
-            } => {
-                w.u8(TAG_DATA)
-                    .u32(origin.0)
-                    .u64(*msg_id)
-                    .u64(*sent_at)
-                    .u32(*hops)
-                    .u32(*budget)
-                    .u16(*payload_len);
-                for _ in 0..*payload_len {
-                    w.u8(0);
-                }
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let msg = match tag {
-            TAG_BEACON => McfaMsg::Beacon { cost: r.u32()? },
-            TAG_DATA => {
-                let origin = NodeId(r.u32()?);
-                let msg_id = r.u64()?;
-                let sent_at = r.u64()?;
-                let hops = r.u32()?;
-                let budget = r.u32()?;
-                let payload_len = r.u16()?;
-                let _ = r.raw(payload_len as usize)?;
-                McfaMsg::Data {
-                    origin,
-                    msg_id,
-                    sent_at,
-                    hops,
-                    budget,
-                    payload_len,
-                }
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        r.finish()?;
-        Ok(msg)
+        payload_len: Pad,
     }
 }
 

@@ -24,63 +24,40 @@
 use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
 use wmsn_sim::{Behavior, Ctx, Packet, PacketKind, Tier};
-use wmsn_util::codec::{DecodeError, Reader, Writer};
+use wmsn_util::codec::{self, Bytes, IdList};
 use wmsn_util::NodeId;
-
-const TAG_HELLO: u8 = 0x40;
-const TAG_LSA: u8 = 0x41;
-const TAG_MESH_DATA: u8 = 0x42;
-
-/// Fixed byte offsets of the data-frame header (see [`MeshMsg::encode`]):
-/// `| 1 tag | 4 dst | 4 src | 4 hops | 2 inner_len | inner… |`.
-const DATA_HOPS: usize = 9;
-const DATA_INNER_LEN: usize = 13;
-const DATA_HEADER: usize = 15;
-
-/// Validate a backbone data frame from its fixed-offset header alone and
-/// return `(dst, src, hops)`. Accepts exactly the frames
-/// [`MeshMsg::decode`] accepts as `Data` — the inner payload is opaque,
-/// so checking the declared length against the frame length is total
-/// validation. Transit nodes use this to forward by patching the hops
-/// word without ever materialising the inner payload.
-fn peek_data(b: &[u8]) -> Option<(NodeId, NodeId, u32)> {
-    if b.len() < DATA_HEADER || b[0] != TAG_MESH_DATA {
-        return None;
-    }
-    let inner_len =
-        u16::from_le_bytes(b[DATA_INNER_LEN..DATA_INNER_LEN + 2].try_into().unwrap()) as usize;
-    if b.len() != DATA_HEADER + inner_len {
-        return None;
-    }
-    let dst = NodeId(u32::from_le_bytes(b[1..5].try_into().unwrap()));
-    let src = NodeId(u32::from_le_bytes(b[5..9].try_into().unwrap()));
-    let hops = u32::from_le_bytes(b[DATA_HOPS..DATA_HOPS + 4].try_into().unwrap());
-    Some((dst, src, hops))
-}
 
 /// Timer tag namespace for the mesh component (distinct from any
 /// sensor-tier protocol tags a co-located behaviour might use).
 pub const MESH_TIMER_LSA: u64 = 0x4D45_5348_0001;
 
-/// Mesh wire messages.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum MeshMsg {
+wmsn_util::packet_schema! {
+    /// Mesh wire messages.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum MeshMsg;
+    /// Borrowed decode of a mesh frame (neighbour lists and inner
+    /// payloads stay in the received frame).
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum MeshMsgView<'a>;
+    /// Fixed byte offsets of the mesh frames' fields.
+    pub mod layout;
+
     /// Neighbour discovery beacon.
-    Hello {
+    0x40 Hello {
         /// Sender.
         from: NodeId,
-    },
+    }
     /// Link-state advertisement.
-    Lsa {
+    0x41 Lsa {
         /// Advertising node.
         origin: NodeId,
         /// Monotone per-origin sequence number.
         seq: u32,
         /// Origin's neighbour list.
-        neighbors: Vec<NodeId>,
-    },
+        neighbors: IdList<4096>,
+    }
     /// Backbone data frame carrying an opaque inner payload.
-    Data {
+    0x42 Data {
         /// Final mesh destination.
         dst: NodeId,
         /// Mesh source.
@@ -88,63 +65,7 @@ pub enum MeshMsg {
         /// Backbone hops so far.
         hops: u32,
         /// Opaque payload (typically an encoded sensor-tier DATA).
-        inner: Vec<u8>,
-    },
-}
-
-impl MeshMsg {
-    /// Encode.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            MeshMsg::Hello { from } => {
-                w.u8(TAG_HELLO).u32(from.0);
-            }
-            MeshMsg::Lsa {
-                origin,
-                seq,
-                neighbors,
-            } => {
-                w.u8(TAG_LSA).u32(origin.0).u32(*seq);
-                let raw: Vec<u32> = neighbors.iter().map(|n| n.0).collect();
-                w.id_list(&raw);
-            }
-            MeshMsg::Data {
-                dst,
-                src,
-                hops,
-                inner,
-            } => {
-                w.u8(TAG_MESH_DATA).u32(dst.0).u32(src.0).u32(*hops);
-                w.bytes(inner);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let msg = match tag {
-            TAG_HELLO => MeshMsg::Hello {
-                from: NodeId(r.u32()?),
-            },
-            TAG_LSA => MeshMsg::Lsa {
-                origin: NodeId(r.u32()?),
-                seq: r.u32()?,
-                neighbors: r.id_list(4096)?.into_iter().map(NodeId).collect(),
-            },
-            TAG_MESH_DATA => MeshMsg::Data {
-                dst: NodeId(r.u32()?),
-                src: NodeId(r.u32()?),
-                hops: r.u32()?,
-                inner: r.bytes(u16::MAX as usize)?.to_vec(),
-            },
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        r.finish()?;
-        Ok(msg)
+        inner: Bytes<65535>,
     }
 }
 
@@ -214,41 +135,47 @@ impl MeshRouter {
         if pkt.tier != Tier::Mesh {
             return None;
         }
-        // Fast path: data frames are the backbone's bulk traffic. Transit
-        // nodes forward them as memcpy + hops patch; only the final
+        // Data frames are the backbone's bulk traffic: transit nodes
+        // forward them as memcpy + hops patch; only the final
         // destination copies the inner payload out.
-        if let Some((dst, src, hops)) = peek_data(&pkt.payload) {
-            if dst == ctx.id() {
-                return Some((src, pkt.payload[DATA_HEADER..].to_vec()));
-            }
-            match self.next_hop(ctx.id(), dst) {
-                Some(next) => {
-                    self.forwarded += 1;
-                    let mut buf = ctx.take_scratch();
-                    buf.clear();
-                    buf.extend_from_slice(&pkt.payload);
-                    buf[DATA_HOPS..DATA_HOPS + 4].copy_from_slice(&(hops + 1).to_le_bytes());
-                    ctx.send(Some(next), Tier::Mesh, PacketKind::Data, &buf[..]);
-                    ctx.put_scratch(buf);
+        match MeshMsgView::decode(&pkt.payload).ok()? {
+            MeshMsgView::Data {
+                dst,
+                src,
+                hops,
+                inner,
+            } => {
+                if dst == ctx.id() {
+                    return Some((src, inner.to_vec()));
                 }
-                None => self.dropped += 1,
+                match self.next_hop(ctx.id(), dst) {
+                    Some(next) => {
+                        let mut buf = ctx.take_scratch();
+                        let hops = (hops + 1).to_le_bytes();
+                        let fields = [(layout::Data::hops, &hops[..])];
+                        if codec::patch(&pkt.payload, &fields, &mut buf).is_ok() {
+                            self.forwarded += 1;
+                            ctx.send(Some(next), Tier::Mesh, PacketKind::Data, &buf[..]);
+                        }
+                        ctx.put_scratch(buf);
+                    }
+                    None => self.dropped += 1,
+                }
+                None
             }
-            return None;
-        }
-        let msg = MeshMsg::decode(&pkt.payload).ok()?;
-        match msg {
-            MeshMsg::Hello { from } => {
+            MeshMsgView::Hello { from } => {
                 self.neighbors.insert(from);
                 None
             }
-            MeshMsg::Lsa {
+            MeshMsgView::Lsa {
                 origin,
                 seq,
                 neighbors,
             } => {
                 let fresher = self.lsdb.get(&origin).is_none_or(|(have, _)| seq > *have);
                 if fresher {
-                    self.lsdb.insert(origin, (seq, neighbors));
+                    self.lsdb
+                        .insert(origin, (seq, neighbors.iter().map(NodeId).collect()));
                     // Re-flood the received frame verbatim: re-encoding
                     // the same LSA would produce the same bytes, so an
                     // `Rc` clone of the payload is free and identical.
@@ -256,9 +183,6 @@ impl MeshRouter {
                 }
                 None
             }
-            // Valid data frames were consumed by the peek above; decode
-            // accepts exactly the same set, so this arm is unreachable.
-            MeshMsg::Data { .. } => None,
         }
     }
 

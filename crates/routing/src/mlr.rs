@@ -26,7 +26,7 @@
 //!   ([`crate::table::RoutingTable::purge_via`]).
 
 use crate::table::{Route, RoutingTable};
-use crate::wire::{self, PeekHeader, RoutingMsg, RoutingMsgView};
+use crate::wire::{self, RoutingMsg, RoutingMsgView};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -390,14 +390,20 @@ impl MlrSensor {
         ctx.put_scratch(buf);
     }
 
-    fn handle_rreq(&mut self, ctx: &mut Ctx<'_>, frame: &[u8], origin: NodeId, req_id: u64) {
+    fn handle_rreq(&mut self, ctx: &mut Ctx<'_>, frame: &[u8], msg: RoutingMsgView<'_>) {
+        let RoutingMsgView::Rreq {
+            origin,
+            req_id,
+            path,
+            wanted,
+        } = msg
+        else {
+            return;
+        };
         let me = ctx.id();
         if origin == me || !self.seen_rreq.insert(origin.0, req_id) {
             return;
         }
-        let Ok(RoutingMsgView::Rreq { path, wanted, .. }) = RoutingMsgView::decode(frame) else {
-            return;
-        };
         if path.contains(me.0) {
             return;
         }
@@ -477,7 +483,7 @@ impl MlrSensor {
                 // Nothing answered or stripped: the wanted list is
                 // unchanged, so forward in place (memcpy + append).
                 let mut buf = ctx.take_scratch();
-                if wire::rreq_append_forward(frame, me, &mut buf).is_ok() {
+                if wire::rreq_append_forward(frame, path, me, &mut buf).is_ok() {
                     self.queue_flood(ctx, &buf[..], PacketKind::Control);
                 }
                 ctx.put_scratch(buf);
@@ -507,21 +513,21 @@ impl MlrSensor {
             });
         }
         let mut buf = ctx.take_scratch();
-        if wire::rreq_append_forward(frame, me, &mut buf).is_ok() {
+        if wire::rreq_append_forward(frame, path, me, &mut buf).is_ok() {
             self.queue_flood(ctx, &buf[..], PacketKind::Control);
         }
         ctx.put_scratch(buf);
     }
 
-    fn handle_rrep(&mut self, ctx: &mut Ctx<'_>, frame: &[u8]) {
-        let Ok(RoutingMsgView::Rrep {
+    fn handle_rrep(&mut self, ctx: &mut Ctx<'_>, frame: &[u8], msg: RoutingMsgView<'_>) {
+        let RoutingMsgView::Rrep {
             origin,
             req_id,
             gateway,
             place,
             energy_pm,
             path,
-        }) = RoutingMsgView::decode(frame)
+        } = msg
         else {
             return;
         };
@@ -559,7 +565,9 @@ impl MlrSensor {
                 return;
             }
             self.seen_rrep.insert(key, remaining);
-            let prev = NodeId(path.get(idx - 1).expect("idx > 0"));
+            let Some(prev) = path.get(idx - 1).map(NodeId) else {
+                return;
+            };
             // Fold our own residual level into the bottleneck; the path
             // is relayed untouched, so patch the frame in place.
             let own_pm = (ctx.battery_fraction() * 1000.0) as u16;
@@ -574,15 +582,15 @@ impl MlrSensor {
         }
     }
 
-    fn handle_data(&mut self, ctx: &mut Ctx<'_>, frame: &[u8]) {
-        let Ok(RoutingMsgView::Data {
+    fn handle_data(&mut self, ctx: &mut Ctx<'_>, frame: &[u8], msg: RoutingMsgView<'_>) {
+        let RoutingMsgView::Data {
             origin,
             msg_id,
             gateway,
             place,
             hops,
             ..
-        }) = RoutingMsgView::decode(frame)
+        } = msg
         else {
             return;
         };
@@ -682,23 +690,21 @@ impl MlrSensor {
 
 impl Behavior for MlrSensor {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        // Header peek: classify + validate from fixed offsets so
-        // duplicate floods drop before any path materialises.
-        let Ok(hdr) = wire::peek(&pkt.payload) else {
+        // One decode validates the whole frame; the handlers run on
+        // the borrowed view, so no path materialises.
+        let Ok(msg) = RoutingMsgView::decode(&pkt.payload) else {
             return;
         };
-        match hdr {
-            PeekHeader::Rreq { origin, req_id } => {
-                self.handle_rreq(ctx, &pkt.payload, origin, req_id)
-            }
-            PeekHeader::Rrep { .. } => self.handle_rrep(ctx, &pkt.payload),
-            PeekHeader::Data { .. } => self.handle_data(ctx, &pkt.payload),
-            PeekHeader::Announce {
+        match msg {
+            RoutingMsgView::Rreq { .. } => self.handle_rreq(ctx, &pkt.payload, msg),
+            RoutingMsgView::Rrep { .. } => self.handle_rrep(ctx, &pkt.payload, msg),
+            RoutingMsgView::Data { .. } => self.handle_data(ctx, &pkt.payload, msg),
+            RoutingMsgView::Announce {
                 gateway,
                 place,
                 round,
             } => self.handle_announce(ctx, pkt.payload.clone(), gateway, place, round),
-            PeekHeader::Load { gateway, load, seq } => {
+            RoutingMsgView::Load { gateway, load, seq } => {
                 self.handle_load(ctx, pkt.payload.clone(), gateway, load, seq)
             }
         }
@@ -789,18 +795,19 @@ impl MlrGateway {
 
 impl Behavior for MlrGateway {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let Ok(hdr) = wire::peek(&pkt.payload) else {
+        let Ok(msg) = RoutingMsgView::decode(&pkt.payload) else {
             return;
         };
-        match hdr {
-            PeekHeader::Rreq { origin, req_id } => {
+        match msg {
+            RoutingMsgView::Rreq {
+                origin,
+                req_id,
+                path,
+                ..
+            } => {
                 if !self.seen_rreq.insert(origin.0, req_id) {
                     return;
                 }
-                let Ok(RoutingMsgView::Rreq { path, .. }) = RoutingMsgView::decode(&pkt.payload)
-                else {
-                    return;
-                };
                 let Some(prev) = path.last() else { return };
                 // Answer with the walked path verbatim, assembled from
                 // the RREQ's path bytes — no intermediate clone.
@@ -824,18 +831,14 @@ impl Behavior for MlrGateway {
                 );
                 ctx.put_scratch(buf);
             }
-            PeekHeader::Data { .. } => {
-                let Ok(RoutingMsgView::Data {
-                    origin,
-                    msg_id,
-                    sent_at,
-                    gateway,
-                    hops,
-                    ..
-                }) = RoutingMsgView::decode(&pkt.payload)
-                else {
-                    return;
-                };
+            RoutingMsgView::Data {
+                origin,
+                msg_id,
+                sent_at,
+                gateway,
+                hops,
+                ..
+            } => {
                 if gateway != ctx.id() {
                     return;
                 }

@@ -17,23 +17,27 @@
 
 use std::any::Any;
 use wmsn_sim::{Behavior, Ctx, Packet, PacketKind, Tier};
-use wmsn_util::codec::{DecodeError, Reader, Writer};
+use wmsn_util::codec::Pad;
 use wmsn_util::{NodeId, Point};
 
-const TAG_CHAIN: u8 = 0x70;
-const TAG_LEADER: u8 = 0x71;
+wmsn_util::packet_schema! {
+    /// PEGASIS wire messages. The defining property of PEGASIS is **in-
+    /// network aggregation**: a chain frame is constant-size regardless of
+    /// how many readings it subsumes (the original paper fuses readings into
+    /// one representative value — a max, a mean — at every hop). The frame
+    /// carries the aggregate payload plus bookkeeping: how many readings are
+    /// folded in, the earliest origination time (for latency accounting) and
+    /// the chain hop count.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum PegasisMsg;
+    /// Borrowed decode of a PEGASIS frame.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum PegasisMsgView<'a>;
+    /// Fixed byte offsets of the PEGASIS frames' fields.
+    pub mod layout;
 
-/// PEGASIS wire messages. The defining property of PEGASIS is **in-
-/// network aggregation**: a chain frame is constant-size regardless of
-/// how many readings it subsumes (the original paper fuses readings into
-/// one representative value — a max, a mean — at every hop). The frame
-/// carries the aggregate payload plus bookkeeping: how many readings are
-/// folded in, the earliest origination time (for latency accounting) and
-/// the chain hop count.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum PegasisMsg {
     /// Aggregate moving along the chain toward the leader.
-    Chain {
+    0x70 Chain {
         /// Round this aggregate belongs to.
         round: u32,
         /// Readings fused into this aggregate.
@@ -43,10 +47,10 @@ pub enum PegasisMsg {
         /// Chain hops taken so far.
         hops: u32,
         /// Fused payload size (constant; transmitted as padding).
-        payload_len: u16,
-    },
+        payload_len: Pad,
+    }
     /// The leader's long-range transmission to the sink.
-    Leader {
+    0x71 Leader {
         /// Round.
         round: u32,
         /// Readings represented.
@@ -56,70 +60,7 @@ pub enum PegasisMsg {
         /// Chain hops before the final sink hop.
         hops: u32,
         /// Fused payload size.
-        payload_len: u16,
-    },
-}
-
-impl PegasisMsg {
-    /// Encode.
-    pub fn encode(&self) -> Vec<u8> {
-        let (tag, round, count, first, hops, payload_len) = match self {
-            PegasisMsg::Chain {
-                round,
-                count,
-                first_sent_at,
-                hops,
-                payload_len,
-            } => (TAG_CHAIN, round, count, first_sent_at, hops, payload_len),
-            PegasisMsg::Leader {
-                round,
-                count,
-                first_sent_at,
-                hops,
-                payload_len,
-            } => (TAG_LEADER, round, count, first_sent_at, hops, payload_len),
-        };
-        let mut w = Writer::new();
-        w.u8(tag)
-            .u32(*round)
-            .u16(*count)
-            .u64(*first)
-            .u32(*hops)
-            .u16(*payload_len);
-        for _ in 0..*payload_len {
-            w.u8(0);
-        }
-        w.into_bytes()
-    }
-
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let round = r.u32()?;
-        let count = r.u16()?;
-        let first_sent_at = r.u64()?;
-        let hops = r.u32()?;
-        let payload_len = r.u16()?;
-        let _ = r.raw(payload_len as usize)?;
-        r.finish()?;
-        match tag {
-            TAG_CHAIN => Ok(PegasisMsg::Chain {
-                round,
-                count,
-                first_sent_at,
-                hops,
-                payload_len,
-            }),
-            TAG_LEADER => Ok(PegasisMsg::Leader {
-                round,
-                count,
-                first_sent_at,
-                hops,
-                payload_len,
-            }),
-            t => Err(DecodeError::BadTag(t)),
-        }
+        payload_len: Pad,
     }
 }
 

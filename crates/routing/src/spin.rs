@@ -18,33 +18,36 @@
 use std::any::Any;
 use std::collections::HashSet;
 use wmsn_sim::{Behavior, Ctx, Packet, PacketKind, Tier};
-use wmsn_util::codec::{DecodeError, Reader, Writer};
+use wmsn_util::codec::Pad;
 use wmsn_util::NodeId;
 
-const TAG_ADV: u8 = 0x60;
-const TAG_REQ: u8 = 0x61;
-const TAG_DATA: u8 = 0x62;
+wmsn_util::packet_schema! {
+    /// SPIN wire messages. The *meta-datum* naming a reading is its
+    /// `(origin, msg_id)` pair — 12 bytes against a payload of tens.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum SpinMsg;
+    /// Borrowed decode of a SPIN frame.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum SpinMsgView<'a>;
+    /// Fixed byte offsets of the SPIN frames' fields.
+    pub mod layout;
 
-/// SPIN wire messages. The *meta-datum* naming a reading is its
-/// `(origin, msg_id)` pair — 12 bytes against a payload of tens.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SpinMsg {
     /// "I have new data named (origin, msg_id)."
-    Adv {
+    0x60 Adv {
         /// Original producer of the datum.
         origin: NodeId,
         /// Producer-unique id.
         msg_id: u64,
-    },
+    }
     /// "Send me (origin, msg_id)." Unicast to the advertiser.
-    Req {
+    0x61 Req {
         /// Datum requested.
         origin: NodeId,
         /// Datum requested, id part.
         msg_id: u64,
-    },
+    }
     /// The datum itself. Unicast to the requester.
-    Data {
+    0x62 Data {
         /// Producer.
         origin: NodeId,
         /// Producer-unique id.
@@ -54,74 +57,7 @@ pub enum SpinMsg {
         /// Hops taken so far.
         hops: u32,
         /// Payload padding length.
-        payload_len: u16,
-    },
-}
-
-impl SpinMsg {
-    /// Encode.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            SpinMsg::Adv { origin, msg_id } => {
-                w.u8(TAG_ADV).u32(origin.0).u64(*msg_id);
-            }
-            SpinMsg::Req { origin, msg_id } => {
-                w.u8(TAG_REQ).u32(origin.0).u64(*msg_id);
-            }
-            SpinMsg::Data {
-                origin,
-                msg_id,
-                sent_at,
-                hops,
-                payload_len,
-            } => {
-                w.u8(TAG_DATA)
-                    .u32(origin.0)
-                    .u64(*msg_id)
-                    .u64(*sent_at)
-                    .u32(*hops)
-                    .u16(*payload_len);
-                for _ in 0..*payload_len {
-                    w.u8(0);
-                }
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let msg = match tag {
-            TAG_ADV => SpinMsg::Adv {
-                origin: NodeId(r.u32()?),
-                msg_id: r.u64()?,
-            },
-            TAG_REQ => SpinMsg::Req {
-                origin: NodeId(r.u32()?),
-                msg_id: r.u64()?,
-            },
-            TAG_DATA => {
-                let origin = NodeId(r.u32()?);
-                let msg_id = r.u64()?;
-                let sent_at = r.u64()?;
-                let hops = r.u32()?;
-                let payload_len = r.u16()?;
-                let _ = r.raw(payload_len as usize)?;
-                SpinMsg::Data {
-                    origin,
-                    msg_id,
-                    sent_at,
-                    hops,
-                    payload_len,
-                }
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        r.finish()?;
-        Ok(msg)
+        payload_len: Pad,
     }
 }
 

@@ -21,7 +21,7 @@
 //! The flat single-sink baseline of Fig. 2(a) is SPR with `m = 1`.
 
 use crate::table::{Route, RoutingTable};
-use crate::wire::{self, PeekHeader, RoutingMsg, RoutingMsgView, NO_PLACE};
+use crate::wire::{self, RoutingMsg, RoutingMsgView, NO_PLACE};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -91,8 +91,8 @@ pub struct SprSensor {
     cfg: SprConfig,
     /// Cached routes (cleared each round).
     pub table: RoutingTable,
-    /// Flood duplicate suppression (header-peek fast path: keyed on the
-    /// fixed-offset `(origin, req_id)` before any path materialisation).
+    /// Flood duplicate suppression, keyed on the decoded view's
+    /// `(origin, req_id)` before any path materialisation.
     seen_rreq: SeenTable,
     /// Best RREP relayed per (origin, req, gateway) — reply-storm damping.
     seen_rrep: std::collections::HashMap<(NodeId, u64, NodeId), usize>,
@@ -253,19 +253,24 @@ impl SprSensor {
         }
     }
 
-    /// Shared RREQ handling (also used verbatim by MLR sensors). The
-    /// frame was already structurally validated (and duplicate-checked
-    /// via its peek header) by the caller's `wire::peek`; everything
-    /// here runs on borrowed views plus in-place frame builders, so a
-    /// forwarded flood hop allocates only the frozen `Rc<[u8]>`.
-    fn handle_rreq(&mut self, ctx: &mut Ctx<'_>, frame: &[u8], origin: NodeId, req_id: u64) {
+    /// RREQ handling. `msg` is the caller's validated view of `frame`;
+    /// everything here runs on borrowed views plus in-place frame
+    /// builders, so a forwarded flood hop allocates only the frozen
+    /// `Rc<[u8]>`.
+    fn handle_rreq(&mut self, ctx: &mut Ctx<'_>, frame: &[u8], msg: RoutingMsgView<'_>) {
+        let RoutingMsgView::Rreq {
+            origin,
+            req_id,
+            path,
+            ..
+        } = msg
+        else {
+            return;
+        };
         let me = ctx.id();
         if origin == me || !self.seen_rreq.insert(origin.0, req_id) {
             return;
         }
-        let Ok(RoutingMsgView::Rreq { path, .. }) = RoutingMsgView::decode(frame) else {
-            return;
-        };
         if path.contains(me.0) {
             return; // already walked through us
         }
@@ -310,7 +315,7 @@ impl SprSensor {
         }
         // Otherwise append ourselves in place and keep flooding.
         let mut buf = ctx.take_scratch();
-        if wire::rreq_append_forward(frame, me, &mut buf).is_err() {
+        if wire::rreq_append_forward(frame, path, me, &mut buf).is_err() {
             ctx.put_scratch(buf);
             return;
         }
@@ -328,15 +333,15 @@ impl SprSensor {
         ctx.put_scratch(buf);
     }
 
-    fn handle_rrep(&mut self, ctx: &mut Ctx<'_>, frame: &[u8]) {
-        let Ok(RoutingMsgView::Rrep {
+    fn handle_rrep(&mut self, ctx: &mut Ctx<'_>, frame: &[u8], msg: RoutingMsgView<'_>) {
+        let RoutingMsgView::Rrep {
             origin,
             req_id,
             gateway,
             place,
             energy_pm,
             path,
-        }) = RoutingMsgView::decode(frame)
+        } = msg
         else {
             return;
         };
@@ -377,7 +382,9 @@ impl SprSensor {
                 return;
             }
             self.seen_rrep.insert(key, remaining);
-            let prev = NodeId(path.get(idx - 1).expect("idx > 0"));
+            let Some(prev) = path.get(idx - 1).map(NodeId) else {
+                return;
+            };
             // Fold our own residual level into the bottleneck; the path
             // itself is relayed untouched, so patch the frame in place.
             let own_pm = (ctx.battery_fraction() * 1000.0) as u16;
@@ -392,15 +399,15 @@ impl SprSensor {
         }
     }
 
-    fn handle_data(&mut self, ctx: &mut Ctx<'_>, frame: &[u8]) {
-        let Ok(RoutingMsgView::Data {
+    fn handle_data(&mut self, ctx: &mut Ctx<'_>, frame: &[u8], msg: RoutingMsgView<'_>) {
+        let RoutingMsgView::Data {
             origin,
             msg_id,
             gateway,
             place,
             hops,
             ..
-        }) = RoutingMsgView::decode(frame)
+        } = msg
         else {
             return;
         };
@@ -472,18 +479,16 @@ impl SprSensor {
 
 impl Behavior for SprSensor {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        // Header peek: classify + validate the frame from fixed offsets
-        // so duplicate floods are dropped before any path materialises.
-        let Ok(hdr) = wire::peek(&pkt.payload) else {
+        // One decode validates the whole frame; the handlers run on
+        // the borrowed view, so no path materialises.
+        let Ok(msg) = RoutingMsgView::decode(&pkt.payload) else {
             return;
         };
-        match hdr {
-            PeekHeader::Rreq { origin, req_id } => {
-                self.handle_rreq(ctx, &pkt.payload, origin, req_id)
-            }
-            PeekHeader::Rrep { .. } => self.handle_rrep(ctx, &pkt.payload),
-            PeekHeader::Data { .. } => self.handle_data(ctx, &pkt.payload),
-            PeekHeader::Announce { gateway, round, .. } => {
+        match msg {
+            RoutingMsgView::Rreq { .. } => self.handle_rreq(ctx, &pkt.payload, msg),
+            RoutingMsgView::Rrep { .. } => self.handle_rrep(ctx, &pkt.payload, msg),
+            RoutingMsgView::Data { .. } => self.handle_data(ctx, &pkt.payload, msg),
+            RoutingMsgView::Announce { gateway, round, .. } => {
                 // SPR has no notion of places; just keep the flood moving
                 // so mixed deployments interoperate. The forwarded frame
                 // is byte-identical, so re-flood the shared buffer.
@@ -491,7 +496,7 @@ impl Behavior for SprSensor {
                     self.queue_flood(ctx, pkt.payload.clone());
                 }
             }
-            PeekHeader::Load { .. } => {}
+            RoutingMsgView::Load { .. } => {}
         }
     }
 
@@ -567,20 +572,21 @@ impl Default for SprGateway {
 
 impl Behavior for SprGateway {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let Ok(hdr) = wire::peek(&pkt.payload) else {
+        let Ok(msg) = RoutingMsgView::decode(&pkt.payload) else {
             return;
         };
-        match hdr {
-            PeekHeader::Rreq { origin, req_id } => {
+        match msg {
+            RoutingMsgView::Rreq {
+                origin,
+                req_id,
+                path,
+                ..
+            } => {
                 // Step 3.2: first copy wins (the flood explores in BFS
                 // order, so the first arrival walked a fewest-hop path).
                 if !self.seen_rreq.insert(origin.0, req_id) {
                     return;
                 }
-                let Ok(RoutingMsgView::Rreq { path, .. }) = RoutingMsgView::decode(&pkt.payload)
-                else {
-                    return;
-                };
                 let Some(prev) = path.last() else { return };
                 // Answer with the walked path verbatim — the reply path
                 // is assembled straight from the RREQ's path bytes, no
@@ -605,19 +611,15 @@ impl Behavior for SprGateway {
                 );
                 ctx.put_scratch(buf);
             }
-            PeekHeader::Data { .. } => {
-                let Ok(RoutingMsgView::Data {
-                    origin,
-                    msg_id,
-                    sent_at,
-                    gateway,
-                    hops,
-                    payload_len,
-                    ..
-                }) = RoutingMsgView::decode(&pkt.payload)
-                else {
-                    return;
-                };
+            RoutingMsgView::Data {
+                origin,
+                msg_id,
+                sent_at,
+                gateway,
+                hops,
+                payload_len,
+                ..
+            } => {
                 if gateway != ctx.id() {
                     return;
                 }

@@ -17,29 +17,21 @@
 //!
 //! # Frame layout (see DESIGN.md, "Wire layer")
 //!
-//! Every frame opens with a fixed-offset header — tag at byte 0, the
-//! originating node id at bytes 1..5, and (for flooded kinds) the
-//! originator-unique sequence at bytes 5..13 — so duplicate suppression
-//! can run off [`peek`] without materialising any variable-length field.
+//! The messages are declared once, in the [`packet_schema!`] table
+//! below: a tag and the fields in wire order. The table generates the
+//! owned [`RoutingMsg`] with its encoder, the borrowed [`RoutingMsgView`]
+//! with the one decoder (list fields stay views over the received frame,
+//! so per-hop handling allocates nothing) and the byte offsets in
+//! [`layout`]. Handlers decode a frame once and pass the view down.
+//!
 //! The variable-length `path` is always the **trailing** field, which is
 //! what makes [`rreq_append_forward`] a memcpy + 2-byte count patch +
-//! 4-byte append instead of decode→clone→push→re-encode:
+//! 4-byte append instead of decode→clone→push→re-encode; relays rewrite
+//! the fixed-offset `energy_pm` and `hops` words in place.
 //!
-//! ```text
-//! Rreq     | 1 tag | 4 origin | 8 req_id | 2 wc | 2·wc wanted | 2 pc | 4·pc path |
-//! Rrep     | 1 tag | 4 origin | 8 req_id | 4 gateway | 2 place | 2 energy | 2 pc | 4·pc path |
-//! Data     | 1 tag | 4 origin | 8 msg_id | 8 sent_at | 4 gateway | 2 place | 4 hops | 2 pl | pl pad |
-//! Announce | 1 tag | 4 gateway | 2 place | 4 round |
-//! Load     | 1 tag | 4 gateway | 4 load | 4 seq |
-//! ```
-//!
-//! Two decode surfaces share these layouts: the borrowed
-//! [`RoutingMsgView`] (list fields are `&[u8]`-backed views over the
-//! received frame — per-hop handling allocates nothing) and the owned
-//! [`RoutingMsg`] (for originators and tests), bridged by
-//! [`RoutingMsgView::to_owned`].
+//! [`packet_schema!`]: wmsn_util::packet_schema
 
-use wmsn_util::codec::{DecodeError, IdListView, Reader, U16ListView, Writer};
+use wmsn_util::codec::{self, DecodeError, IdList, IdListView, Pad, U16List};
 use wmsn_util::NodeId;
 
 /// Maximum path length accepted by decoders (sanity bound; fields in the
@@ -49,48 +41,35 @@ pub const MAX_PATH: usize = 512;
 /// Sentinel for "no feasible place" (SPR runs placeless).
 pub const NO_PLACE: u16 = u16::MAX;
 
-const TAG_RREQ: u8 = 1;
-const TAG_RREP: u8 = 2;
-const TAG_DATA: u8 = 3;
-const TAG_ANNOUNCE: u8 = 4;
-const TAG_LOAD: u8 = 5;
+wmsn_util::packet_schema! {
+    /// A routing-layer message (owned representation).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum RoutingMsg;
+    /// Borrowed decode of a routing frame: list fields are zero-copy
+    /// views over the received bytes. Bridge to the owned [`RoutingMsg`]
+    /// with [`RoutingMsgView::to_owned`].
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum RoutingMsgView<'a>;
+    /// Fixed byte offsets of the routing frames' fields.
+    pub mod layout;
 
-// Fixed offsets of the peek header and the patchable fields. The tag is
-// byte 0; `origin`/`gateway` always sits at 1..5 and the flood sequence
-// (req_id / msg_id) at 5..13.
-const OFF_ID: usize = 1;
-const OFF_SEQ: usize = 5;
-const RREQ_WANTED_COUNT: usize = 13;
-const RREQ_WANTED: usize = 15;
-const RREP_GATEWAY: usize = 13;
-const RREP_ENERGY: usize = 19;
-const RREP_PATH_COUNT: usize = 21;
-const DATA_GATEWAY: usize = 21;
-const DATA_HOPS: usize = 27;
-const DATA_PAYLOAD_LEN: usize = 31;
-const DATA_HEADER: usize = 33;
-const ANNOUNCE_LEN: usize = 11;
-const LOAD_LEN: usize = 13;
-
-/// A routing-layer message (owned representation).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum RoutingMsg {
     /// Flooded routing query.
-    Rreq {
+    1 Rreq {
         /// Query originator.
         origin: NodeId,
         /// Originator-unique query id (for duplicate suppression).
         req_id: u64,
-        /// Nodes traversed so far, starting with `origin`.
-        path: Vec<NodeId>,
         /// Feasible places the originator is missing entries for; empty
         /// means "any route welcome" (SPR). Intermediates may answer from
         /// cache only for wanted places — otherwise a cached reply for an
         /// old place would suppress discovery of a newly-occupied one.
-        wanted: Vec<u16>,
-    },
+        wanted: U16List<MAX_PATH>,
+        /// Nodes traversed so far, starting with `origin`. Trailing, so
+        /// forwarders append in place.
+        path: IdList<MAX_PATH>,
+    }
     /// Routing response, relayed back toward `origin`.
-    Rrep {
+    2 Rrep {
         /// Query originator this answers.
         origin: NodeId,
         /// Query id this answers.
@@ -105,10 +84,10 @@ pub enum RoutingMsg {
         /// (the §5.3 balance objective made routable).
         energy_pm: u16,
         /// Full sensor path `origin … last-sensor` (gateway excluded).
-        path: Vec<NodeId>,
-    },
+        path: IdList<MAX_PATH>,
+    }
     /// Application data.
-    Data {
+    3 Data {
         /// Source sensor.
         origin: NodeId,
         /// Source-unique message id.
@@ -121,321 +100,65 @@ pub enum RoutingMsg {
         place: u16,
         /// Radio hops taken so far (incremented by each forwarder).
         hops: u32,
-        /// Application payload size; encoded as that many padding bytes so
+        /// Application payload size; encoded as that many zero bytes so
         /// the energy/latency cost of the frame is realistic.
-        payload_len: u16,
-    },
+        payload_len: Pad,
+    }
     /// Gateway place announcement (MLR round start).
-    Announce {
+    4 Announce {
         /// The gateway announcing.
         gateway: NodeId,
         /// Its (new) feasible place.
         place: u16,
         /// Round number, for duplicate suppression.
         round: u32,
-    },
+    }
     /// Gateway load advertisement (§4.3 extension).
-    Load {
+    5 Load {
         /// The gateway advertising.
         gateway: NodeId,
         /// Packets absorbed during the current window.
         load: u32,
         /// Advertisement sequence number.
         seq: u32,
-    },
-}
-
-/// Borrowed decode of a routing frame: list fields are zero-copy views
-/// over the received bytes, so per-hop handling of RREQ/RREP/Announce/
-/// Load allocates nothing. Bridge to the owned [`RoutingMsg`] with
-/// [`RoutingMsgView::to_owned`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RoutingMsgView<'a> {
-    /// Flooded routing query (see [`RoutingMsg::Rreq`]).
-    Rreq {
-        /// Query originator.
-        origin: NodeId,
-        /// Originator-unique query id.
-        req_id: u64,
-        /// Nodes traversed so far (borrowed).
-        path: IdListView<'a>,
-        /// Wanted feasible places (borrowed).
-        wanted: U16ListView<'a>,
-    },
-    /// Routing response (see [`RoutingMsg::Rrep`]).
-    Rrep {
-        /// Query originator this answers.
-        origin: NodeId,
-        /// Query id this answers.
-        req_id: u64,
-        /// Responding gateway.
-        gateway: NodeId,
-        /// Feasible place of the gateway.
-        place: u16,
-        /// Path energy bottleneck so far (per mille).
-        energy_pm: u16,
-        /// Full sensor path (borrowed).
-        path: IdListView<'a>,
-    },
-    /// Application data (see [`RoutingMsg::Data`]).
-    Data {
-        /// Source sensor.
-        origin: NodeId,
-        /// Source-unique message id.
-        msg_id: u64,
-        /// Origination timestamp (µs).
-        sent_at: u64,
-        /// Destination gateway.
-        gateway: NodeId,
-        /// Destination place.
-        place: u16,
-        /// Radio hops taken so far.
-        hops: u32,
-        /// Application payload size.
-        payload_len: u16,
-    },
-    /// Gateway place announcement (see [`RoutingMsg::Announce`]).
-    Announce {
-        /// The gateway announcing.
-        gateway: NodeId,
-        /// Its (new) feasible place.
-        place: u16,
-        /// Round number.
-        round: u32,
-    },
-    /// Gateway load advertisement (see [`RoutingMsg::Load`]).
-    Load {
-        /// The gateway advertising.
-        gateway: NodeId,
-        /// Packets absorbed during the current window.
-        load: u32,
-        /// Advertisement sequence number.
-        seq: u32,
-    },
-}
-
-/// Fixed-offset header of a routing frame, extracted by [`peek`]. Carries
-/// exactly the fields duplicate suppression and frame classification
-/// need, with no variable-length field materialised.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PeekHeader {
-    /// A structurally valid RREQ.
-    Rreq {
-        /// Query originator.
-        origin: NodeId,
-        /// Originator-unique query id.
-        req_id: u64,
-    },
-    /// A structurally valid RREP.
-    Rrep {
-        /// Query originator this answers.
-        origin: NodeId,
-        /// Query id this answers.
-        req_id: u64,
-        /// Responding gateway.
-        gateway: NodeId,
-    },
-    /// A structurally valid Data frame.
-    Data {
-        /// Source sensor.
-        origin: NodeId,
-        /// Source-unique message id.
-        msg_id: u64,
-        /// Destination gateway.
-        gateway: NodeId,
-    },
-    /// A structurally valid Announce.
-    Announce {
-        /// The gateway announcing.
-        gateway: NodeId,
-        /// Its (new) feasible place.
-        place: u16,
-        /// Round number.
-        round: u32,
-    },
-    /// A structurally valid Load advertisement.
-    Load {
-        /// The gateway advertising.
-        gateway: NodeId,
-        /// Packets absorbed during the current window.
-        load: u32,
-        /// Advertisement sequence number.
-        seq: u32,
-    },
-}
-
-#[inline]
-fn rd_u16(b: &[u8], off: usize) -> Result<u16, DecodeError> {
-    match b.get(off..off + 2) {
-        Some(s) => Ok(u16::from_le_bytes([s[0], s[1]])),
-        None => Err(DecodeError::Truncated {
-            needed: off + 2,
-            remaining: b.len(),
-        }),
     }
 }
 
-#[inline]
-fn rd_u32(b: &[u8], off: usize) -> Result<u32, DecodeError> {
-    match b.get(off..off + 4) {
-        Some(s) => Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]])),
-        None => Err(DecodeError::Truncated {
-            needed: off + 4,
-            remaining: b.len(),
-        }),
-    }
+/// Build the forwarded copy of a decoded RREQ into `out` (a reusable
+/// scratch buffer): memcpy the frame, bump the trailing path count,
+/// append `me`. `path` is the frame's own path view. Everything before
+/// the path count — including the `wanted` list — is copied verbatim,
+/// never re-serialised. Fails if the path is already at [`MAX_PATH`].
+pub fn rreq_append_forward(
+    frame: &[u8],
+    path: IdListView<'_>,
+    me: NodeId,
+    out: &mut Vec<u8>,
+) -> Result<(), DecodeError> {
+    // The path is trailing: its count prefix ends where its ids begin.
+    let at = frame.len().saturating_sub(path.as_bytes().len() + 2);
+    codec::append_id(frame, at, MAX_PATH, me.0, out)
 }
 
-#[inline]
-fn rd_u64(b: &[u8], off: usize) -> Result<u64, DecodeError> {
-    match b.get(off..off + 8) {
-        Some(s) => {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(s);
-            Ok(u64::from_le_bytes(a))
-        }
-        None => Err(DecodeError::Truncated {
-            needed: off + 8,
-            remaining: b.len(),
-        }),
-    }
-}
-
-#[inline]
-fn expect_len(b: &[u8], total: usize) -> Result<(), DecodeError> {
-    if b.len() < total {
-        Err(DecodeError::Truncated {
-            needed: total,
-            remaining: b.len(),
-        })
-    } else if b.len() > total {
-        Err(DecodeError::TrailingBytes(b.len() - total))
-    } else {
-        Ok(())
-    }
-}
-
-/// Read the fixed-offset header of a routing frame *and fully validate
-/// its structure* — length prefixes within bounds, total length exact —
-/// without touching any variable-length field. `peek(b).is_ok()` is
-/// equivalent to `RoutingMsg::decode(b).is_ok()` (every fixed-size field
-/// admits all byte patterns), so a frame accepted here is safe to hand
-/// to the in-place forwarders below, and duplicate suppression keyed on
-/// a peeked header never records a malformed frame as seen.
-pub fn peek(bytes: &[u8]) -> Result<PeekHeader, DecodeError> {
-    let tag = *bytes.first().ok_or(DecodeError::Truncated {
-        needed: 1,
-        remaining: 0,
-    })?;
-    match tag {
-        TAG_RREQ => {
-            let wc = rd_u16(bytes, RREQ_WANTED_COUNT)? as usize;
-            if wc > MAX_PATH {
-                return Err(DecodeError::LengthOutOfRange(wc));
-            }
-            let pc_off = RREQ_WANTED + 2 * wc;
-            let pc = rd_u16(bytes, pc_off)? as usize;
-            if pc > MAX_PATH {
-                return Err(DecodeError::LengthOutOfRange(pc));
-            }
-            expect_len(bytes, pc_off + 2 + 4 * pc)?;
-            Ok(PeekHeader::Rreq {
-                origin: NodeId(rd_u32(bytes, OFF_ID)?),
-                req_id: rd_u64(bytes, OFF_SEQ)?,
-            })
-        }
-        TAG_RREP => {
-            let pc = rd_u16(bytes, RREP_PATH_COUNT)? as usize;
-            if pc > MAX_PATH {
-                return Err(DecodeError::LengthOutOfRange(pc));
-            }
-            expect_len(bytes, RREP_PATH_COUNT + 2 + 4 * pc)?;
-            Ok(PeekHeader::Rrep {
-                origin: NodeId(rd_u32(bytes, OFF_ID)?),
-                req_id: rd_u64(bytes, OFF_SEQ)?,
-                gateway: NodeId(rd_u32(bytes, RREP_GATEWAY)?),
-            })
-        }
-        TAG_DATA => {
-            let pl = rd_u16(bytes, DATA_PAYLOAD_LEN)? as usize;
-            expect_len(bytes, DATA_HEADER + pl)?;
-            Ok(PeekHeader::Data {
-                origin: NodeId(rd_u32(bytes, OFF_ID)?),
-                msg_id: rd_u64(bytes, OFF_SEQ)?,
-                gateway: NodeId(rd_u32(bytes, DATA_GATEWAY)?),
-            })
-        }
-        TAG_ANNOUNCE => {
-            expect_len(bytes, ANNOUNCE_LEN)?;
-            Ok(PeekHeader::Announce {
-                gateway: NodeId(rd_u32(bytes, OFF_ID)?),
-                place: rd_u16(bytes, OFF_ID + 4)?,
-                round: rd_u32(bytes, OFF_ID + 6)?,
-            })
-        }
-        TAG_LOAD => {
-            expect_len(bytes, LOAD_LEN)?;
-            Ok(PeekHeader::Load {
-                gateway: NodeId(rd_u32(bytes, OFF_ID)?),
-                load: rd_u32(bytes, OFF_ID + 4)?,
-                seq: rd_u32(bytes, OFF_ID + 8)?,
-            })
-        }
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-/// Build the forwarded copy of an RREQ into `out` (a reusable scratch
-/// buffer) without decoding: memcpy the frame, bump the trailing path
-/// count, append `me`. Satellite invariant: everything before the path
-/// count — including the `wanted` list — is copied verbatim, never
-/// re-serialised. Fails on structurally invalid frames, non-RREQ tags,
-/// or a path already at [`MAX_PATH`].
-pub fn rreq_append_forward(frame: &[u8], me: NodeId, out: &mut Vec<u8>) -> Result<(), DecodeError> {
-    if !matches!(peek(frame)?, PeekHeader::Rreq { .. }) {
-        return Err(DecodeError::BadTag(frame[0]));
-    }
-    let wc = rd_u16(frame, RREQ_WANTED_COUNT)? as usize;
-    let pc_off = RREQ_WANTED + 2 * wc;
-    let pc = rd_u16(frame, pc_off)?;
-    if pc as usize + 1 > MAX_PATH {
-        return Err(DecodeError::LengthOutOfRange(pc as usize + 1));
-    }
-    out.clear();
-    out.reserve(frame.len() + 4);
-    out.extend_from_slice(frame);
-    out[pc_off..pc_off + 2].copy_from_slice(&(pc + 1).to_le_bytes());
-    out.extend_from_slice(&me.0.to_le_bytes());
-    Ok(())
-}
-
-/// Build the relayed copy of an RREP into `out`: memcpy the frame and
-/// patch the energy-bottleneck field. The path is untouched (relays do
-/// not append on the return trip). Fails on non-RREP frames.
+/// Build the relayed copy of a decoded RREP into `out`: memcpy the
+/// frame and patch the energy-bottleneck field. The path is untouched
+/// (relays do not append on the return trip).
 pub fn rrep_energy_patch(
     frame: &[u8],
     energy_pm: u16,
     out: &mut Vec<u8>,
 ) -> Result<(), DecodeError> {
-    if !matches!(peek(frame)?, PeekHeader::Rrep { .. }) {
-        return Err(DecodeError::BadTag(frame[0]));
-    }
-    out.clear();
-    out.extend_from_slice(frame);
-    out[RREP_ENERGY..RREP_ENERGY + 2].copy_from_slice(&energy_pm.to_le_bytes());
-    Ok(())
+    codec::patch(
+        frame,
+        &[(layout::Rrep::energy_pm, &energy_pm.to_le_bytes())],
+        out,
+    )
 }
 
-/// Build the forwarded copy of a Data frame into `out`: memcpy the frame
-/// and overwrite the hop counter. Fails on non-Data frames.
+/// Build the forwarded copy of a decoded Data frame into `out`: memcpy
+/// the frame and overwrite the hop counter.
 pub fn data_hops_patch(frame: &[u8], hops: u32, out: &mut Vec<u8>) -> Result<(), DecodeError> {
-    if !matches!(peek(frame)?, PeekHeader::Data { .. }) {
-        return Err(DecodeError::BadTag(frame[0]));
-    }
-    out.clear();
-    out.extend_from_slice(frame);
-    out[DATA_HOPS..DATA_HOPS + 4].copy_from_slice(&hops.to_le_bytes());
-    Ok(())
+    codec::patch(frame, &[(layout::Data::hops, &hops.to_le_bytes())], out)
 }
 
 /// Encode an RREP into `out` whose path is `prefix ++ [me]? ++ relays`,
@@ -457,250 +180,39 @@ pub fn encode_rrep_into(
     let count = prefix.len() + usize::from(me.is_some()) + relays.len();
     debug_assert!(count <= MAX_PATH);
     out.clear();
-    out.reserve(RREP_PATH_COUNT + 2 + 4 * count);
-    out.push(TAG_RREP);
-    out.extend_from_slice(&origin.0.to_le_bytes());
-    out.extend_from_slice(&req_id.to_le_bytes());
-    out.extend_from_slice(&gateway.0.to_le_bytes());
-    out.extend_from_slice(&place.to_le_bytes());
-    out.extend_from_slice(&energy_pm.to_le_bytes());
-    out.extend_from_slice(&(count as u16).to_le_bytes());
+    out.reserve(layout::Rrep::path + 2 + 4 * count);
+    // The fixed fields and an empty path, then the path ids appended
+    // with the count patched to match.
+    RoutingMsg::Rrep {
+        origin,
+        req_id,
+        gateway,
+        place,
+        energy_pm,
+        path: Vec::new(),
+    }
+    .encode_into(out);
     out.extend_from_slice(prefix.as_bytes());
-    if let Some(id) = me {
+    for id in me.iter().chain(relays) {
         out.extend_from_slice(&id.0.to_le_bytes());
     }
-    for r in relays {
-        out.extend_from_slice(&r.0.to_le_bytes());
-    }
+    let at = layout::Rrep::path;
+    out[at..at + 2].copy_from_slice(&(count as u16).to_le_bytes());
 }
 
 /// Whether the conceptual path `prefix ++ [me] ++ relays` visits every
 /// node at most once. Allocation-free pairwise scan — paths are tens of
 /// entries, so O(n²) beats building a `HashSet` per candidate reply.
 pub fn path_with_suffix_is_unique(prefix: IdListView<'_>, me: NodeId, relays: &[NodeId]) -> bool {
-    let plen = prefix.len();
-    let n = plen + 1 + relays.len();
-    let at = |i: usize| -> u32 {
-        if i < plen {
-            prefix.get(i).expect("index < len")
-        } else if i == plen {
-            me.0
-        } else {
-            relays[i - plen - 1].0
-        }
+    let ids = || {
+        prefix
+            .iter()
+            .chain(std::iter::once(me.0))
+            .chain(relays.iter().map(|r| r.0))
     };
-    for i in 0..n {
-        let v = at(i);
-        for j in i + 1..n {
-            if v == at(j) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn write_ids(w: &mut Writer, ids: &[NodeId]) {
-    let raw: Vec<u32> = ids.iter().map(|n| n.0).collect();
-    w.id_list(&raw);
-}
-
-impl<'a> RoutingMsgView<'a> {
-    /// Borrowed decode from bytes — list fields stay views over `bytes`.
-    pub fn decode(bytes: &'a [u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let msg = match tag {
-            TAG_RREQ => {
-                let origin = NodeId(r.u32()?);
-                let req_id = r.u64()?;
-                let wanted = r.u16_list_view(MAX_PATH)?;
-                let path = r.id_list_view(MAX_PATH)?;
-                RoutingMsgView::Rreq {
-                    origin,
-                    req_id,
-                    path,
-                    wanted,
-                }
-            }
-            TAG_RREP => RoutingMsgView::Rrep {
-                origin: NodeId(r.u32()?),
-                req_id: r.u64()?,
-                gateway: NodeId(r.u32()?),
-                place: r.u16()?,
-                energy_pm: r.u16()?,
-                path: r.id_list_view(MAX_PATH)?,
-            },
-            TAG_DATA => {
-                let origin = NodeId(r.u32()?);
-                let msg_id = r.u64()?;
-                let sent_at = r.u64()?;
-                let gateway = NodeId(r.u32()?);
-                let place = r.u16()?;
-                let hops = r.u32()?;
-                let payload_len = r.u16()?;
-                let _pad = r.raw(payload_len as usize)?;
-                RoutingMsgView::Data {
-                    origin,
-                    msg_id,
-                    sent_at,
-                    gateway,
-                    place,
-                    hops,
-                    payload_len,
-                }
-            }
-            TAG_ANNOUNCE => RoutingMsgView::Announce {
-                gateway: NodeId(r.u32()?),
-                place: r.u16()?,
-                round: r.u32()?,
-            },
-            TAG_LOAD => RoutingMsgView::Load {
-                gateway: NodeId(r.u32()?),
-                load: r.u32()?,
-                seq: r.u32()?,
-            },
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        r.finish()?;
-        Ok(msg)
-    }
-
-    /// Materialise the owned [`RoutingMsg`].
-    pub fn to_owned(&self) -> RoutingMsg {
-        match *self {
-            RoutingMsgView::Rreq {
-                origin,
-                req_id,
-                path,
-                wanted,
-            } => RoutingMsg::Rreq {
-                origin,
-                req_id,
-                path: path.iter().map(NodeId).collect(),
-                wanted: wanted.to_vec(),
-            },
-            RoutingMsgView::Rrep {
-                origin,
-                req_id,
-                gateway,
-                place,
-                energy_pm,
-                path,
-            } => RoutingMsg::Rrep {
-                origin,
-                req_id,
-                gateway,
-                place,
-                energy_pm,
-                path: path.iter().map(NodeId).collect(),
-            },
-            RoutingMsgView::Data {
-                origin,
-                msg_id,
-                sent_at,
-                gateway,
-                place,
-                hops,
-                payload_len,
-            } => RoutingMsg::Data {
-                origin,
-                msg_id,
-                sent_at,
-                gateway,
-                place,
-                hops,
-                payload_len,
-            },
-            RoutingMsgView::Announce {
-                gateway,
-                place,
-                round,
-            } => RoutingMsg::Announce {
-                gateway,
-                place,
-                round,
-            },
-            RoutingMsgView::Load { gateway, load, seq } => RoutingMsg::Load { gateway, load, seq },
-        }
-    }
-}
-
-impl RoutingMsg {
-    /// Encode to bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(32);
-        match self {
-            RoutingMsg::Rreq {
-                origin,
-                req_id,
-                path,
-                wanted,
-            } => {
-                w.u8(TAG_RREQ).u32(origin.0).u64(*req_id);
-                w.u16(wanted.len() as u16);
-                for &p in wanted {
-                    w.u16(p);
-                }
-                // Path last: forwarders append in place (see module docs).
-                write_ids(&mut w, path);
-            }
-            RoutingMsg::Rrep {
-                origin,
-                req_id,
-                gateway,
-                place,
-                energy_pm,
-                path,
-            } => {
-                w.u8(TAG_RREP)
-                    .u32(origin.0)
-                    .u64(*req_id)
-                    .u32(gateway.0)
-                    .u16(*place)
-                    .u16(*energy_pm);
-                write_ids(&mut w, path);
-            }
-            RoutingMsg::Data {
-                origin,
-                msg_id,
-                sent_at,
-                gateway,
-                place,
-                hops,
-                payload_len,
-            } => {
-                w.u8(TAG_DATA)
-                    .u32(origin.0)
-                    .u64(*msg_id)
-                    .u64(*sent_at)
-                    .u32(gateway.0)
-                    .u16(*place)
-                    .u32(*hops)
-                    .u16(*payload_len);
-                // Padding bytes standing in for the sensed payload.
-                for _ in 0..*payload_len {
-                    w.u8(0);
-                }
-            }
-            RoutingMsg::Announce {
-                gateway,
-                place,
-                round,
-            } => {
-                w.u8(TAG_ANNOUNCE).u32(gateway.0).u16(*place).u32(*round);
-            }
-            RoutingMsg::Load { gateway, load, seq } => {
-                w.u8(TAG_LOAD).u32(gateway.0).u32(*load).u32(*seq);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode from bytes (owned; delegates to the borrowed decoder).
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        RoutingMsgView::decode(bytes).map(|v| v.to_owned())
-    }
+    ids()
+        .enumerate()
+        .all(|(i, v)| ids().skip(i + 1).all(|w| w != v))
 }
 
 #[cfg(test)]
@@ -862,107 +374,46 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_decode_fields() {
-        let bytes = sample_rreq().encode();
-        assert_eq!(
-            peek(&bytes).unwrap(),
-            PeekHeader::Rreq {
-                origin: NodeId(7),
-                req_id: 99
-            }
-        );
-
-        let bytes = RoutingMsg::Rrep {
-            origin: NodeId(7),
-            req_id: 99,
-            gateway: NodeId(100),
-            place: 4,
-            energy_pm: 512,
-            path: vec![NodeId(7)],
-        }
-        .encode();
-        assert_eq!(
-            peek(&bytes).unwrap(),
-            PeekHeader::Rrep {
-                origin: NodeId(7),
-                req_id: 99,
-                gateway: NodeId(100)
-            }
-        );
-
-        let bytes = RoutingMsg::Data {
-            origin: NodeId(2),
-            msg_id: 5,
-            sent_at: 77,
-            gateway: NodeId(50),
-            place: 3,
-            hops: 2,
-            payload_len: 8,
-        }
-        .encode();
-        assert_eq!(
-            peek(&bytes).unwrap(),
-            PeekHeader::Data {
-                origin: NodeId(2),
-                msg_id: 5,
-                gateway: NodeId(50)
-            }
-        );
-
-        let bytes = RoutingMsg::Announce {
-            gateway: NodeId(9),
-            place: 2,
-            round: 14,
-        }
-        .encode();
-        assert_eq!(
-            peek(&bytes).unwrap(),
-            PeekHeader::Announce {
-                gateway: NodeId(9),
-                place: 2,
-                round: 14
-            }
-        );
-
-        let bytes = RoutingMsg::Load {
-            gateway: NodeId(9),
-            load: 512,
-            seq: 3,
-        }
-        .encode();
-        assert_eq!(
-            peek(&bytes).unwrap(),
-            PeekHeader::Load {
-                gateway: NodeId(9),
-                load: 512,
-                seq: 3
-            }
-        );
+    fn layout_offsets_match_the_documented_frame_layout() {
+        // Tag at 0, origin/gateway at 1..5, the flood sequence at 5..13.
+        assert_eq!(layout::Rreq::origin, 1);
+        assert_eq!((layout::Rreq::req_id, layout::Rreq::wanted), (5, 13));
+        assert_eq!((layout::Rrep::gateway, layout::Rrep::energy_pm), (13, 19));
+        assert_eq!(layout::Rrep::path, 21);
+        assert_eq!((layout::Data::msg_id, layout::Data::gateway), (5, 21));
+        assert_eq!((layout::Data::hops, layout::Data::payload_len), (27, 31));
+        assert_eq!((layout::Announce::place, layout::Announce::round), (5, 7));
+        assert_eq!((layout::Load::load, layout::Load::seq), (5, 9));
     }
 
     #[test]
-    fn peek_accepts_exactly_what_decode_accepts() {
-        // Every truncation prefix of a valid frame must be rejected by
-        // BOTH surfaces (never a panic or an over-read).
+    fn decode_rejects_every_truncation_and_extension() {
+        // Every truncation prefix of a valid frame must be rejected
+        // (never a panic or an over-read).
         let bytes = sample_rreq().encode();
         for cut in 0..bytes.len() {
-            assert!(peek(&bytes[..cut]).is_err(), "peek accepted prefix {cut}");
             assert!(
-                RoutingMsg::decode(&bytes[..cut]).is_err(),
+                RoutingMsgView::decode(&bytes[..cut]).is_err(),
                 "decode accepted prefix {cut}"
             );
         }
         let mut extended = bytes.clone();
         extended.push(0);
-        assert!(peek(&extended).is_err());
-        assert!(RoutingMsg::decode(&extended).is_err());
+        assert!(RoutingMsgView::decode(&extended).is_err());
+    }
+
+    fn rreq_path(frame: &[u8]) -> IdListView<'_> {
+        let Ok(RoutingMsgView::Rreq { path, .. }) = RoutingMsgView::decode(frame) else {
+            panic!("not an RREQ");
+        };
+        path
     }
 
     #[test]
     fn append_forward_equals_decode_push_reencode() {
         let frame = sample_rreq().encode();
         let mut out = Vec::new();
-        rreq_append_forward(&frame, NodeId(55), &mut out).unwrap();
+        rreq_append_forward(&frame, rreq_path(&frame), NodeId(55), &mut out).unwrap();
 
         let RoutingMsg::Rreq {
             origin,
@@ -982,13 +433,14 @@ mod tests {
         }
         .encode();
         assert_eq!(out, expected);
-        // Satellite invariant: the wanted region is copied verbatim,
-        // byte-for-byte — never re-serialised on forward.
-        assert_eq!(&out[..RREQ_WANTED + 4], &frame[..RREQ_WANTED + 4]);
+        // The wanted region is copied verbatim, byte-for-byte — never
+        // re-serialised on forward.
+        let wanted_end = layout::Rreq::wanted + 2 + 4;
+        assert_eq!(&out[..wanted_end], &frame[..wanted_end]);
     }
 
     #[test]
-    fn append_forward_rejects_full_or_malformed() {
+    fn append_forward_rejects_a_full_path() {
         let full = RoutingMsg::Rreq {
             origin: NodeId(0),
             req_id: 0,
@@ -997,15 +449,30 @@ mod tests {
         }
         .encode();
         let mut out = Vec::new();
-        assert!(rreq_append_forward(&full, NodeId(9), &mut out).is_err());
-        assert!(rreq_append_forward(&full[..10], NodeId(9), &mut out).is_err());
-        let not_rreq = RoutingMsg::Load {
-            gateway: NodeId(9),
-            load: 1,
-            seq: 1,
+        assert_eq!(
+            rreq_append_forward(&full, rreq_path(&full), NodeId(9), &mut out),
+            Err(DecodeError::LengthOutOfRange(MAX_PATH + 1))
+        );
+    }
+
+    #[test]
+    fn non_zero_padding_is_rejected() {
+        let mut bytes = RoutingMsg::Data {
+            origin: NodeId(2),
+            msg_id: 5,
+            sent_at: 77,
+            gateway: NodeId(50),
+            place: 3,
+            hops: 2,
+            payload_len: 8,
         }
         .encode();
-        assert!(rreq_append_forward(&not_rreq, NodeId(9), &mut out).is_err());
+        assert!(RoutingMsgView::decode(&bytes).is_ok());
+        bytes[layout::Data::payload_len + 2 + 7] = 1;
+        assert_eq!(
+            RoutingMsgView::decode(&bytes),
+            Err(DecodeError::NonZeroPadding)
+        );
     }
 
     #[test]
@@ -1063,9 +530,7 @@ mod tests {
     #[test]
     fn encode_rrep_into_equals_owned_encode() {
         let rreq = sample_rreq().encode();
-        let RoutingMsgView::Rreq { path, .. } = RoutingMsgView::decode(&rreq).unwrap() else {
-            unreachable!()
-        };
+        let path = rreq_path(&rreq);
         let mut out = Vec::new();
         encode_rrep_into(
             &mut out,
@@ -1100,9 +565,7 @@ mod tests {
     #[test]
     fn path_uniqueness_matches_hashset_semantics() {
         let rreq = sample_rreq().encode(); // path 7, 3, 12
-        let RoutingMsgView::Rreq { path, .. } = RoutingMsgView::decode(&rreq).unwrap() else {
-            unreachable!()
-        };
+        let path = rreq_path(&rreq);
         assert!(path_with_suffix_is_unique(path, NodeId(55), &[NodeId(60)]));
         // me collides with the prefix
         assert!(!path_with_suffix_is_unique(path, NodeId(3), &[]));

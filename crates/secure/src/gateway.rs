@@ -12,15 +12,15 @@
 //! `path_ij = min_k |path_ij(k)|` — the collection step that makes
 //! artificially shortened (sinkhole-style) paths lose to genuine ones.
 
-use crate::wire::{announce_plaintext, req_plaintext, res_plaintext, SecMsg};
+use crate::wire::{announce_plaintext, req_plaintext, res_plaintext, SecMsg, SecMsgView};
 use std::any::Any;
 use std::collections::HashMap;
 use wmsn_crypto::hash::hash;
 use wmsn_crypto::keys::{derive_key, labels, CounterSet, Key128};
 use wmsn_crypto::tesla::TeslaBroadcaster;
-use wmsn_crypto::{open, seal, KeyStore, ReplayGuard};
+use wmsn_crypto::{open, seal, KeyStore, ReplayGuard, SealedMessage};
 use wmsn_sim::{Behavior, Ctx, Packet, PacketKind, SimTime, Tier};
-use wmsn_util::codec::Reader;
+use wmsn_util::codec::{Field, Reader};
 use wmsn_util::{NodeId, Point};
 
 const TIMER_COLLECT: u64 = 0x5EC4;
@@ -220,8 +220,8 @@ impl SecMlrGateway {
         ctx.set_timer(self.cfg.tesla_interval_us, TIMER_DISCLOSE);
     }
 
-    fn handle_rreq(&mut self, ctx: &mut Ctx<'_>, msg: SecMsg) {
-        let SecMsg::Rreq {
+    fn handle_rreq(&mut self, ctx: &mut Ctx<'_>, msg: SecMsgView<'_>) {
+        let SecMsgView::Rreq {
             origin,
             req_id,
             path,
@@ -233,7 +233,7 @@ impl SecMlrGateway {
         let me = ctx.id();
         // Candidate path sanity: must start at the claimed origin, end
         // adjacent to us, and repeat no node.
-        let valid_shape = path.first() == Some(&origin) && {
+        let valid_shape = path.get(0) == Some(origin.0) && {
             let set: std::collections::HashSet<_> = path.iter().collect();
             set.len() == path.len()
         };
@@ -241,7 +241,7 @@ impl SecMlrGateway {
             self.stats.rreq_rejected += 1;
             return;
         }
-        let mut full = path;
+        let mut full: Vec<NodeId> = path.iter().map(NodeId).collect();
         full.push(me);
         // Wormhole guard: a tunnelled query claims adjacency between
         // nodes that cannot hear each other; discard such candidates.
@@ -258,7 +258,7 @@ impl SecMlrGateway {
             return;
         }
         // First copy: verify the section addressed to us.
-        let Some(section) = sections.iter().find(|s| s.gateway == me) else {
+        let Some((_, sealed)) = sections.iter().find(|&(gateway, _)| gateway == me) else {
             self.stats.rreq_rejected += 1;
             return;
         };
@@ -266,7 +266,7 @@ impl SecMlrGateway {
             self.stats.rreq_rejected += 1;
             return;
         };
-        let Some(plain) = open(&key, &section.sealed) else {
+        let Some(plain) = open(&key, &SealedMessage::own(sealed)) else {
             self.stats.rreq_rejected += 1;
             return;
         };
@@ -274,7 +274,7 @@ impl SecMlrGateway {
             self.stats.rreq_rejected += 1;
             return;
         }
-        if !self.replay.accept(origin.0, section.sealed.counter) {
+        if !self.replay.accept(origin.0, sealed.counter) {
             self.stats.rreq_rejected += 1;
             return;
         }
@@ -335,8 +335,8 @@ impl SecMlrGateway {
         }
     }
 
-    fn handle_data(&mut self, ctx: &mut Ctx<'_>, msg: SecMsg) {
-        let SecMsg::Data {
+    fn handle_data(&mut self, ctx: &mut Ctx<'_>, msg: SecMsgView<'_>) {
+        let SecMsgView::Data {
             source,
             destination,
             ir,
@@ -355,7 +355,7 @@ impl SecMlrGateway {
             self.stats.data_rejected += 1;
             return;
         };
-        let Some(plain) = open(&key, &sealed) else {
+        let Some(plain) = open(&key, &SealedMessage::own(sealed)) else {
             self.stats.data_rejected += 1;
             return;
         };
@@ -380,12 +380,12 @@ impl Behavior for SecMlrGateway {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let Ok(msg) = SecMsg::decode(&pkt.payload) else {
+        let Ok(msg) = SecMsgView::decode(&pkt.payload) else {
             return;
         };
         match msg {
-            m @ SecMsg::Rreq { .. } => self.handle_rreq(ctx, m),
-            m @ SecMsg::Data { .. } => self.handle_data(ctx, m),
+            SecMsgView::Rreq { .. } => self.handle_rreq(ctx, msg),
+            SecMsgView::Data { .. } => self.handle_data(ctx, msg),
             _ => {}
         }
     }

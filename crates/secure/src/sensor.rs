@@ -9,8 +9,8 @@
 //! only along gateway-authenticated 4-tuple entries.
 
 use crate::wire::{
-    announce_plaintext, req_plaintext, sdata_forward_patch, sdata_peek, QuerySection, SecMsg,
-    SrreqView,
+    announce_plaintext, req_plaintext, sdata_forward_patch, srreq_append_forward, QuerySection,
+    SecMsg, SecMsgView,
 };
 use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -308,25 +308,31 @@ impl SecMlrSensor {
         }
     }
 
-    fn handle_rreq(&mut self, ctx: &mut Ctx<'_>, frame: &[u8]) {
-        // The view validates the whole frame (path and every sealed
-        // section) without materialising either, so duplicate and loop
-        // checks run allocation-free.
-        let Ok(view) = SrreqView::decode(frame) else {
+    fn handle_rreq(&mut self, ctx: &mut Ctx<'_>, frame: &[u8], msg: SecMsgView<'_>) {
+        // The view (validated whole, path and every sealed section, by
+        // the caller's decode) materialises neither, so duplicate and
+        // loop checks run allocation-free.
+        let SecMsgView::Rreq {
+            origin,
+            req_id,
+            path,
+            ..
+        } = msg
+        else {
             return;
         };
         let me = ctx.id();
-        if view.origin == me || !self.seen_rreq.insert(view.origin.0, view.req_id) {
+        if origin == me || !self.seen_rreq.insert(origin.0, req_id) {
             return;
         }
-        if view.path.contains(me.0) {
+        if path.contains(me.0) {
             return;
         }
         // Intermediates cannot verify or answer — append and re-flood.
         // The sealed sections pass through byte-for-byte.
         self.stats.rreq_forwarded += 1;
         let mut buf = ctx.take_scratch();
-        if view.append_forward(me, &mut buf).is_ok() {
+        if srreq_append_forward(frame, me, &mut buf).is_ok() {
             self.queue_flood(ctx, &buf[..], PacketKind::Control);
         }
         ctx.put_scratch(buf);
@@ -371,13 +377,9 @@ impl SecMlrSensor {
                 }
                 let req_id = r.u64().ok()?;
                 let sealed_place = r.u16().ok()?;
-                let ids: Vec<NodeId> = r
-                    .id_list(crate::wire::MAX_PATH)
-                    .ok()?
-                    .into_iter()
-                    .map(NodeId)
-                    .collect();
-                Some(req_id < self.next_req_id && sealed_place == place && ids == path)
+                let ids = r.id_list_view(crate::wire::MAX_PATH).ok()?;
+                let same_path = ids.iter().eq(path.iter().map(|n| n.0));
+                Some(req_id < self.next_req_id && sealed_place == place && same_path)
             })()
             .unwrap_or(false);
             if !ok {
@@ -407,11 +409,18 @@ impl SecMlrSensor {
         }
     }
 
-    fn handle_data(&mut self, ctx: &mut Ctx<'_>, frame: &[u8]) {
-        // RI header peek: the sealed envelope is never opened (or even
-        // copied out) on transit nodes — forwarding rewrites the three
-        // RI words in place.
-        let Some((source, destination, ir, hops)) = sdata_peek(frame) else {
+    fn handle_data(&mut self, ctx: &mut Ctx<'_>, frame: &[u8], msg: SecMsgView<'_>) {
+        // The sealed envelope is never opened (or even copied out) on
+        // transit nodes — forwarding rewrites the three RI words in
+        // place.
+        let SecMsgView::Data {
+            source,
+            destination,
+            ir,
+            hops,
+            ..
+        } = msg
+        else {
             return;
         };
         let me = ctx.id();
@@ -424,8 +433,9 @@ impl SecMlrSensor {
         };
         self.stats.data_forwarded += 1;
         let mut buf = ctx.take_scratch();
-        sdata_forward_patch(frame, me, next, hops + 1, &mut buf);
-        ctx.send(Some(next), Tier::Sensor, PacketKind::Data, &buf[..]);
+        if sdata_forward_patch(frame, me, next, hops + 1, &mut buf).is_ok() {
+            ctx.send(Some(next), Tier::Sensor, PacketKind::Data, &buf[..]);
+        }
         ctx.put_scratch(buf);
     }
 
@@ -544,23 +554,17 @@ pub fn parse_announce_plaintext(plain: &[u8]) -> Option<(NodeId, u16, u32)> {
 
 impl Behavior for SecMlrSensor {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        // Fast paths for the bulk traffic: flooded queries and relayed
-        // data are handled from the raw frame (their handlers validate
-        // it themselves) without materialising the sealed envelope.
-        match pkt.payload.first() {
-            Some(&crate::wire::TAG_SRREQ) => return self.handle_rreq(ctx, &pkt.payload),
-            Some(&crate::wire::TAG_SDATA) => return self.handle_data(ctx, &pkt.payload),
-            _ => {}
-        }
-        let Ok(msg) = SecMsg::decode(&pkt.payload) else {
+        let Ok(msg) = SecMsgView::decode(&pkt.payload) else {
             return;
         };
+        // The bulk traffic — flooded queries and relayed data — runs on
+        // the view without materialising the sealed envelope.
         match msg {
-            m @ SecMsg::Rres { .. } => self.handle_rres(ctx, m, &pkt.payload),
-            m @ SecMsg::Announce { .. } => self.handle_announce(ctx, m, &pkt.payload),
-            m @ SecMsg::Disclose { .. } => self.handle_disclose(ctx, m, &pkt.payload),
-            // Queries and data were consumed by the fast paths above.
-            SecMsg::Rreq { .. } | SecMsg::Data { .. } => {}
+            SecMsgView::Rreq { .. } => self.handle_rreq(ctx, &pkt.payload, msg),
+            SecMsgView::Data { .. } => self.handle_data(ctx, &pkt.payload, msg),
+            SecMsgView::Rres { .. } => self.handle_rres(ctx, msg.to_owned(), &pkt.payload),
+            SecMsgView::Announce { .. } => self.handle_announce(ctx, msg.to_owned(), &pkt.payload),
+            SecMsgView::Disclose { .. } => self.handle_disclose(ctx, msg.to_owned(), &pkt.payload),
         }
     }
 

@@ -1,5 +1,11 @@
 //! SecMLR wire formats — the concrete byte layouts of Figs. 4–6.
 //!
+//! The five messages are declared once, in the [`packet_schema!`] table
+//! below; it generates the owned [`SecMsg`] with its encoder, the
+//! borrowed [`SecMsgView`] with the one decoder (paths, query sections
+//! and sealed sections stay in the received frame) and the byte offsets
+//! in [`layout`].
+//!
 //! Design notes carried over from the paper:
 //!
 //! * The `path` field of a query/response is **plaintext**: intermediate
@@ -11,21 +17,18 @@
 //!   fails to relay (and the minimum-hop collection at the gateway makes
 //!   inflated paths lose).
 //! * The RI header of DATA (Fig. 6) — source, destination, immediate
-//!   sender, immediate receiver — is plaintext and rewritten hop by hop;
-//!   payload confidentiality and integrity come from the sealed section.
+//!   sender, immediate receiver — is plaintext at fixed offsets and
+//!   rewritten hop by hop; payload confidentiality and integrity come
+//!   from the sealed section, which transit nodes never open.
 //! * Counters ride in clear and are authenticated inside the MAC
 //!   ([`wmsn_crypto::envelope`]).
+//!
+//! [`packet_schema!`]: wmsn_util::packet_schema
 
 use wmsn_crypto::mac::Tag;
-use wmsn_crypto::SealedMessage;
-use wmsn_util::codec::{DecodeError, IdListView, Reader, Writer};
+use wmsn_crypto::{SealedMessage, SealedView};
+use wmsn_util::codec::{self, DecodeError, Field, IdList, List, Reader, Writer};
 use wmsn_util::NodeId;
-
-pub(crate) const TAG_SRREQ: u8 = 0x50;
-const TAG_SRRES: u8 = 0x51;
-pub(crate) const TAG_SDATA: u8 = 0x52;
-const TAG_SANNOUNCE: u8 = 0x53;
-const TAG_SDISCLOSE: u8 = 0x54;
 
 /// Maximum accepted path length.
 pub const MAX_PATH: usize = 512;
@@ -40,23 +43,54 @@ pub struct QuerySection {
     pub sealed: SealedMessage,
 }
 
-/// A SecMLR message.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SecMsg {
+/// On the air a section is its gateway id followed by its sealed `req`;
+/// viewed as that pair.
+impl Field for QuerySection {
+    type Owned = QuerySection;
+    type View<'a> = (NodeId, SealedView<'a>);
+    const SIZE: Option<usize> = None;
+    #[inline(always)]
+    fn read<'a>(r: &mut Reader<'a>) -> Result<Self::View<'a>, DecodeError> {
+        <(NodeId, SealedMessage)>::read(r)
+    }
+    #[inline]
+    fn write(w: &mut Writer, s: &QuerySection) {
+        NodeId::write(w, &s.gateway);
+        SealedMessage::write(w, &s.sealed);
+    }
+    fn own((gateway, sealed): Self::View<'_>) -> QuerySection {
+        QuerySection {
+            gateway,
+            sealed: SealedMessage::own(sealed),
+        }
+    }
+}
+
+wmsn_util::packet_schema! {
+    /// A SecMLR message.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum SecMsg;
+    /// Borrowed decode of a SecMLR frame: paths, query sections and
+    /// sealed sections are views over the received bytes.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum SecMsgView<'a>;
+    /// Fixed byte offsets of the SecMLR frames' fields.
+    pub mod layout;
+
     /// Flooded routing query (Fig. 4).
-    Rreq {
+    0x50 Rreq {
         /// Query origin.
         origin: NodeId,
         /// Origin-unique query id (plaintext; the authenticated copy is
         /// inside each sealed section).
         req_id: u64,
         /// Path walked so far, starting at `origin`.
-        path: Vec<NodeId>,
+        path: IdList<MAX_PATH>,
         /// One sealed section per target gateway.
-        sections: Vec<QuerySection>,
-    },
+        sections: List<QuerySection, 256>,
+    }
     /// Routing response (Fig. 5), relayed back along `path`.
-    Rres {
+    0x51 Rres {
         /// Origin the response answers.
         origin: NodeId,
         /// Responding gateway.
@@ -64,12 +98,12 @@ pub enum SecMsg {
         /// Gateway's feasible place.
         place: u16,
         /// The chosen minimum-hop path `[origin, …, gateway]`.
-        path: Vec<NodeId>,
+        path: IdList<MAX_PATH>,
         /// Sealed `res` (authenticates req_id, place and the path).
         sealed: SealedMessage,
-    },
+    }
     /// Data (Fig. 6): RI header + sealed payload.
-    Data {
+    0x52 Data {
         /// RI: source sensor.
         source: NodeId,
         /// RI: destination gateway.
@@ -82,9 +116,9 @@ pub enum SecMsg {
         hops: u32,
         /// Sealed application payload.
         sealed: SealedMessage,
-    },
+    }
     /// μTESLA-authenticated gateway move announcement (§6.2.3).
-    Announce {
+    0x53 Announce {
         /// Moving gateway.
         gateway: NodeId,
         /// New place.
@@ -95,307 +129,48 @@ pub enum SecMsg {
         interval: u64,
         /// μTESLA MAC over (gateway, place, round).
         tesla_tag: Tag,
-    },
+    }
     /// μTESLA delayed key disclosure.
-    Disclose {
+    0x54 Disclose {
         /// Disclosing gateway.
         gateway: NodeId,
         /// Interval whose key is disclosed.
         interval: u64,
         /// The chain key.
         key: [u8; 16],
-    },
-}
-
-fn write_sealed(w: &mut Writer, s: &SealedMessage) {
-    w.u64(s.counter);
-    w.bytes(&s.ciphertext);
-    w.raw(&s.tag.0);
-}
-
-fn read_sealed(r: &mut Reader<'_>) -> Result<SealedMessage, DecodeError> {
-    let counter = r.u64()?;
-    let ciphertext = r.bytes(u16::MAX as usize)?.to_vec();
-    let mut tag = [0u8; 8];
-    tag.copy_from_slice(r.raw(8)?);
-    Ok(SealedMessage {
-        counter,
-        ciphertext,
-        tag: Tag(tag),
-    })
-}
-
-fn write_ids(w: &mut Writer, ids: &[NodeId]) {
-    let raw: Vec<u32> = ids.iter().map(|n| n.0).collect();
-    w.id_list(&raw);
-}
-
-fn read_ids(r: &mut Reader<'_>) -> Result<Vec<NodeId>, DecodeError> {
-    Ok(r.id_list(MAX_PATH)?.into_iter().map(NodeId).collect())
-}
-
-impl SecMsg {
-    /// Encode to bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(64);
-        match self {
-            SecMsg::Rreq {
-                origin,
-                req_id,
-                path,
-                sections,
-            } => {
-                w.u8(TAG_SRREQ).u32(origin.0).u64(*req_id);
-                write_ids(&mut w, path);
-                w.u16(sections.len() as u16);
-                for s in sections {
-                    w.u32(s.gateway.0);
-                    write_sealed(&mut w, &s.sealed);
-                }
-            }
-            SecMsg::Rres {
-                origin,
-                gateway,
-                place,
-                path,
-                sealed,
-            } => {
-                w.u8(TAG_SRRES).u32(origin.0).u32(gateway.0).u16(*place);
-                write_ids(&mut w, path);
-                write_sealed(&mut w, sealed);
-            }
-            SecMsg::Data {
-                source,
-                destination,
-                is,
-                ir,
-                hops,
-                sealed,
-            } => {
-                w.u8(TAG_SDATA)
-                    .u32(source.0)
-                    .u32(destination.0)
-                    .u32(is.0)
-                    .u32(ir.0)
-                    .u32(*hops);
-                write_sealed(&mut w, sealed);
-            }
-            SecMsg::Announce {
-                gateway,
-                place,
-                round,
-                interval,
-                tesla_tag,
-            } => {
-                w.u8(TAG_SANNOUNCE)
-                    .u32(gateway.0)
-                    .u16(*place)
-                    .u32(*round)
-                    .u64(*interval)
-                    .raw(&tesla_tag.0);
-            }
-            SecMsg::Disclose {
-                gateway,
-                interval,
-                key,
-            } => {
-                w.u8(TAG_SDISCLOSE).u32(gateway.0).u64(*interval).raw(key);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode from bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let msg = match tag {
-            TAG_SRREQ => {
-                let origin = NodeId(r.u32()?);
-                let req_id = r.u64()?;
-                let path = read_ids(&mut r)?;
-                let n = r.u16()? as usize;
-                if n > 256 {
-                    return Err(DecodeError::LengthOutOfRange(n));
-                }
-                let mut sections = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let gateway = NodeId(r.u32()?);
-                    let sealed = read_sealed(&mut r)?;
-                    sections.push(QuerySection { gateway, sealed });
-                }
-                SecMsg::Rreq {
-                    origin,
-                    req_id,
-                    path,
-                    sections,
-                }
-            }
-            TAG_SRRES => SecMsg::Rres {
-                origin: NodeId(r.u32()?),
-                gateway: NodeId(r.u32()?),
-                place: r.u16()?,
-                path: read_ids(&mut r)?,
-                sealed: read_sealed(&mut r)?,
-            },
-            TAG_SDATA => SecMsg::Data {
-                source: NodeId(r.u32()?),
-                destination: NodeId(r.u32()?),
-                is: NodeId(r.u32()?),
-                ir: NodeId(r.u32()?),
-                hops: r.u32()?,
-                sealed: read_sealed(&mut r)?,
-            },
-            TAG_SANNOUNCE => {
-                let gateway = NodeId(r.u32()?);
-                let place = r.u16()?;
-                let round = r.u32()?;
-                let interval = r.u64()?;
-                let mut t = [0u8; 8];
-                t.copy_from_slice(r.raw(8)?);
-                SecMsg::Announce {
-                    gateway,
-                    place,
-                    round,
-                    interval,
-                    tesla_tag: Tag(t),
-                }
-            }
-            TAG_SDISCLOSE => {
-                let gateway = NodeId(r.u32()?);
-                let interval = r.u64()?;
-                let mut key = [0u8; 16];
-                key.copy_from_slice(r.raw(16)?);
-                SecMsg::Disclose {
-                    gateway,
-                    interval,
-                    key,
-                }
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        r.finish()?;
-        Ok(msg)
     }
 }
 
-/// Byte offset of the SRREQ path count (`| 1 tag | 4 origin | 8 req_id |
-/// 2 path_count | …`).
-const SRREQ_PATH_COUNT: usize = 13;
-
-/// Fixed offsets of the SDATA RI header (`| 1 tag | 4 source | 4 dst |
-/// 4 is | 4 ir | 4 hops | sealed |`) and the start of the sealed section
-/// (`| 8 counter | 2 clen | clen ciphertext | 8 mac |`).
-const SDATA_IS: usize = 9;
-const SDATA_IR: usize = 13;
-const SDATA_HOPS: usize = 17;
-const SDATA_CLEN: usize = 29;
-const SDATA_MIN: usize = 39;
-
-/// A structurally validated, zero-copy view of a flooded SRREQ.
-///
-/// `decode` walks the whole frame — path bounds, section count, every
-/// sealed section's length fields, exact total length — so it accepts
-/// precisely the frames [`SecMsg::decode`] accepts as `Rreq`, without
-/// materialising the path or the sealed sections. Intermediates use it
-/// for duplicate suppression and loop detection before any allocation.
-pub struct SrreqView<'a> {
-    /// Query origin.
-    pub origin: NodeId,
-    /// Origin-unique query id.
-    pub req_id: u64,
-    /// Borrowed path walked so far.
-    pub path: IdListView<'a>,
-    /// Offset where the sealed sections begin (end of the path field).
-    sections_off: usize,
-    frame: &'a [u8],
+/// Build the frame an intermediate re-floods — the received SRREQ with
+/// `me` appended to its path — as two memcpys around the appended id,
+/// patching the path count in place. The sealed sections pass through
+/// byte-for-byte (envelope passthrough); no section is decoded, so the
+/// result is identical to decode → `path.push(me)` → re-encode.
+pub fn srreq_append_forward(
+    frame: &[u8],
+    me: NodeId,
+    out: &mut Vec<u8>,
+) -> Result<(), DecodeError> {
+    codec::append_id(frame, layout::Rreq::path, MAX_PATH, me.0, out)
 }
 
-impl<'a> SrreqView<'a> {
-    /// Validate and borrow an SRREQ frame.
-    pub fn decode(bytes: &'a [u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        if tag != TAG_SRREQ {
-            return Err(DecodeError::BadTag(tag));
-        }
-        let origin = NodeId(r.u32()?);
-        let req_id = r.u64()?;
-        let path = r.id_list_view(MAX_PATH)?;
-        let sections_off = bytes.len() - r.remaining();
-        let n = r.u16()? as usize;
-        if n > 256 {
-            return Err(DecodeError::LengthOutOfRange(n));
-        }
-        for _ in 0..n {
-            let _gateway = r.u32()?;
-            let _counter = r.u64()?;
-            let _ciphertext = r.bytes(u16::MAX as usize)?;
-            let _tag = r.raw(8)?;
-        }
-        r.finish()?;
-        Ok(SrreqView {
-            origin,
-            req_id,
-            path,
-            sections_off,
-            frame: bytes,
-        })
-    }
-
-    /// Build the frame an intermediate re-floods — the received frame
-    /// with `me` appended to the path — as two memcpys around the
-    /// appended id, patching the path count in place. The sealed
-    /// sections pass through byte-for-byte (envelope passthrough); no
-    /// section is ever decoded, so the result is identical to decode →
-    /// `path.push(me)` → re-encode.
-    pub fn append_forward(&self, me: NodeId, out: &mut Vec<u8>) -> Result<(), DecodeError> {
-        let pc = self.path.len();
-        if pc + 1 > MAX_PATH {
-            return Err(DecodeError::LengthOutOfRange(pc + 1));
-        }
-        out.clear();
-        out.reserve(self.frame.len() + 4);
-        out.extend_from_slice(&self.frame[..self.sections_off]);
-        out[SRREQ_PATH_COUNT..SRREQ_PATH_COUNT + 2]
-            .copy_from_slice(&((pc + 1) as u16).to_le_bytes());
-        out.extend_from_slice(&me.0.to_le_bytes());
-        out.extend_from_slice(&self.frame[self.sections_off..]);
-        Ok(())
-    }
-}
-
-/// Read the RI header of an SDATA frame from its fixed-offset prefix,
-/// validating the full structure (the declared ciphertext length must
-/// account for the frame exactly). Returns `(source, destination, ir,
-/// hops)` for precisely the frames [`SecMsg::decode`] accepts as `Data`.
-pub fn sdata_peek(b: &[u8]) -> Option<(NodeId, NodeId, NodeId, u32)> {
-    if b.len() < SDATA_MIN || b[0] != TAG_SDATA {
-        return None;
-    }
-    let clen = u16::from_le_bytes(b[SDATA_CLEN..SDATA_CLEN + 2].try_into().unwrap()) as usize;
-    if b.len() != SDATA_MIN + clen {
-        return None;
-    }
-    let source = NodeId(u32::from_le_bytes(b[1..5].try_into().unwrap()));
-    let destination = NodeId(u32::from_le_bytes(b[5..9].try_into().unwrap()));
-    let ir = NodeId(u32::from_le_bytes(
-        b[SDATA_IR..SDATA_IR + 4].try_into().unwrap(),
-    ));
-    let hops = u32::from_le_bytes(b[SDATA_HOPS..SDATA_HOPS + 4].try_into().unwrap());
-    Some((source, destination, ir, hops))
-}
-
-/// Rewrite an SDATA frame for the next hop: copy it into `out` and patch
-/// the immediate-sender, immediate-receiver and hop fields in place. The
-/// sealed payload is untouched, so the result is byte-identical to
-/// decode → rewrite RI → re-encode.
-pub fn sdata_forward_patch(frame: &[u8], is: NodeId, ir: NodeId, hops: u32, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(frame);
-    out[SDATA_IS..SDATA_IS + 4].copy_from_slice(&is.0.to_le_bytes());
-    out[SDATA_IR..SDATA_IR + 4].copy_from_slice(&ir.0.to_le_bytes());
-    out[SDATA_HOPS..SDATA_HOPS + 4].copy_from_slice(&hops.to_le_bytes());
+/// Rewrite a decoded SDATA frame for the next hop: copy it into `out`
+/// and patch the immediate-sender, immediate-receiver and hop fields in
+/// place. The sealed payload is untouched, so the result is
+/// byte-identical to decode → rewrite RI → re-encode.
+pub fn sdata_forward_patch(
+    frame: &[u8],
+    is: NodeId,
+    ir: NodeId,
+    hops: u32,
+    out: &mut Vec<u8>,
+) -> Result<(), DecodeError> {
+    let fields: [(usize, &[u8]); 3] = [
+        (layout::Data::is, &is.0.to_le_bytes()),
+        (layout::Data::ir, &ir.0.to_le_bytes()),
+        (layout::Data::hops, &hops.to_le_bytes()),
+    ];
+    codec::patch(frame, &fields, out)
 }
 
 /// The authenticated content of a `req` section: binds the query id so a
@@ -411,7 +186,7 @@ pub fn req_plaintext(req_id: u64, origin: NodeId) -> Vec<u8> {
 pub fn res_plaintext(req_id: u64, place: u16, path: &[NodeId]) -> Vec<u8> {
     let mut w = Writer::with_capacity(16 + 4 * path.len());
     w.u8(b'R').u64(req_id).u16(place);
-    write_ids(&mut w, path);
+    w.id_list(path);
     w.into_bytes()
 }
 
@@ -515,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn srreq_view_matches_owned_decode_and_rejects_what_decode_rejects() {
+    fn srreq_view_matches_owned_decode_and_rejects_every_truncation() {
         let msg = SecMsg::Rreq {
             origin: NodeId(7),
             req_id: 42,
@@ -532,19 +307,28 @@ mod tests {
             ],
         };
         let bytes = msg.encode();
-        let view = SrreqView::decode(&bytes).unwrap();
-        assert_eq!(view.origin, NodeId(7));
-        assert_eq!(view.req_id, 42);
-        assert_eq!(view.path.iter().collect::<Vec<_>>(), vec![7, 3]);
-        // Every truncation prefix fails for both decoders; so does a
-        // trailing byte.
+        let view = SecMsgView::decode(&bytes).unwrap();
+        let SecMsgView::Rreq {
+            origin,
+            req_id,
+            path,
+            sections,
+        } = view
+        else {
+            panic!("not an RREQ: {view:?}");
+        };
+        assert_eq!((origin, req_id), (NodeId(7), 42));
+        assert_eq!(path.iter().collect::<Vec<_>>(), vec![7, 3]);
+        let gateways: Vec<NodeId> = sections.iter().map(|(g, _)| g).collect();
+        assert_eq!(gateways, vec![NodeId(100), NodeId(101)]);
+        assert_eq!(view.to_owned(), msg);
+        // Every truncation prefix fails; so does a trailing byte.
         for cut in 0..bytes.len() {
-            assert!(SrreqView::decode(&bytes[..cut]).is_err());
-            assert!(SecMsg::decode(&bytes[..cut]).is_err());
+            assert!(SecMsgView::decode(&bytes[..cut]).is_err());
         }
         let mut long = bytes.clone();
         long.push(0);
-        assert!(SrreqView::decode(&long).is_err());
+        assert!(SecMsgView::decode(&long).is_err());
     }
 
     #[test]
@@ -560,10 +344,7 @@ mod tests {
         };
         let bytes = msg.encode();
         let mut out = Vec::new();
-        SrreqView::decode(&bytes)
-            .unwrap()
-            .append_forward(NodeId(9), &mut out)
-            .unwrap();
+        srreq_append_forward(&bytes, NodeId(9), &mut out).unwrap();
         let expected = SecMsg::Rreq {
             origin: NodeId(7),
             req_id: 42,
@@ -578,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn sdata_peek_and_forward_patch_equal_decode_and_reencode() {
+    fn sdata_view_and_forward_patch_equal_decode_and_reencode() {
         let msg = SecMsg::Data {
             source: NodeId(1),
             destination: NodeId(100),
@@ -588,15 +369,21 @@ mod tests {
             sealed: sealed(),
         };
         let bytes = msg.encode();
-        assert_eq!(
-            sdata_peek(&bytes),
-            Some((NodeId(1), NodeId(100), NodeId(3), 2))
-        );
+        assert!(matches!(
+            SecMsgView::decode(&bytes),
+            Ok(SecMsgView::Data {
+                source: NodeId(1),
+                destination: NodeId(100),
+                ir: NodeId(3),
+                hops: 2,
+                ..
+            })
+        ));
         for cut in 0..bytes.len() {
-            assert_eq!(sdata_peek(&bytes[..cut]), None);
+            assert!(SecMsgView::decode(&bytes[..cut]).is_err());
         }
         let mut out = Vec::new();
-        sdata_forward_patch(&bytes, NodeId(3), NodeId(4), 3, &mut out);
+        sdata_forward_patch(&bytes, NodeId(3), NodeId(4), 3, &mut out).unwrap();
         let expected = SecMsg::Data {
             source: NodeId(1),
             destination: NodeId(100),
@@ -607,6 +394,11 @@ mod tests {
         }
         .encode();
         assert_eq!(out, expected);
+        // The RI words sit where the pre-schema layout put them.
+        assert_eq!(
+            (layout::Data::is, layout::Data::ir, layout::Data::hops),
+            (9, 13, 17)
+        );
     }
 
     #[test]
@@ -614,7 +406,7 @@ mod tests {
         // Craft a header claiming 300 sections.
         let mut w = Writer::new();
         w.u8(0x50).u32(1).u64(1);
-        w.id_list(&[1]);
+        w.id_list(&[NodeId(1)]);
         w.u16(300);
         assert!(matches!(
             SecMsg::decode(&w.into_bytes()),

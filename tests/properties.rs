@@ -10,8 +10,11 @@ use wmsn::crypto::hash::hash as wh;
 use wmsn::crypto::{open, seal, Key128, TeslaBroadcaster, TeslaReceiver};
 use wmsn::routing::optimal_lifetime_rounds;
 use wmsn::routing::table::{Route, RoutingTable};
-use wmsn::routing::wire::{peek, PeekHeader, RoutingMsg, RoutingMsgView, MAX_PATH, NO_PLACE};
-use wmsn::secure::wire::SecMsg;
+use wmsn::routing::wire::{
+    data_hops_patch, layout, rrep_energy_patch, rreq_append_forward, RoutingMsg, RoutingMsgView,
+    MAX_PATH, NO_PLACE,
+};
+use wmsn::secure::wire::{SecMsg, SecMsgView};
 use wmsn::topology::connectivity::{is_connected, HopField};
 use wmsn::topology::control::{critical_range, gaf_sleep_schedule};
 use wmsn::topology::places::FeasiblePlaces;
@@ -52,8 +55,8 @@ fn routing_wire_decode_never_panics() {
         let bytes = arb_bytes(&mut r, 0, 256);
         let _ = RoutingMsg::decode(&bytes);
         let _ = RoutingMsgView::decode(&bytes);
-        let _ = peek(&bytes);
         let _ = SecMsg::decode(&bytes);
+        let _ = SecMsgView::decode(&bytes);
     }
 }
 
@@ -102,81 +105,89 @@ fn arb_routing_msg(r: &mut SplitMix64) -> RoutingMsg {
     }
 }
 
+fn u32_at(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
+}
+
+fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
+}
+
+/// The one decoder agrees with the owned encoder, the layout's fixed
+/// offsets hold the fields it decoded, and every in-place builder
+/// equals decode → change the field → re-encode.
 #[test]
-fn borrowed_views_and_peek_match_owned_decode_on_random_frames() {
+fn borrowed_views_match_owned_decode_on_random_frames() {
     let mut r = rng_for(16);
     for _ in 0..CASES {
         let msg = arb_routing_msg(&mut r);
         let bytes = msg.encode();
         let view = RoutingMsgView::decode(&bytes).expect("valid frame must decode as a view");
         assert_eq!(view.to_owned(), msg, "view decode must equal owned decode");
-        let header = peek(&bytes).expect("peek must accept what decode accepts");
-        match (&msg, header) {
+        let mut out = Vec::new();
+        let mut changed = msg.clone();
+        match (&mut changed, view) {
             (
-                RoutingMsg::Rreq { origin, req_id, .. },
-                PeekHeader::Rreq {
-                    origin: o,
-                    req_id: q,
+                RoutingMsg::Rreq {
+                    origin,
+                    req_id,
+                    path,
+                    ..
+                },
+                RoutingMsgView::Rreq {
+                    path: view_path, ..
                 },
             ) => {
-                assert_eq!((*origin, *req_id), (o, q));
+                assert_eq!(u32_at(&bytes, layout::Rreq::origin), origin.0);
+                assert_eq!(u64_at(&bytes, layout::Rreq::req_id), *req_id);
+                rreq_append_forward(&bytes, view_path, NodeId(4242), &mut out).unwrap();
+                path.push(NodeId(4242));
             }
             (
                 RoutingMsg::Rrep {
                     origin,
                     req_id,
                     gateway,
+                    energy_pm,
                     ..
                 },
-                PeekHeader::Rrep {
-                    origin: o,
-                    req_id: q,
-                    gateway: g,
-                },
+                _,
             ) => {
-                assert_eq!((*origin, *req_id, *gateway), (o, q, g));
+                assert_eq!(u32_at(&bytes, layout::Rrep::origin), origin.0);
+                assert_eq!(u64_at(&bytes, layout::Rrep::req_id), *req_id);
+                assert_eq!(u32_at(&bytes, layout::Rrep::gateway), gateway.0);
+                rrep_energy_patch(&bytes, 123, &mut out).unwrap();
+                *energy_pm = 123;
             }
             (
                 RoutingMsg::Data {
                     origin,
                     msg_id,
                     gateway,
+                    hops,
                     ..
                 },
-                PeekHeader::Data {
-                    origin: o,
-                    msg_id: m,
-                    gateway: g,
-                },
+                _,
             ) => {
-                assert_eq!((*origin, *msg_id, *gateway), (o, m, g));
+                assert_eq!(u32_at(&bytes, layout::Data::origin), origin.0);
+                assert_eq!(u64_at(&bytes, layout::Data::msg_id), *msg_id);
+                assert_eq!(u32_at(&bytes, layout::Data::gateway), gateway.0);
+                data_hops_patch(&bytes, hops.wrapping_add(1), &mut out).unwrap();
+                *hops = hops.wrapping_add(1);
             }
-            (
-                RoutingMsg::Announce {
-                    gateway,
-                    place,
-                    round,
-                },
-                PeekHeader::Announce {
-                    gateway: g,
-                    place: p,
-                    round: rd,
-                },
-            ) => {
-                assert_eq!((*gateway, *place, *round), (g, p, rd));
+            (RoutingMsg::Announce { gateway, round, .. }, _) => {
+                assert_eq!(u32_at(&bytes, layout::Announce::gateway), gateway.0);
+                assert_eq!(u32_at(&bytes, layout::Announce::round), *round);
+                out = bytes.clone();
             }
-            (
-                RoutingMsg::Load { gateway, load, seq },
-                PeekHeader::Load {
-                    gateway: g,
-                    load: l,
-                    seq: s,
-                },
-            ) => {
-                assert_eq!((*gateway, *load, *seq), (g, l, s));
+            (RoutingMsg::Load { gateway, seq, .. }, _) => {
+                assert_eq!(u32_at(&bytes, layout::Load::gateway), gateway.0);
+                assert_eq!(u32_at(&bytes, layout::Load::seq), *seq);
+                out = bytes.clone();
             }
-            (m, h) => panic!("peek kind mismatch: {m:?} vs {h:?}"),
+            (m, v) => panic!("view kind mismatch: {m:?} vs {v:?}"),
         }
+        assert_eq!(out, changed.encode(), "in-place builder of {msg:?}");
     }
 }
 
@@ -191,12 +202,10 @@ fn borrowed_decoder_rejects_every_truncation_without_panicking() {
                 RoutingMsgView::decode(&bytes[..cut]).is_err(),
                 "truncation to {cut} bytes must not decode"
             );
-            assert!(peek(&bytes[..cut]).is_err());
         }
         let mut long = bytes.clone();
         long.push(r.next_u64_raw() as u8);
         assert!(RoutingMsgView::decode(&long).is_err(), "trailing byte");
-        assert!(peek(&long).is_err());
     }
 }
 
@@ -212,7 +221,6 @@ fn oversized_path_counts_are_rejected_before_any_allocation() {
         let bytes = w.into_bytes();
         for result in [
             RoutingMsgView::decode(&bytes).map(|_| ()),
-            peek(&bytes).map(|_| ()),
             RoutingMsg::decode(&bytes).map(|_| ()),
         ] {
             assert!(
@@ -230,12 +238,10 @@ fn oversized_path_counts_are_rejected_before_any_allocation() {
             .u16(500)
             .u16(claimed as u16);
         let bytes = w.into_bytes();
-        for result in [
-            RoutingMsgView::decode(&bytes).map(|_| ()),
-            peek(&bytes).map(|_| ()),
-        ] {
-            assert!(matches!(result, Err(DecodeError::LengthOutOfRange(n)) if n == claimed));
-        }
+        assert!(matches!(
+            RoutingMsgView::decode(&bytes),
+            Err(DecodeError::LengthOutOfRange(n)) if n == claimed
+        ));
     }
 }
 
