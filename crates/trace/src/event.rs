@@ -14,7 +14,7 @@
 //! two, so a new variant or field is one table row, not a change to
 //! every codec.
 
-use crate::parse::{get, Value};
+use crate::parse::Value;
 use wmsn_util::json::Json;
 use wmsn_util::NodeId;
 
@@ -477,21 +477,34 @@ impl Visit for JsonFields {
     }
 }
 
-/// The JSONL reader: fields looked up by key in a parsed line.
-struct JsonRecord<'a>(&'a [(String, Value)]);
+/// The JSONL reader: fields looked up by key in a parsed line. `used`
+/// marks the keys a field has read, so [`Source::end`] can reject the
+/// keys none did.
+struct JsonRecord<'a> {
+    rec: &'a [(String, Value)],
+    used: u64,
+}
 
-impl JsonRecord<'_> {
-    fn value(&self, key: &str) -> Result<&Value, String> {
-        get(self.0, key).ok_or_else(|| format!("missing field '{key}'"))
+impl<'a> JsonRecord<'a> {
+    fn value(&mut self, key: &str) -> Result<&'a Value, String> {
+        let i = self
+            .rec
+            .iter()
+            .position(|(k, _)| k == key)
+            .ok_or_else(|| format!("missing field '{key}'"))?;
+        if i < 64 {
+            self.used |= 1 << i;
+        }
+        Ok(&self.rec[i].1)
     }
 
-    fn str(&self, key: &str) -> Result<&str, String> {
+    fn str(&mut self, key: &str) -> Result<&'a str, String> {
         self.value(key)?
             .as_str()
             .ok_or_else(|| format!("missing string field '{key}'"))
     }
 
-    fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+    fn int<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, String> {
         let n = self
             .value(key)?
             .as_u64()
@@ -499,7 +512,7 @@ impl JsonRecord<'_> {
         T::try_from(n).map_err(|_| format!("field '{key}' out of range"))
     }
 
-    fn named<E>(&self, key: &str, from_name: fn(&str) -> Option<E>) -> Result<E, String> {
+    fn named<E>(&mut self, key: &str, from_name: fn(&str) -> Option<E>) -> Result<E, String> {
         let s = self.str(key)?;
         from_name(s).ok_or_else(|| format!("unknown {key} '{s}'"))
     }
@@ -548,7 +561,11 @@ impl Source for JsonRecord<'_> {
         self.named(name, DropCause::from_name)
     }
     fn end(&mut self) -> Result<(), String> {
-        Ok(())
+        let unread = (0..self.rec.len()).find(|&i| i >= 64 || self.used & (1 << i) == 0);
+        match unread {
+            Some(i) => Err(format!("unknown field '{}'", self.rec[i].0)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -576,7 +593,7 @@ impl TraceEvent {
     /// monitor's offline mode). Unknown event names and missing or
     /// mistyped fields are hard errors, same discipline as the parser.
     pub fn from_record(rec: &[(String, Value)]) -> Result<TraceEvent, String> {
-        let mut rec = JsonRecord(rec);
+        let mut rec = JsonRecord { rec, used: 0 };
         let ev = rec.str("ev")?;
         let tag = NAMES
             .iter()
@@ -752,6 +769,15 @@ mod tests {
         )
         .is_err());
         assert!(TraceEvent::from_json_line("not json").is_err());
+        // Keys are unique and every key is a field of the event.
+        for line in [
+            r#"{"ev":"rx","t":2,"seq":2,"node":3,"node":9}"#,
+            r#"{"ev":"rx","t":2,"seq":2,"node":3,"hops":1}"#,
+            r#"{"ev":"rx","t":2,"t":2,"seq":2,"node":3}"#,
+        ] {
+            assert!(TraceEvent::from_json_line(line).is_err(), "{line}");
+        }
+        assert!(TraceEvent::from_json_line(r#"{"seq":2,"node":3,"ev":"rx","t":2}"#).is_ok());
         // Every field is required and typed, bools included.
         for forwarded in ["", r#","forwarded":1"#, r#","forwarded":null"#] {
             let line =

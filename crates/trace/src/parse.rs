@@ -195,6 +195,9 @@ pub fn parse_line(line: &str) -> Result<Record, String> {
         loop {
             p.skip_ws();
             let key = p.string()?;
+            if rec.iter().any(|(k, _)| *k == key) {
+                return Err(p.err(&format!("duplicate key '{key}'")));
+            }
             p.skip_ws();
             p.expect(b':')?;
             let val = p.value()?;
@@ -247,6 +250,8 @@ mod tests {
         assert!(parse_line(r#"{"a":1} extra"#).is_err());
         assert!(parse_line("not json").is_err());
         assert!(parse_line("{}").unwrap().is_empty());
+        let err = parse_line(r#"{"a":1,"b":2,"a":1}"#).unwrap_err();
+        assert!(err.contains("duplicate key 'a'"), "{err}");
     }
 
     #[test]
