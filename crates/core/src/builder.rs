@@ -26,25 +26,18 @@ use wmsn_util::{NodeId, Point, SplitMix64};
 
 /// Draw `field`'s sensor deployment from `rng`, redrawing until the
 /// unit-disk graph is connected when the field asks for it: a
-/// disconnected draw would bias every delivery and hop figure. Panics
-/// after `max_draws` disconnected draws.
-pub(crate) fn draw_sensors(
-    field: &FieldParams,
-    rng: &mut SplitMix64,
-    max_draws: usize,
-) -> Vec<Point> {
+/// disconnected draw would bias every delivery and hop figure. Sparse
+/// fields may take many draws; a field that can never connect never
+/// returns.
+pub(crate) fn draw_sensors(field: &FieldParams, rng: &mut SplitMix64) -> Vec<Point> {
     use wmsn_topology::connectivity::is_connected;
     use wmsn_util::geom::unit_disk_adjacency;
-    for _ in 0..max_draws {
+    loop {
         let pts = field.deployment.generate(field.field, rng);
         if !field.require_connected || is_connected(&unit_disk_adjacency(&pts, field.range_m)) {
             return pts;
         }
     }
-    panic!(
-        "could not draw a connected {}-sensor field at range {} in {max_draws} attempts",
-        field.n_sensors, field.range_m
-    );
 }
 
 /// A built scenario, ready for a [`crate::drivers::RoundDriver`].
@@ -129,7 +122,7 @@ struct Layout {
 impl Layout {
     fn draw(field: &FieldParams, sites: Sites<'_>) -> Layout {
         let mut rng = SplitMix64::new(field.seed).split(0xB01D);
-        let sensors = draw_sensors(field, &mut rng, 100);
+        let sensors = draw_sensors(field, &mut rng);
         let (places, initial, movement) = match sites {
             Sites::Placed(gw) => {
                 let places = FeasiblePlaces::grid(field.field, gw.place_grid.0, gw.place_grid.1);
@@ -411,6 +404,25 @@ pub fn build_leach(field: &FieldParams, sink_pos: Point, p: f64) -> Scenario {
 mod tests {
     use super::*;
     use crate::params::*;
+
+    #[test]
+    fn sparse_connectable_fields_build_however_many_draws_it_takes() {
+        // E1's n=150, 20 m, 200×200 m field: at seed 7 the builder's
+        // stream needs 201 draws before the sensor graph connects.
+        let field = FieldParams {
+            field: wmsn_util::Rect::field(200.0, 200.0),
+            range_m: 20.0,
+            ..FieldParams::default_uniform(150, 7)
+        };
+        let s = build_spr(
+            &field,
+            &GatewayParams::default_three(),
+            TrafficParams::default(),
+        );
+        assert_eq!(s.sensors.len(), 150);
+        let adj = wmsn_util::geom::unit_disk_adjacency(&s.sensor_positions, field.range_m);
+        assert!(wmsn_topology::connectivity::is_connected(&adj));
+    }
 
     #[test]
     fn mlr_builder_lays_out_ids_as_documented() {

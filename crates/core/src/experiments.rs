@@ -89,7 +89,7 @@ pub fn e1_random_fields(ns: &[usize], seed: u64) -> Vec<ReportRow> {
             let mut rng = SplitMix64::new(seed).split(0xE1);
             // Connected draws only, however many it takes: unreachable
             // sensors would be excluded from the mean and bias it.
-            let sensors = draw_sensors(&field, &mut rng, usize::MAX);
+            let sensors = draw_sensors(&field, &mut rng);
             let places = FeasiblePlaces::grid(field.field, 4, 4);
             let chosen = placement::place_gateways(
                 placement::PlacementAlgorithm::KMeans { iterations: 10 },
@@ -1354,7 +1354,7 @@ pub fn e15_baselines(seed: u64) -> Vec<ReportRow> {
         ..FieldParams::default_uniform(n, seed)
     };
     // A shared connected deployment and a sink at the field edge.
-    let positions = draw_sensors(&field, &mut SplitMix64::new(seed).split(0xE15), usize::MAX);
+    let positions = draw_sensors(&field, &mut SplitMix64::new(seed).split(0xE15));
     let sink_pos = Point::new(50.0, 110.0);
     let sink_id = NodeId(n as u32);
 

@@ -34,8 +34,8 @@ pub struct FieldParams {
     pub csma: bool,
     /// Master seed.
     pub seed: u64,
-    /// Re-draw the deployment (up to 100 attempts) until the sensor
-    /// graph is one connected component. Random uniform fields at
+    /// Re-draw the deployment until the sensor graph is one connected
+    /// component. Random uniform fields at
     /// moderate density routinely leave small islands whose traffic no
     /// protocol can deliver; connected fields keep delivery-ratio
     /// comparisons about routing, not geometry.
