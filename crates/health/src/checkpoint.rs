@@ -23,6 +23,7 @@ use crate::monitor::{HealthConfig, HealthMonitor};
 use crate::stats::{Ewma, GatewayStats, NetStats, NodeStats, DROP_CAUSE_COUNT};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use wmsn_trace::{TraceKind, TraceTier};
+use wmsn_util::codec::{DecodeError, Reader};
 
 /// Magic bytes opening every checkpoint blob (versioned: a layout
 /// change bumps the trailing digit).
@@ -75,12 +76,6 @@ impl Enc {
     }
 }
 
-/// A trace enum's wire byte back to the enum, or an error naming the
-/// field if it names no variant.
-fn trace_enum<E>(b: u8, what: &str, from_byte: fn(u8) -> Option<E>) -> Result<E, String> {
-    from_byte(b).ok_or_else(|| format!("checkpoint: unknown trace {what} tag {b}"))
-}
-
 fn alert_kind_tag(k: AlertKind) -> u8 {
     AlertKind::all()
         .iter()
@@ -88,11 +83,11 @@ fn alert_kind_tag(k: AlertKind) -> u8 {
         .expect("all() is exhaustive") as u8
 }
 
-fn alert_kind_of_tag(tag: u8) -> Result<AlertKind, String> {
+fn alert_kind_of_tag(tag: u8) -> Result<AlertKind, DecodeError> {
     AlertKind::all()
         .get(tag as usize)
         .copied()
-        .ok_or_else(|| format!("checkpoint: unknown alert kind tag {tag}"))
+        .ok_or(DecodeError::BadTag(tag))
 }
 
 fn enc_config(e: &mut Enc, c: &HealthConfig) {
@@ -242,76 +237,65 @@ pub fn snapshot(m: &HealthMonitor) -> Vec<u8> {
 
 // ------------------------------------------------------------ decode --
 
-struct Dec<'a> {
-    b: &'a [u8],
-    pos: usize,
+/// The checkpoint's field kinds on top of [`Reader`]'s integers.
+trait CheckpointRead {
+    fn boolean(&mut self) -> Result<bool, DecodeError>;
+    fn f64(&mut self) -> Result<f64, DecodeError>;
+    fn opt_u64(&mut self) -> Result<Option<u64>, DecodeError>;
+    fn opt_f64(&mut self) -> Result<Option<f64>, DecodeError>;
+    fn ewma(&mut self) -> Result<Ewma, DecodeError>;
+    fn length(&mut self) -> Result<usize, DecodeError>;
+    fn trace_enum<E>(&mut self, from_byte: fn(u8) -> Option<E>) -> Result<E, DecodeError>;
 }
 
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.b.len() < self.pos + n {
-            return Err(format!(
-                "checkpoint truncated at byte {} (wanted {n} more of {})",
-                self.pos,
-                self.b.len()
-            ));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn boolean(&mut self) -> Result<bool, String> {
+impl CheckpointRead for Reader<'_> {
+    fn boolean(&mut self) -> Result<bool, DecodeError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            v => Err(format!("checkpoint: bad bool byte {v}")),
+            v => Err(DecodeError::BadTag(v)),
         }
     }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    fn f64(&mut self) -> Result<f64, DecodeError> {
+        self.u64().map(f64::from_bits)
     }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().unwrap(),
-        )))
-    }
-    fn opt_u64(&mut self) -> Result<Option<u64>, String> {
+    fn opt_u64(&mut self) -> Result<Option<u64>, DecodeError> {
         Ok(if self.boolean()? {
             Some(self.u64()?)
         } else {
             None
         })
     }
-    fn opt_f64(&mut self) -> Result<Option<f64>, String> {
+    fn opt_f64(&mut self) -> Result<Option<f64>, DecodeError> {
         Ok(if self.boolean()? {
             Some(self.f64()?)
         } else {
             None
         })
     }
-    fn ewma(&mut self) -> Result<Ewma, String> {
+    fn ewma(&mut self) -> Result<Ewma, DecodeError> {
         let value = self.f64()?;
         let seeded = self.boolean()?;
         Ok(Ewma::from_parts(value, seeded))
     }
-    fn len(&mut self) -> Result<usize, String> {
-        let n = self.u64()?;
-        // A length can never exceed the remaining bytes (every element
-        // is ≥ 1 byte) — reject early instead of huge allocations.
-        if n as usize > self.b.len() - self.pos {
-            return Err(format!("checkpoint: implausible collection length {n}"));
+    /// A collection length. It can never exceed the remaining bytes
+    /// (every element is ≥ 1 byte), so reject it early instead of
+    /// making a huge allocation.
+    fn length(&mut self) -> Result<usize, DecodeError> {
+        let n = usize::try_from(self.u64()?).unwrap_or(usize::MAX);
+        if n > self.remaining() {
+            return Err(DecodeError::LengthOutOfRange(n));
         }
-        Ok(n as usize)
+        Ok(n)
+    }
+    /// A trace enum's wire byte back to the enum.
+    fn trace_enum<E>(&mut self, from_byte: fn(u8) -> Option<E>) -> Result<E, DecodeError> {
+        let b = self.u8()?;
+        from_byte(b).ok_or(DecodeError::BadTag(b))
     }
 }
 
-fn dec_config(d: &mut Dec) -> Result<HealthConfig, String> {
+fn dec_config(d: &mut Reader) -> Result<HealthConfig, DecodeError> {
     Ok(HealthConfig {
         window_us: d.u64()?,
         ewma_alpha: d.f64()?,
@@ -330,7 +314,7 @@ fn dec_config(d: &mut Dec) -> Result<HealthConfig, String> {
     })
 }
 
-fn dec_node(d: &mut Dec) -> Result<NodeStats, String> {
+fn dec_node(d: &mut Reader) -> Result<NodeStats, DecodeError> {
     let mut s = NodeStats {
         tx_control: d.u64()?,
         tx_data: d.u64()?,
@@ -364,7 +348,7 @@ fn dec_node(d: &mut Dec) -> Result<NodeStats, String> {
     Ok(s)
 }
 
-fn dec_gateway(d: &mut Dec) -> Result<GatewayStats, String> {
+fn dec_gateway(d: &mut Reader) -> Result<GatewayStats, DecodeError> {
     Ok(GatewayStats {
         delivers: d.u64()?,
         w_delivers: d.u64()?,
@@ -377,7 +361,7 @@ fn dec_gateway(d: &mut Dec) -> Result<GatewayStats, String> {
     })
 }
 
-fn dec_net(d: &mut Dec) -> Result<NetStats, String> {
+fn dec_net(d: &mut Reader) -> Result<NetStats, DecodeError> {
     let mut n = NetStats {
         events: d.u64()?,
         tx_total: d.u64()?,
@@ -405,64 +389,69 @@ fn dec_net(d: &mut Dec) -> Result<NetStats, String> {
 /// same subsequent events produces the same subsequent alerts the
 /// original would have raised.
 pub fn restore(bytes: &[u8]) -> Result<HealthMonitor, String> {
-    let mut d = Dec { b: bytes, pos: 0 };
-    if d.take(8)? != CHECKPOINT_MAGIC {
+    let mut d = Reader::new(bytes);
+    let magic = d.raw(CHECKPOINT_MAGIC.len());
+    if magic.is_ok_and(|m| m != CHECKPOINT_MAGIC) {
         return Err("checkpoint: bad magic".into());
     }
-    let cfg = dec_config(&mut d)?;
+    magic
+        .and_then(|_| dec_monitor(&mut d))
+        .map_err(|e| format!("checkpoint: {e} at byte {}", bytes.len() - d.remaining()))
+}
+
+/// Decode the state after the magic; the state must end the blob.
+fn dec_monitor(d: &mut Reader) -> Result<HealthMonitor, DecodeError> {
+    let cfg = dec_config(d)?;
     let cur_window = d.u64()?;
-    let n_nodes = d.len()?;
+    let n_nodes = d.length()?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
-        nodes.push(dec_node(&mut d)?);
+        nodes.push(dec_node(d)?);
     }
-    let n_gw = d.len()?;
+    let n_gw = d.length()?;
     let mut gateways = BTreeMap::new();
     for _ in 0..n_gw {
         let id = d.u64()?;
-        gateways.insert(id, dec_gateway(&mut d)?);
+        gateways.insert(id, dec_gateway(d)?);
     }
-    let net = dec_net(&mut d)?;
-    let n_ring = d.len()?;
+    let net = dec_net(d)?;
+    let n_ring = d.length()?;
     let mut seq_ring = VecDeque::with_capacity(n_ring);
     for _ in 0..n_ring {
         seq_ring.push_back(d.u64()?);
     }
-    let n_seqs = d.len()?;
+    let n_seqs = d.length()?;
     let mut seq_kinds = HashMap::with_capacity(n_seqs);
     for _ in 0..n_seqs {
         let seq = d.u64()?;
-        let kind = trace_enum(d.u8()?, "kind", TraceKind::from_byte)?;
-        let tier = trace_enum(d.u8()?, "tier", TraceTier::from_byte)?;
+        let kind = d.trace_enum(TraceKind::from_byte)?;
+        let tier = d.trace_enum(TraceTier::from_byte)?;
         let count = d.u32()?;
         seq_kinds.insert(seq, (kind, tier, count));
     }
-    let n_fwd = d.len()?;
+    let n_fwd = d.length()?;
     let mut forwarded = HashSet::with_capacity(n_fwd);
     for _ in 0..n_fwd {
         forwarded.insert((d.u64()?, d.u64()?, d.u64()?));
     }
-    let n_dlv = d.len()?;
+    let n_dlv = d.length()?;
     let mut delivered = HashSet::with_capacity(n_dlv);
     for _ in 0..n_dlv {
         delivered.insert((d.u64()?, d.u64()?));
     }
-    let n_grace = d.len()?;
+    let n_grace = d.length()?;
     let mut rreq_grace = Vec::with_capacity(n_grace);
     for _ in 0..n_grace {
         rreq_grace.push(d.u64()?);
     }
-    let n_latched = d.len()?;
+    let n_latched = d.length()?;
     let mut latched = BTreeSet::new();
     for _ in 0..n_latched {
         let kind = alert_kind_of_tag(d.u8()?)?;
         latched.insert((kind, d.u64()?));
     }
-    if d.pos != bytes.len() {
-        return Err(format!(
-            "checkpoint: {} trailing bytes after state",
-            bytes.len() - d.pos
-        ));
+    if d.remaining() != 0 {
+        return Err(DecodeError::TrailingBytes(d.remaining()));
     }
     Ok(HealthMonitor {
         cfg,
@@ -627,5 +616,28 @@ mod tests {
         long.push(0);
         assert!(restore(&long).err().expect("trailing").contains("trailing"));
         assert!(restore(&blob[..blob.len() - 3]).is_err());
+        // A node count far past the blob is refused before allocating.
+        // It follows the magic, the config (13 eight-byte fields and a
+        // present `battery_capacity_j`, 1 + 8) and `cur_window`.
+        let mut huge = blob.clone();
+        let n_nodes_at = CHECKPOINT_MAGIC.len() + 13 * 8 + (1 + 8) + 8;
+        huge[n_nodes_at..n_nodes_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let e = restore(&huge).err().expect("huge count");
+        assert!(e.contains("out of range"), "{e}");
+    }
+
+    #[test]
+    fn no_truncation_or_byte_flip_panics() {
+        let blob = snapshot(&busy_monitor());
+        for cut in 0..blob.len() {
+            assert!(restore(&blob[..cut]).is_err(), "cut at {cut} accepted");
+        }
+        for i in 0..blob.len() {
+            let mut bad = blob.clone();
+            bad[i] ^= 0xA5;
+            // Flips inside a counter or a float restore fine; the rest
+            // must fail cleanly.
+            let _ = restore(&bad);
+        }
     }
 }

@@ -12,11 +12,11 @@
 //!    offline replay of the same capture (the monitor sees exactly
 //!    the frames the file holds, and flush barriers do not finalize
 //!    the detector bank).
-//! 2. [`replay_window`] — resume the detector bank from the newest
-//!    eligible checkpoint and replay only the segments a `[lo, hi]`
-//!    time window needs, in O(one segment) memory. Alert verdicts
-//!    inside the window are **byte-identical** to a full replay from
-//!    t=0:
+//! 2. [`replay_window`] — read and restore only the newest eligible
+//!    checkpoint and replay only the segments a `[lo, hi]` time
+//!    window needs, in O(one segment + one checkpoint) memory. Alert
+//!    verdicts inside the window are **byte-identical** to a full
+//!    replay from t=0:
 //!    with `W = window_us`, let `w0 = ⌈lo/W⌉ - 1` (0 for `lo = 0`) —
 //!    the first window whose close can be stamped `≥ lo`. A
 //!    checkpoint at segment `k` is eligible iff the last event before
@@ -160,12 +160,12 @@ pub struct WindowReplayStats {
 }
 
 /// Replay the detector bank over the time window `[lo, hi]`, resuming
-/// from the newest eligible checkpoint (see module docs for the
-/// correctness argument). Returns the monitor — its alerts filtered to
-/// `lo <= t <= hi` are byte-identical to a full replay filtered the
-/// same way — plus the replay stats. `full_scan` forces a genesis
-/// replay (the parity baseline). `cfg` seeds the genesis monitor; a
-/// checkpoint carries its own config.
+/// from the newest eligible checkpoint, the only one read from disk
+/// (see module docs for the correctness argument). Returns the
+/// monitor — its alerts filtered to `lo <= t <= hi` are byte-identical
+/// to a full replay filtered the same way — plus the replay stats.
+/// `full_scan` forces a genesis replay (the parity baseline). `cfg`
+/// seeds the genesis monitor; a checkpoint carries its own config.
 pub fn replay_window<R: Read + Seek>(
     r: &mut CaptureReader<R>,
     lo: u64,
@@ -202,24 +202,30 @@ pub fn replay_window_with<R: Read + Seek, F: FnMut(&TraceEvent, u64)>(
     // First window whose close can be stamped >= lo.
     let w0 = if lo == 0 { 0 } else { (lo - 1) / window_us };
     let mut start = 0usize;
-    let mut monitor = HealthMonitor::with_config(cfg);
-    let mut checkpoint_seg = None;
+    let mut chosen = None;
     if !full_scan {
-        for (seg, blob) in r.checkpoints() {
-            let k = *seg as usize;
+        for (i, &(seg, _)) in r.checkpoints().iter().enumerate() {
+            let k = seg as usize;
             // Eligible: the checkpoint's last digested event closed a
             // window <= w0, so every close stamped >= lo is still
             // pending. Take the newest such checkpoint.
             let eligible =
                 k >= 1 && k <= n && k > start && r.segments()[k - 1].at_max / window_us <= w0;
             if eligible && k <= end {
-                let m = restore(blob)?;
                 start = k;
-                monitor = m;
-                checkpoint_seg = Some(*seg);
+                chosen = Some((i, seg));
             }
         }
     }
+    // Only the chosen checkpoint is read and restored; a corrupt one is
+    // an error, never a silent fall-back to genesis.
+    let mut monitor = match chosen {
+        Some((i, seg)) => {
+            restore(&r.checkpoint_blob(i)?).map_err(|e| format!("{e} (segment {seg})"))?
+        }
+        None => HealthMonitor::with_config(cfg),
+    };
+    let checkpoint_seg = chosen.map(|(_, seg)| seg);
     let stats = r.scan_range(start..end, &ScanFilter::all(), |ev, at, _| {
         monitor.observe(ev);
         observer(ev, at);

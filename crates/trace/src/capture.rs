@@ -40,6 +40,16 @@
 //! plus an embedded alert-JSONL stream, both written between the frame
 //! data and the directory so the writer stays append-only.
 //!
+//! Opening indexes the extension block the same way: the reader reads
+//! its 16-byte head and each checkpoint's 12-byte entry head, seeks over
+//! every blob, and reads only the alert JSONL. The bytes an open reads
+//! therefore do not depend on blob size; the index records each blob's
+//! place ([`BlobRef`]) and [`CaptureReader::checkpoint_blob`] reads one
+//! on demand — a windowed replay reads the one it restores. The index
+//! must fill the block exactly: bad magic, an entry or blob running past
+//! the block, an alert length that does not fill the rest, and alerts
+//! that are not UTF-8 all fail the open.
+//!
 //! # Compacted segments
 //!
 //! `wmsn-trace compact` rewrites old segments down to their directory
@@ -665,38 +675,104 @@ pub struct ScanStats {
     pub frames_matched: u64,
 }
 
-/// Extension-block contents: `(seg_index, blob)` checkpoint entries
-/// plus the embedded alert JSONL.
-type ExtensionContents = (Vec<(u64, Vec<u8>)>, String);
+/// Where one embedded checkpoint blob lies in the capture file. The
+/// reader indexes blobs at open and leaves their bytes on disk until
+/// [`CaptureReader::checkpoint_blob`] reads one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BlobRef {
+    offset: u64,
+    len: u32,
+}
 
-/// Parse the extension block: `(checkpoints, alerts_jsonl)`. The block
-/// must consume `ext` exactly — trailing or missing bytes are
-/// corruption, not slack.
-fn parse_extension(ext: &[u8]) -> Result<ExtensionContents, String> {
-    let bad = |e: DecodeError| format!("corrupt extension block: {e}");
-    let mut r = Reader::new(ext);
-    if r.raw(EXT_MAGIC.len()).map_err(bad)? != EXT_MAGIC {
-        return Err("corrupt extension block: bad magic".into());
+impl BlobRef {
+    /// Byte offset of the blob's first byte in the capture file.
+    pub fn offset(&self) -> u64 {
+        self.offset
     }
-    let n_checkpoints = r.u32().map_err(bad)?;
-    let alerts_len = r.u32().map_err(bad)? as usize;
+
+    /// Blob length, bytes.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the blob is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// Extension-block index: `(seg_index, blob)` checkpoint entries plus
+/// the embedded alert JSONL.
+type ExtensionIndex = (Vec<(u64, BlobRef)>, String);
+
+/// Size of the extension block's head: magic, checkpoint count, alert
+/// length.
+const EXT_HEAD_LEN: u64 = 16;
+/// Size of one checkpoint entry's head: `seg_index u64 · blob_len u32`.
+const EXT_ENTRY_HEAD_LEN: u64 = 12;
+
+/// Index the extension block `[ext_offset, dir_offset)`: walk its entry
+/// heads, seeking over every blob, and read only the alert JSONL. The
+/// entries and alerts must fill the block exactly — trailing or missing
+/// bytes are corruption, not slack.
+fn index_extension<R: Read + Seek>(
+    r: &mut R,
+    ext_offset: u64,
+    dir_offset: u64,
+) -> Result<ExtensionIndex, String> {
+    let corrupt = |what: String| format!("corrupt extension block: {what}");
+    let block_len = dir_offset - ext_offset;
+    if block_len < EXT_HEAD_LEN {
+        return Err(corrupt(format!("{block_len} bytes, shorter than its head")));
+    }
+    r.seek(SeekFrom::Start(ext_offset))
+        .map_err(|e| format!("seek error: {e}"))?;
+    let mut head = [0u8; EXT_HEAD_LEN as usize];
+    r.read_exact(&mut head)
+        .map_err(|e| format!("short extension block: {e}"))?;
+    let bad = |e: DecodeError| corrupt(e.to_string());
+    let mut h = Reader::new(&head);
+    if h.raw(EXT_MAGIC.len()).map_err(bad)? != EXT_MAGIC {
+        return Err(corrupt("bad magic".into()));
+    }
+    let n_checkpoints = h.u32().map_err(bad)?;
+    let alerts_len = u64::from(h.u32().map_err(bad)?);
     let mut checkpoints = Vec::new();
+    let mut pos = ext_offset + EXT_HEAD_LEN;
     for i in 0..n_checkpoints {
-        let bad = |e: DecodeError| format!("corrupt extension block: checkpoint {i}: {e}");
-        let seg = r.u64().map_err(bad)?;
-        let blob_len = r.u32().map_err(bad)? as usize;
-        checkpoints.push((seg, r.raw(blob_len).map_err(bad)?.to_vec()));
+        if dir_offset - pos < EXT_ENTRY_HEAD_LEN {
+            return Err(corrupt(format!(
+                "checkpoint {i} of {n_checkpoints} runs past the block"
+            )));
+        }
+        let mut entry = [0u8; EXT_ENTRY_HEAD_LEN as usize];
+        r.read_exact(&mut entry)
+            .map_err(|e| format!("short extension block: checkpoint {i}: {e}"))?;
+        let mut e = Reader::new(&entry);
+        let seg = e.u64().map_err(bad)?;
+        let len = e.u32().map_err(bad)?;
+        let offset = pos + EXT_ENTRY_HEAD_LEN;
+        if dir_offset - offset < u64::from(len) {
+            return Err(corrupt(format!(
+                "checkpoint {i}: {len}-byte blob at {offset} runs past the block (ends at {dir_offset})"
+            )));
+        }
+        r.seek(SeekFrom::Current(i64::from(len)))
+            .map_err(|e| format!("seek error: {e}"))?;
+        checkpoints.push((seg, BlobRef { offset, len }));
+        pos = offset + u64::from(len);
     }
-    if r.remaining() != alerts_len {
-        return Err(format!(
-            "corrupt extension block: {} bytes, parsed {} + {alerts_len} alert bytes",
-            ext.len(),
-            ext.len() - r.remaining()
-        ));
+    if dir_offset - pos != alerts_len {
+        return Err(corrupt(format!(
+            "{block_len} bytes, indexed {} + {alerts_len} alert bytes",
+            pos - ext_offset
+        )));
     }
-    let alerts = std::str::from_utf8(r.raw(alerts_len).map_err(bad)?)
-        .map_err(|e| format!("corrupt extension block: alerts not UTF-8: {e}"))?
-        .to_string();
+    let mut alerts = vec![0u8; alerts_len as usize];
+    r.read_exact(&mut alerts)
+        .map_err(|e| format!("short extension block: alerts: {e}"))?;
+    let alerts =
+        String::from_utf8(alerts).map_err(|e| corrupt(format!("alerts not UTF-8: {e}")))?;
     Ok((checkpoints, alerts))
 }
 
@@ -735,7 +811,9 @@ pub struct CaptureReader<R: Read + Seek> {
     bytes: u64,
     buf: Vec<u8>,
     version: u32,
-    checkpoints: Vec<(u64, Vec<u8>)>,
+    /// Where the extension block (if any) ends: no blob reaches past it.
+    dir_offset: u64,
+    checkpoints: Vec<(u64, BlobRef)>,
     alerts_jsonl: String,
 }
 
@@ -816,12 +894,7 @@ impl<R: Read + Seek> CaptureReader<R> {
             dir_offset
         };
         let (checkpoints, alerts_jsonl) = if ext_offset != 0 {
-            r.seek(SeekFrom::Start(ext_offset))
-                .map_err(|e| format!("seek error: {e}"))?;
-            let mut ext = vec![0u8; (dir_offset - ext_offset) as usize];
-            r.read_exact(&mut ext)
-                .map_err(|e| format!("short extension block: {e}"))?;
-            parse_extension(&ext)?
+            index_extension(&mut r, ext_offset, dir_offset)?
         } else {
             (Vec::new(), String::new())
         };
@@ -863,6 +936,7 @@ impl<R: Read + Seek> CaptureReader<R> {
             bytes,
             buf: Vec::new(),
             version,
+            dir_offset,
             checkpoints,
             alerts_jsonl,
         })
@@ -894,11 +968,40 @@ impl<R: Read + Seek> CaptureReader<R> {
         self.version
     }
 
-    /// Embedded detector checkpoints as `(seg_index, blob)` pairs:
-    /// "state after segments `[0..seg_index)`". Opaque at this layer;
-    /// `wmsn-health` owns the codec.
-    pub fn checkpoints(&self) -> &[(u64, Vec<u8>)] {
+    /// Index of the embedded detector checkpoints as `(seg_index, blob)`
+    /// pairs: "state after segments `[0..seg_index)`". The blobs stay on
+    /// disk; [`CaptureReader::checkpoint_blob`] reads one.
+    pub fn checkpoints(&self) -> &[(u64, BlobRef)] {
         &self.checkpoints
+    }
+
+    /// Read the bytes of checkpoint `i` (an index into
+    /// [`CaptureReader::checkpoints`]). Opaque at this layer;
+    /// `wmsn-health` owns the codec.
+    pub fn checkpoint_blob(&mut self, i: usize) -> Result<Vec<u8>, String> {
+        let (seg, b) = *self.checkpoints.get(i).ok_or_else(|| {
+            format!(
+                "checkpoint {i} out of range ({} embedded)",
+                self.checkpoints.len()
+            )
+        })?;
+        if b.offset
+            .checked_add(u64::from(b.len))
+            .is_none_or(|end| end > self.dir_offset)
+        {
+            return Err(format!(
+                "checkpoint {i} (segment {seg}): {}-byte blob at {} runs past the extension block",
+                b.len, b.offset
+            ));
+        }
+        self.r
+            .seek(SeekFrom::Start(b.offset))
+            .map_err(|e| format!("seek error: {e}"))?;
+        let mut blob = vec![0u8; b.len()];
+        self.r
+            .read_exact(&mut blob)
+            .map_err(|e| format!("checkpoint {i} (segment {seg}): short read: {e}"))?;
+        Ok(blob)
     }
 
     /// The alert JSONL stream embedded at capture time ("" if none).
@@ -1500,10 +1603,14 @@ mod tests {
         assert_eq!(r.version(), CAPTURE_VERSION);
         assert_eq!(r.alerts_jsonl(), "{\"alert\":\"x\"}\n");
         assert_eq!(r.checkpoints().len(), boundaries.len());
-        for ((seg, blob), want) in r.checkpoints().iter().zip(&boundaries) {
-            assert_eq!(seg, want);
-            assert_eq!(blob, &vec![*want as u8; 5 + *want as usize]);
+        for (i, want) in boundaries.iter().enumerate() {
+            let (seg, blob) = r.checkpoints()[i];
+            assert_eq!(seg, *want);
+            assert_eq!(blob.len(), 5 + *want as usize);
+            let bytes = r.checkpoint_blob(i).expect("read blob");
+            assert_eq!(bytes, vec![*want as u8; 5 + *want as usize]);
         }
+        assert!(r.checkpoint_blob(boundaries.len()).is_err());
         // The extension block is invisible to frame-level reads.
         let mut got = Vec::new();
         r.scan(&ScanFilter::all(), |ev, at, key| got.push((*ev, at, key)))
@@ -1604,37 +1711,126 @@ mod tests {
 
     #[test]
     fn extension_corruption_is_a_hard_open_error() {
-        let frames = stream(2);
+        // The block: head at `ext`, one entry head at `ext + 16`, a
+        // 3-byte blob at `ext + 28`, the 3-byte alert JSONL at
+        // `ext + 31`, the directory at `ext + 34`.
         let mut w =
             CaptureWriter::new(Vec::new(), CaptureConfig { segment_frames: 8 }).expect("header");
-        for (ev, at, key) in &frames {
+        for (ev, at, key) in &stream(2) {
             w.push(ev, *at, *key).expect("push");
         }
         w.add_checkpoint(1, vec![1, 2, 3]);
         w.set_alerts_jsonl("{}\n".into());
         let (bytes, _) = w.finish().expect("finish");
-        let ext_offset = u64::from_le_bytes(
-            bytes[bytes.len() - TRAILER_LEN + 32..bytes.len() - TRAILER_LEN + 40]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        assert!(ext_offset > 0);
-        // Bad extension magic.
-        let mut bad = bytes.clone();
-        bad[ext_offset] ^= 0xFF;
-        let e = CaptureReader::new(Cursor::new(bad)).unwrap_err();
+        let tr = bytes.len() - TRAILER_LEN;
+        let ext = Reader::new(&bytes[tr + 32..]).u64().expect("ext_offset") as usize;
+        assert!(ext > 0);
+        let r = CaptureReader::new(Cursor::new(bytes.clone())).expect("intact capture opens");
+        assert_eq!(r.checkpoints()[0].1.offset(), ext as u64 + 28);
+        assert_eq!(r.alerts_jsonl(), "{}\n");
+        let patch = |at: usize, with: &[u8]| {
+            let mut bad = bytes.clone();
+            bad[at..at + with.len()].copy_from_slice(with);
+            CaptureReader::new(Cursor::new(bad)).map(|_| ())
+        };
+        let e = patch(ext, b"X").expect_err("bad magic");
         assert!(e.contains("bad magic"), "{e}");
-        // Blob length overrunning the block.
-        let mut bad = bytes.clone();
-        bad[ext_offset + 24..ext_offset + 28].copy_from_slice(&u32::MAX.to_le_bytes());
-        let e = CaptureReader::new(Cursor::new(bad)).unwrap_err();
-        assert!(e.contains("corrupt extension"), "{e}");
-        // ext_offset pointing past the directory.
-        let mut bad = bytes.clone();
-        let tr = bad.len() - TRAILER_LEN;
-        let file_len = bad.len() as u64;
-        bad[tr + 32..tr + 40].copy_from_slice(&file_len.to_le_bytes());
-        let e = CaptureReader::new(Cursor::new(bad)).unwrap_err();
+        // Inflated lengths and counts: each fails the open, never
+        // panics or allocates by the field's word.
+        for (what, at, v, want) in [
+            (
+                "blob_len past the block",
+                ext + 24,
+                u32::MAX,
+                "runs past the block",
+            ),
+            (
+                "blob_len one past the block",
+                ext + 24,
+                7,
+                "runs past the block",
+            ),
+            ("blob_len into the alerts", ext + 24, 4, "alert bytes"),
+            ("count past the block", ext + 8, 2, "runs past the block"),
+            ("count u32::MAX", ext + 8, u32::MAX, "runs past the block"),
+            ("alert length short", ext + 12, 2, "alert bytes"),
+            ("alert length long", ext + 12, 4, "alert bytes"),
+            ("alert length u32::MAX", ext + 12, u32::MAX, "alert bytes"),
+        ] {
+            let e = patch(at, &v.to_le_bytes()).expect_err(what);
+            assert!(
+                e.contains("corrupt extension block") && e.contains(want),
+                "{what}: {e}"
+            );
+        }
+        let e = patch(ext + 32, &[0xFF]).expect_err("non-UTF-8 alerts");
+        assert!(e.contains("not UTF-8"), "{e}");
+        // ext_offset leaving too few bytes for the block head, and
+        // pointing past the directory.
+        let e = patch(tr + 32, &(ext as u64 + 34 - 8).to_le_bytes()).expect_err("short block");
+        assert!(e.contains("shorter than its head"), "{e}");
+        let e = patch(tr + 32, &(bytes.len() as u64).to_le_bytes()).expect_err("past directory");
         assert!(e.contains("extension block"), "{e}");
+    }
+
+    /// Counts the bytes read through it.
+    struct CountingReader<R> {
+        inner: R,
+        read: u64,
+    }
+
+    impl<R: Read> Read for CountingReader<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n as u64;
+            Ok(n)
+        }
+    }
+
+    impl<R: Seek> Seek for CountingReader<R> {
+        fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn open_reads_the_index_and_no_checkpoint_blob() {
+        let frames = stream(3);
+        let alerts = "{\"alert\":\"x\"}\n{\"alert\":\"y\"}\n";
+        let capture = |blob_len: usize| {
+            let mut w = CaptureWriter::new(Vec::new(), CaptureConfig { segment_frames: 8 })
+                .expect("header");
+            for (ev, at, key) in &frames {
+                if w.push(ev, *at, *key).expect("push") {
+                    let sealed = w.segments_sealed();
+                    w.add_checkpoint(sealed, vec![sealed as u8; blob_len]);
+                }
+            }
+            w.set_alerts_jsonl(alerts.into());
+            w.finish().expect("finish").0
+        };
+        let mut read = Vec::new();
+        for blob_len in [10, 10_000] {
+            let bytes = capture(blob_len);
+            let mut r = CaptureReader::new(CountingReader {
+                inner: Cursor::new(bytes),
+                read: 0,
+            })
+            .expect("open");
+            let checkpoints = r.checkpoints().len() as u64;
+            assert!(checkpoints >= 5);
+            let want = (CAPTURE_HEADER_LEN + TRAILER_LEN) as u64
+                + r.segments().len() as u64 * SEGMENT_ENTRY_LEN as u64
+                + EXT_HEAD_LEN
+                + EXT_ENTRY_HEAD_LEN * checkpoints
+                + alerts.len() as u64;
+            assert_eq!(r.r.read, want, "blob_len {blob_len}");
+            read.push(r.r.read);
+            // One blob costs exactly its own bytes.
+            let before = r.r.read;
+            assert_eq!(r.checkpoint_blob(2).expect("blob").len(), blob_len);
+            assert_eq!(r.r.read - before, blob_len as u64);
+        }
+        assert_eq!(read[0], read[1], "open must not read checkpoint blobs");
     }
 }

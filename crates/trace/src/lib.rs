@@ -38,9 +38,9 @@ pub mod sink;
 pub mod structured;
 
 pub use capture::{
-    is_segmented_capture, CaptureConfig, CaptureReader, CaptureSink, CaptureStats, CaptureWriter,
-    ScanFilter, ScanStats, SegmentMeta, CAPTURE_MAGIC, CAPTURE_VERSION, COMPACTED_OFFSET,
-    DEFAULT_SEGMENT_FRAMES, EXT_MAGIC,
+    is_segmented_capture, BlobRef, CaptureConfig, CaptureReader, CaptureSink, CaptureStats,
+    CaptureWriter, ScanFilter, ScanStats, SegmentMeta, CAPTURE_MAGIC, CAPTURE_VERSION,
+    COMPACTED_OFFSET, DEFAULT_SEGMENT_FRAMES, EXT_MAGIC,
 };
 pub use event::{DropCause, TraceEvent, TraceKind, TraceTier};
 pub use frame::{decode_frame, encode_frame, event_tag, tag_name, FRAME_LEN, TAG_COUNT};

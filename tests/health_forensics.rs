@@ -38,17 +38,95 @@ fn recorded(name: &str) -> (PathBuf, CaptureReader<std::io::BufReader<std::fs::F
     (path, r)
 }
 
+/// A window near the end of the E18 capture holding the gateway-death
+/// alert.
+const LATE_WINDOW: (u64, u64) = (5_400_000, 5_600_000);
+
+/// A copy of the capture at `path`, named `name`, with the magic byte of
+/// every checkpoint blob whose segment `pick` accepts flipped, so that
+/// restoring any of them fails.
+fn with_corrupt_checkpoints(
+    path: &std::path::Path,
+    r: &CaptureReader<std::io::BufReader<std::fs::File>>,
+    pick: impl Fn(u64) -> bool,
+    name: &str,
+) -> PathBuf {
+    let mut bytes = std::fs::read(path).expect("read capture");
+    let mut flipped = 0;
+    for &(seg, blob) in r.checkpoints() {
+        if pick(seg) {
+            bytes[blob.offset() as usize] ^= 0xFF;
+            flipped += 1;
+        }
+    }
+    assert!(flipped > 0, "{name}: no checkpoint picked");
+    let out = path.with_file_name(name);
+    std::fs::write(&out, bytes).expect("write corrupted copy");
+    out
+}
+
+#[test]
+fn windowed_replay_reads_and_restores_only_the_chosen_checkpoint() {
+    let (path, mut r) = recorded("one-restore");
+    let cfg = HealthConfig::default();
+    let (lo, hi) = LATE_WINDOW;
+    let alert =
+        HealthAlert::from_json_line(r.alerts_jsonl().lines().next().expect("an embedded alert"))
+            .expect("parse embedded alert");
+    let (window, window_stats) = replay_window(&mut r, lo, hi, cfg, false).expect("window");
+    let (explain, explain_stats) = explain_alert(&mut r, alert, 4, cfg, false).expect("explain");
+    let chosen = window_stats.checkpoint_seg.expect("window resumes");
+    let oldest_chosen = chosen.min(explain_stats.checkpoint_seg.expect("explain resumes"));
+    assert!(oldest_chosen >= 50, "{window_stats:?} {explain_stats:?}");
+
+    // Every checkpoint older than both chosen ones is eligible for both
+    // queries; corrupt them all. Neither query may read one.
+    let older = with_corrupt_checkpoints(&path, &r, |seg| seg < oldest_chosen, "older.wcap");
+    let mut c = CaptureReader::open(&older).expect("open: blobs are not read at open");
+    let (w2, w2_stats) = replay_window(&mut c, lo, hi, cfg, false).expect("window");
+    assert_eq!(w2_stats, window_stats);
+    assert_eq!(
+        alerts_to_jsonl(&alerts_in_window(&w2, lo, hi)),
+        alerts_to_jsonl(&alerts_in_window(&window, lo, hi))
+    );
+    let (e2, e2_stats) = explain_alert(&mut c, alert, 4, cfg, false).expect("explain");
+    assert_eq!(e2_stats, explain_stats);
+    assert_eq!(e2.report(), explain.report());
+
+    // A corrupt chosen checkpoint is an error, not a silent genesis
+    // replay; the genesis baseline reads no checkpoint at all.
+    let bad = with_corrupt_checkpoints(&path, &r, |seg| seg == chosen, "chosen.wcap");
+    let mut c = CaptureReader::open(&bad).expect("open");
+    let Err(e) = replay_window(&mut c, lo, hi, cfg, false) else {
+        panic!("a corrupt chosen checkpoint must fail the replay");
+    };
+    assert!(
+        e.contains("bad magic") && e.contains(&format!("segment {chosen}")),
+        "{e}"
+    );
+    let (full, _) = replay_window(&mut c, lo, hi, cfg, true).expect("full scan");
+    assert_eq!(
+        alerts_to_jsonl(&alerts_in_window(&full, lo, hi)),
+        alerts_to_jsonl(&alerts_in_window(&window, lo, hi))
+    );
+    for p in [path, older, bad] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
 #[test]
 fn embedded_checkpoints_round_trip_at_scale() {
-    let (path, r) = recorded("checkpoints");
+    let (path, mut r) = recorded("checkpoints");
     assert!(
         r.checkpoints().len() > 10,
         "checkpoint_every=1 over a multi-segment run must embed many checkpoints"
     );
-    for (seg, blob) in r.checkpoints() {
-        let m = restore(blob).expect("restore embedded checkpoint");
+    for i in 0..r.checkpoints().len() {
+        let seg = r.checkpoints()[i].0;
+        let blob = r.checkpoint_blob(i).expect("read embedded checkpoint");
+        let m = restore(&blob).expect("restore embedded checkpoint");
         assert_eq!(
-            &snapshot(&m),
+            snapshot(&m),
             blob,
             "checkpoint at segment {seg} must survive restore→snapshot byte-for-byte"
         );
@@ -79,6 +157,9 @@ fn windowed_replay_is_byte_identical_to_full_replay() {
         (2_000_000, 3_000_000),
         (4_000_000, 6_000_000),
         (5_500_000, 5_500_000),
+        // Late: the gateway-death alert, with every checkpoint up to
+        // the last segment's eligible.
+        (LATE_WINDOW.0, LATE_WINDOW.1),
         (8_000_000, 20_000_000),
     ];
     let mut resumed_from_checkpoint = false;
@@ -91,6 +172,15 @@ fn windowed_replay_is_byte_identical_to_full_replay() {
             alerts_to_jsonl(&alerts_in_window(&full, lo, hi)),
             "window {lo}..{hi}: checkpoint replay diverged from genesis replay"
         );
+        if (lo, hi) == LATE_WINDOW {
+            // A checkpoint at every boundary: resuming from segment k
+            // means checkpoints 1..=k were all eligible.
+            assert!(
+                fast_stats.checkpoint_seg >= Some(50),
+                "the late window must have >= 50 eligible checkpoints: {fast_stats:?}"
+            );
+            assert!(!alerts_in_window(&fast, lo, hi).is_empty());
+        }
         if fast_stats.checkpoint_seg.is_some() {
             resumed_from_checkpoint = true;
             assert!(
