@@ -72,14 +72,14 @@ use wmsn_health::{
 use wmsn_trace::replay::MessagePath;
 use wmsn_trace::{
     capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, expect_sink,
-    is_segmented_capture, log_error, log_record, tag_name, CaptureConfig, CaptureReader,
-    CaptureSink, EventSource, Replay, ScanFilter, ScanStats, TraceEvent, DEFAULT_SEGMENT_FRAMES,
-    TAG_COUNT,
+    is_segmented_capture, log_error, log_record, tag_name, write_stdout, CaptureConfig,
+    CaptureReader, CaptureSink, EventSource, Replay, ScanFilter, ScanStats, TraceEvent,
+    DEFAULT_SEGMENT_FRAMES, TAG_COUNT,
 };
 use wmsn_util::json::Json;
 
 fn usage() -> ! {
-    println!(
+    write_stdout(format_args!(
         "usage: wmsn-trace record  <out> [seed] [rounds]\n\
          \x20      wmsn-trace summary <trace>\n\
          \x20      wmsn-trace path    <trace> <origin> <msg_id>\n\
@@ -96,8 +96,8 @@ fn usage() -> ! {
          \x20      wmsn-trace pack    <in> <out> [segment_frames]\n\
          \x20      wmsn-trace convert <in> <out>\n\
          (<trace> may be a segmented capture or JSONL; the format is\n\
-         \x20sniffed)"
-    );
+         \x20sniffed)\n"
+    ));
     std::process::exit(2);
 }
 
@@ -493,13 +493,13 @@ fn health(path: &str) {
         );
     }
     for a in m.alerts() {
-        println!("{}", a.to_json());
+        write_stdout(format_args!("{}\n", a.to_json()));
     }
 }
 
 fn alerts(path: &str) {
     let m = monitor_file(path);
-    print!("{}", m.alerts_jsonl());
+    write_stdout(format_args!("{}", m.alerts_jsonl()));
 }
 
 /// Replay statistics go to stderr: stdout of `health --window` /
@@ -538,7 +538,7 @@ fn health_window(path: &str, lo: u64, hi: u64, full_scan: bool) {
     let (monitor, stats) = replay_window(&mut r, lo, hi, HealthConfig::default(), full_scan)
         .unwrap_or_else(|e| die_load(path, e));
     for a in alerts_in_window(&monitor, lo, hi) {
-        println!("{}", a.to_json());
+        write_stdout(format_args!("{}\n", a.to_json()));
     }
     log_replay_stats(path, &stats);
 }
@@ -575,7 +575,7 @@ fn explain(path: &str, which: &str, span: u64, full_scan: bool) {
     };
     let (forensics, stats) = explain_alert(&mut r, alert, span, HealthConfig::default(), full_scan)
         .unwrap_or_else(|e| die_load(path, e));
-    print!("{}", forensics.report());
+    write_stdout(format_args!("{}", forensics.report()));
     log_replay_stats(path, &stats);
 }
 

@@ -651,7 +651,7 @@ pub fn compact_capture(
     }
     let window_us = cfg.window_us.max(1);
 
-    // Pass 1a: full replay → the alert set that drives retention.
+    // Pass 1: full replay → the alert set that drives retention.
     let mut monitor = HealthMonitor::with_config(cfg);
     r.scan(&ScanFilter::all(), |ev, _, _| monitor.observe(ev))?;
     monitor.finalize();
@@ -676,46 +676,41 @@ pub fn compact_capture(
         .filter(|&idx| idx > 0 && !retained.contains(&(idx - 1)))
         .collect();
 
-    // Pass 1b: replay again, snapshotting at each run start.
-    let mut checkpoints: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut m2 = HealthMonitor::with_config(cfg);
-    for idx in 0..n {
-        if starts.contains(&idx) {
-            checkpoints.push((idx as u64, snapshot(&m2)));
-        }
-        r.scan_range(idx..idx + 1, &ScanFilter::all(), |ev, _, _| m2.observe(ev))?;
-    }
-
-    // Pass 2: rewrite.
+    // Pass 2: rewrite, replaying the detector bank again alongside so
+    // each run start's snapshot is written right before its segment —
+    // at most one blob is held at a time.
     let file = File::create(output).map_err(|e| format!("create {}: {e}", output.display()))?;
+    let write_err = |e: std::io::Error| format!("write {}: {e}", output.display());
     let mut w = CaptureWriter::new(
         BufWriter::new(file),
         CaptureConfig {
             segment_frames: wmsn_trace::DEFAULT_SEGMENT_FRAMES,
         },
     )
-    .map_err(|e| format!("write {}: {e}", output.display()))?;
+    .map_err(write_err)?;
     w.set_frames_dropped(r.frames_dropped());
-    for (seg, blob) in checkpoints.iter() {
-        w.add_checkpoint(*seg, blob.clone());
-    }
     w.set_alerts_jsonl(monitor.alerts_jsonl());
     let mut stats = CompactionStats {
         segments_total: n as u64,
-        checkpoints: checkpoints.len() as u64,
+        checkpoints: starts.len() as u64,
         alerts: monitor.alerts().len() as u64,
         ..CompactionStats::default()
     };
+    let mut m2 = HealthMonitor::with_config(cfg);
     for idx in 0..n {
+        if starts.contains(&idx) {
+            w.add_checkpoint(idx as u64, snapshot(&m2))
+                .map_err(write_err)?;
+        }
+        r.scan_range(idx..idx + 1, &ScanFilter::all(), |ev, _, _| m2.observe(ev))?;
         let meta = r.segments()[idx];
         if retained.contains(&idx) {
             let raw = r.read_segment_raw(idx)?;
-            w.push_segment_raw(&meta, &raw)
-                .map_err(|e| format!("write {}: {e}", output.display()))?;
+            w.push_segment_raw(&meta, &raw).map_err(write_err)?;
             stats.segments_retained += 1;
             stats.frames_retained += meta.frames as u64;
         } else {
-            w.push_compacted(&meta);
+            w.push_compacted(&meta).map_err(write_err)?;
             stats.segments_compacted += 1;
             stats.frames_compacted += meta.frames as u64;
         }

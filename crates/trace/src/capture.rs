@@ -6,15 +6,18 @@
 //! that lets a reader seek — so queries run in O(one segment) memory
 //! and skip whole segments the index proves irrelevant.
 //!
-//! # File layout (version 2, little-endian)
+//! # File layout (version 3, little-endian)
 //!
 //! ```text
 //! header    16 B  CAPTURE_MAGIC (8) · version u32 · frame_len u32
-//! segment   N×64 B back-to-back frames ([`crate::frame`]'s codec)
-//! ...             (last segment may hold fewer than segment_frames)
+//! data            segments and checkpoint blobs, back to back:
+//!   segment       N×64 B frames ([`crate::frame`]'s codec); the last
+//!                 segment may hold fewer than segment_frames
+//!   blob          a checkpoint labelled k sits right before segment
+//!                 k's data, or last when k equals the segment count
 //! extension       optional (absent iff trailer ext_offset == 0):
 //!                   EXT_MAGIC (8) · checkpoints u32 · alerts_len u32
-//!                   · per checkpoint: seg_index u64 · blob_len u32 · blob
+//!                   · per checkpoint: seg_index u64 · blob_len u32
 //!                   · alerts JSONL bytes
 //! directory       one SEGMENT_ENTRY_LEN-byte entry per segment:
 //!                   offset u64 · frames u32 · at_min u64 · at_max u64
@@ -32,24 +35,36 @@
 //! (no seeks), so it can sit behind a `BufWriter` on the ring pipeline's
 //! drain thread.
 //!
-//! Version 1 files are read unchanged: their trailer wrote the
-//! `ext_offset` slot as a reserved zero, which version 2 defines as "no
-//! extension block". The extension block carries opaque **checkpoint**
-//! blobs keyed by segment index (the health plane stores serialized
-//! detector-bank state there — this crate never interprets the bytes)
-//! plus an embedded alert-JSONL stream, both written between the frame
-//! data and the directory so the writer stays append-only.
+//! **Checkpoints** are opaque blobs keyed by segment index (the health
+//! plane stores serialized detector-bank state there — this crate never
+//! interprets the bytes). The writer puts each one into the data region
+//! the moment it is taken, so a recording holds no blob in memory; the
+//! extension block after the data keeps only their `(seg_index,
+//! blob_len)` index plus an embedded alert-JSONL stream. Blob offsets
+//! are not stored: the reader derives them while it walks the directory,
+//! and segments and blobs must **tile** `[16, ext_offset)` exactly — a
+//! blob labelled `k` starts where segment `k`'s data starts and that
+//! segment's recorded offset follows the blob. Labels rise strictly, are
+//! at most the segment count, name a segment that holds data (or the
+//! end), and every blob is non-empty; so any change to a label, a blob
+//! length or a segment offset breaks the tiling and fails the open.
 //!
-//! Opening indexes the extension block the same way: the reader reads
-//! its 16-byte head and each checkpoint's 12-byte entry head, seeks over
-//! every blob, and reads only the alert JSONL. The bytes an open reads
-//! therefore do not depend on blob size; the index records each blob's
-//! place ([`BlobRef`]) and [`CaptureReader::checkpoint_blob`] reads one
-//! on demand — a windowed replay reads the one it restores. The index
-//! must fill the block exactly: bad magic, an entry or blob running past
-//! the block, an alert length that does not fill the rest, and alerts
-//! that are not UTF-8 all fail the open.
+//! Opening reads the extension block's 16-byte head, its entry heads
+//! (one contiguous read) and the alert JSONL, and never a blob: the
+//! bytes an open reads do not depend on blob size. The index records
+//! each blob's place ([`BlobRef`]) and [`CaptureReader::checkpoint_blob`]
+//! reads one on demand — a windowed replay reads the one it restores.
+//! The index must fill the block exactly: bad magic, entry heads running
+//! past the block, an alert length that does not fill the rest, and
+//! alerts that are not UTF-8 all fail the open.
 //!
+//! Older versions are read unchanged through the same open path, which
+//! differs only in where blob offsets come from. Version 1 wrote the
+//! `ext_offset` slot as a reserved zero ("no extension block"). Version
+//! 2 kept every blob inside the extension block, right after its entry
+//! head, so segments alone tile the data region and the reader seeks
+//! over the blobs to index them.
+
 //! # Compacted segments
 //!
 //! `wmsn-trace compact` rewrites old segments down to their directory
@@ -99,9 +114,10 @@ pub const TRAILER_MAGIC: [u8; 8] = *b"WMSNTRF\0";
 /// Magic bytes opening the optional extension block (checkpoints +
 /// embedded alerts).
 pub const EXT_MAGIC: [u8; 8] = *b"WMSNTRX\0";
-/// Capture container version written by [`CaptureWriter`]. Version 1
-/// (no extension block, no compacted segments) is still read.
-pub const CAPTURE_VERSION: u32 = 2;
+/// Capture container version written by [`CaptureWriter`]. Versions 1
+/// (no extension block, no compacted segments) and 2 (checkpoint blobs
+/// inside the extension block) are still read.
+pub const CAPTURE_VERSION: u32 = 3;
 /// Sentinel `offset` of a compacted segment's directory entry: the
 /// index entry is intact but the frame data has been removed.
 pub const COMPACTED_OFFSET: u64 = u64::MAX;
@@ -283,8 +299,9 @@ pub struct CaptureWriter<W: Write> {
     cur: Option<SegmentMeta>,
     frames: u64,
     frames_dropped: u64,
-    /// `(seg_index, blob)` checkpoint entries for the extension block.
-    checkpoints: Vec<(u64, Vec<u8>)>,
+    /// `(seg_index, blob_len)` of every checkpoint written so far — the
+    /// extension index. The blobs themselves are already in the data.
+    checkpoints: Vec<(u64, u32)>,
     /// Embedded alert JSONL for the extension block.
     alerts_jsonl: String,
 }
@@ -343,12 +360,38 @@ impl<W: Write> CaptureWriter<W> {
         self.dir.len() as u64
     }
 
-    /// Attach an opaque checkpoint blob keyed by segment index:
-    /// "detector state after segments `[0..seg_index)`". Stored in the
-    /// extension block by [`CaptureWriter::finish`]; this layer never
-    /// interprets the bytes.
-    pub fn add_checkpoint(&mut self, seg_index: u64, blob: Vec<u8>) {
-        self.checkpoints.push((seg_index, blob));
+    /// Write an opaque checkpoint blob keyed by segment index: "detector
+    /// state after segments `[0..seg_index)`". The blob goes into the
+    /// data region at once, right before segment `seg_index`; the writer
+    /// keeps only its label and length, and this layer never interprets
+    /// the bytes. `InvalidInput` unless `seg_index` equals
+    /// [`CaptureWriter::segments_sealed`], no partial segment is open,
+    /// the label is above the previous one and the blob is non-empty
+    /// (see the module docs for why the reader needs each).
+    pub fn add_checkpoint(&mut self, seg_index: u64, blob: Vec<u8>) -> std::io::Result<()> {
+        let sealed = self.segments_sealed();
+        let why = if self.cur.is_some() {
+            format!("segment {sealed} is partly written")
+        } else if seg_index != sealed {
+            format!("{sealed} segments are sealed")
+        } else if self
+            .checkpoints
+            .last()
+            .is_some_and(|&(prev, _)| prev >= seg_index)
+        {
+            "a checkpoint already has this label".to_string()
+        } else if blob.is_empty() {
+            "the blob is empty".to_string()
+        } else {
+            let len = len_u32(blob.len(), "checkpoint blob")?;
+            self.w.write_all(&blob)?;
+            self.pos += u64::from(len);
+            self.checkpoints.push((seg_index, len));
+            return Ok(());
+        };
+        Err(invalid_input(format!(
+            "checkpoint for segment {seg_index} rejected: {why}"
+        )))
     }
 
     /// Embed the run's alert JSONL stream in the extension block, so
@@ -363,14 +406,11 @@ impl<W: Write> CaptureWriter<W> {
     /// file. Seals any partial streamed segment first.
     pub fn push_segment_raw(&mut self, meta: &SegmentMeta, bytes: &[u8]) -> std::io::Result<()> {
         if bytes.len() != meta.frames as usize * FRAME_LEN {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "segment data is {} bytes, entry says {} frames",
-                    bytes.len(),
-                    meta.frames
-                ),
-            ));
+            return Err(invalid_input(format!(
+                "segment data is {} bytes, entry says {} frames",
+                bytes.len(),
+                meta.frames
+            )));
         }
         self.seal();
         self.w.write_all(bytes)?;
@@ -386,12 +426,21 @@ impl<W: Write> CaptureWriter<W> {
     /// `meta`'s summaries are kept — so index-only queries stay exact —
     /// but no frame data is written and the entry's offset becomes the
     /// [`COMPACTED_OFFSET`] sentinel. Seals any partial segment first.
-    pub fn push_compacted(&mut self, meta: &SegmentMeta) {
+    /// `InvalidInput` if a checkpoint was just written for this segment:
+    /// a checkpoint must precede a segment that holds data.
+    pub fn push_compacted(&mut self, meta: &SegmentMeta) -> std::io::Result<()> {
         self.seal();
+        let seg = self.segments_sealed();
+        if self.checkpoints.last().is_some_and(|&(k, _)| k == seg) {
+            return Err(invalid_input(format!(
+                "segment {seg} has a checkpoint and cannot be compacted"
+            )));
+        }
         let mut m = *meta;
         m.offset = COMPACTED_OFFSET;
         self.frames += m.frames as u64;
         self.dir.push(m);
+        Ok(())
     }
 
     /// Record the dropped-frame count carried into the trailer (see
@@ -421,19 +470,16 @@ impl<W: Write> CaptureWriter<W> {
         } else {
             let start = self.pos;
             self.w.write_all(&EXT_MAGIC)?;
-            self.w
-                .write_all(&(self.checkpoints.len() as u32).to_le_bytes())?;
-            self.w
-                .write_all(&(self.alerts_jsonl.len() as u32).to_le_bytes())?;
-            self.pos += 16;
-            for (seg, blob) in &self.checkpoints {
+            let n = len_u32(self.checkpoints.len(), "checkpoint count")?;
+            self.w.write_all(&n.to_le_bytes())?;
+            let alerts_len = len_u32(self.alerts_jsonl.len(), "alert JSONL")?;
+            self.w.write_all(&alerts_len.to_le_bytes())?;
+            for (seg, len) in &self.checkpoints {
                 self.w.write_all(&seg.to_le_bytes())?;
-                self.w.write_all(&(blob.len() as u32).to_le_bytes())?;
-                self.w.write_all(blob)?;
-                self.pos += 12 + blob.len() as u64;
+                self.w.write_all(&len.to_le_bytes())?;
             }
             self.w.write_all(self.alerts_jsonl.as_bytes())?;
-            self.pos += self.alerts_jsonl.len() as u64;
+            self.pos += EXT_HEAD_LEN + EXT_ENTRY_HEAD_LEN * u64::from(n) + u64::from(alerts_len);
             start
         };
         let dir_offset = self.pos;
@@ -466,6 +512,15 @@ impl<W: Write> CaptureWriter<W> {
         };
         Ok((self.w, stats))
     }
+}
+
+fn invalid_input(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, msg)
+}
+
+/// A length as the `u32` the format stores, or `InvalidInput`.
+fn len_u32(len: usize, what: &str) -> std::io::Result<u32> {
+    u32::try_from(len).map_err(|_| invalid_input(format!("{what} {len} does not fit in u32")))
 }
 
 /// File-backed capture sink, installable wherever a [`TraceSink`] goes
@@ -519,10 +574,13 @@ impl CaptureSink {
         }
     }
 
-    /// Attach a checkpoint blob (see [`CaptureWriter::add_checkpoint`]).
+    /// Write a checkpoint blob (see [`CaptureWriter::add_checkpoint`]).
+    /// A rejected or failed write marks the capture failed.
     pub fn add_checkpoint(&mut self, seg_index: u64, blob: Vec<u8>) {
-        if let Some(w) = &mut self.w {
-            w.add_checkpoint(seg_index, blob);
+        if let Some(w) = self.w.as_mut().filter(|_| !self.failed) {
+            if w.add_checkpoint(seg_index, blob).is_err() {
+                self.failed = true;
+            }
         }
     }
 
@@ -701,9 +759,15 @@ impl BlobRef {
     }
 }
 
-/// Extension-block index: `(seg_index, blob)` checkpoint entries plus
-/// the embedded alert JSONL.
-type ExtensionIndex = (Vec<(u64, BlobRef)>, String);
+/// One checkpoint as the extension block indexes it: its label, its
+/// blob length and, where the block records one (versions 1 and 2 keep
+/// blobs inside it), the blob's offset. A version-3 blob's offset is
+/// derived while the directory is walked.
+type ExtEntry = (u64, u32, Option<u64>);
+
+/// Extension-block index: the checkpoint entries plus the embedded
+/// alert JSONL.
+type ExtensionIndex = (Vec<ExtEntry>, String);
 
 /// Size of the extension block's head: magic, checkpoint count, alert
 /// length.
@@ -711,69 +775,158 @@ const EXT_HEAD_LEN: u64 = 16;
 /// Size of one checkpoint entry's head: `seg_index u64 · blob_len u32`.
 const EXT_ENTRY_HEAD_LEN: u64 = 12;
 
-/// Index the extension block `[ext_offset, dir_offset)`: walk its entry
-/// heads, seeking over every blob, and read only the alert JSONL. The
-/// entries and alerts must fill the block exactly — trailing or missing
-/// bytes are corruption, not slack.
-fn index_extension<R: Read + Seek>(
+fn corrupt_ext(what: String) -> String {
+    format!("corrupt extension block: {what}")
+}
+
+/// Read and check the extension block's head at `ext_offset`: the
+/// block `[ext_offset, dir_offset)` must hold it and it must open with
+/// [`EXT_MAGIC`]. Returns `(checkpoints, alerts_len)`.
+fn read_extension_head<R: Read + Seek>(
     r: &mut R,
     ext_offset: u64,
     dir_offset: u64,
-) -> Result<ExtensionIndex, String> {
-    let corrupt = |what: String| format!("corrupt extension block: {what}");
+) -> Result<(u32, u64), String> {
     let block_len = dir_offset - ext_offset;
     if block_len < EXT_HEAD_LEN {
-        return Err(corrupt(format!("{block_len} bytes, shorter than its head")));
+        return Err(corrupt_ext(format!(
+            "{block_len} bytes, shorter than its head"
+        )));
     }
     r.seek(SeekFrom::Start(ext_offset))
         .map_err(|e| format!("seek error: {e}"))?;
     let mut head = [0u8; EXT_HEAD_LEN as usize];
     r.read_exact(&mut head)
         .map_err(|e| format!("short extension block: {e}"))?;
-    let bad = |e: DecodeError| corrupt(e.to_string());
+    let bad = |e: DecodeError| corrupt_ext(e.to_string());
     let mut h = Reader::new(&head);
     if h.raw(EXT_MAGIC.len()).map_err(bad)? != EXT_MAGIC {
-        return Err(corrupt("bad magic".into()));
+        return Err(corrupt_ext("bad magic".into()));
     }
     let n_checkpoints = h.u32().map_err(bad)?;
     let alerts_len = u64::from(h.u32().map_err(bad)?);
+    Ok((n_checkpoints, alerts_len))
+}
+
+/// Parse one checkpoint entry head: `(seg_index, blob_len)`.
+fn parse_entry_head(bytes: &[u8]) -> Result<(u64, u32), String> {
+    let mut e = Reader::new(bytes);
+    let bad = |e: DecodeError| corrupt_ext(e.to_string());
+    Ok((e.u64().map_err(bad)?, e.u32().map_err(bad)?))
+}
+
+fn parse_alerts(bytes: Vec<u8>) -> Result<String, String> {
+    String::from_utf8(bytes).map_err(|e| corrupt_ext(format!("alerts not UTF-8: {e}")))
+}
+
+/// Index a version-1/2 extension block `[ext_offset, dir_offset)`: walk
+/// its entry heads, seeking over the blob after each, and read only the
+/// alert JSONL. The entries and alerts must fill the block exactly —
+/// trailing or missing bytes are corruption, not slack.
+fn index_extension<R: Read + Seek>(
+    r: &mut R,
+    ext_offset: u64,
+    dir_offset: u64,
+) -> Result<ExtensionIndex, String> {
+    let (n_checkpoints, alerts_len) = read_extension_head(r, ext_offset, dir_offset)?;
     let mut checkpoints = Vec::new();
     let mut pos = ext_offset + EXT_HEAD_LEN;
     for i in 0..n_checkpoints {
         if dir_offset - pos < EXT_ENTRY_HEAD_LEN {
-            return Err(corrupt(format!(
+            return Err(corrupt_ext(format!(
                 "checkpoint {i} of {n_checkpoints} runs past the block"
             )));
         }
         let mut entry = [0u8; EXT_ENTRY_HEAD_LEN as usize];
         r.read_exact(&mut entry)
             .map_err(|e| format!("short extension block: checkpoint {i}: {e}"))?;
-        let mut e = Reader::new(&entry);
-        let seg = e.u64().map_err(bad)?;
-        let len = e.u32().map_err(bad)?;
+        let (seg, len) = parse_entry_head(&entry)?;
         let offset = pos + EXT_ENTRY_HEAD_LEN;
         if dir_offset - offset < u64::from(len) {
-            return Err(corrupt(format!(
+            return Err(corrupt_ext(format!(
                 "checkpoint {i}: {len}-byte blob at {offset} runs past the block (ends at {dir_offset})"
             )));
         }
         r.seek(SeekFrom::Current(i64::from(len)))
             .map_err(|e| format!("seek error: {e}"))?;
-        checkpoints.push((seg, BlobRef { offset, len }));
+        checkpoints.push((seg, len, Some(offset)));
         pos = offset + u64::from(len);
     }
     if dir_offset - pos != alerts_len {
-        return Err(corrupt(format!(
-            "{block_len} bytes, indexed {} + {alerts_len} alert bytes",
+        return Err(corrupt_ext(format!(
+            "{} bytes, indexed {} + {alerts_len} alert bytes",
+            dir_offset - ext_offset,
             pos - ext_offset
         )));
     }
     let mut alerts = vec![0u8; alerts_len as usize];
     r.read_exact(&mut alerts)
         .map_err(|e| format!("short extension block: alerts: {e}"))?;
-    let alerts =
-        String::from_utf8(alerts).map_err(|e| corrupt(format!("alerts not UTF-8: {e}")))?;
-    Ok((checkpoints, alerts))
+    Ok((checkpoints, parse_alerts(alerts)?))
+}
+
+/// Index a version-3 extension block `[ext_offset, dir_offset)`: its
+/// head, then every entry head and the alert JSONL in one read. The
+/// block holds nothing else, so its length must equal exactly what the
+/// head declares.
+fn read_extension_index<R: Read + Seek>(
+    r: &mut R,
+    ext_offset: u64,
+    dir_offset: u64,
+) -> Result<ExtensionIndex, String> {
+    let (n_checkpoints, alerts_len) = read_extension_head(r, ext_offset, dir_offset)?;
+    let block_len = dir_offset - ext_offset;
+    let index_len = EXT_HEAD_LEN + EXT_ENTRY_HEAD_LEN * u64::from(n_checkpoints);
+    if index_len > block_len {
+        return Err(corrupt_ext(format!(
+            "{n_checkpoints} checkpoint entry heads: the index runs past the block ({block_len} bytes)"
+        )));
+    }
+    if block_len - index_len != alerts_len {
+        return Err(corrupt_ext(format!(
+            "{block_len} bytes, indexed {index_len} + {alerts_len} alert bytes"
+        )));
+    }
+    // Bounded by the block, which lies inside the file.
+    let mut rest = vec![0u8; (block_len - EXT_HEAD_LEN) as usize];
+    r.read_exact(&mut rest)
+        .map_err(|e| format!("short extension block: {e}"))?;
+    let alerts = rest.split_off((index_len - EXT_HEAD_LEN) as usize);
+    let checkpoints = rest
+        .chunks_exact(EXT_ENTRY_HEAD_LEN as usize)
+        .map(|head| parse_entry_head(head).map(|(seg, len)| (seg, len, None)))
+        .collect::<Result<_, _>>()?;
+    Ok((checkpoints, parse_alerts(alerts)?))
+}
+
+/// Claim the next `len` bytes of the data region, at `*pos`, for the
+/// version-3 blob of checkpoint `c` (labelled `seg`) and return its
+/// offset. `next` is the segment the blob precedes (`None` at the end):
+/// it must hold data, or the label would not be the only one that puts
+/// the blob here.
+fn place_blob(
+    pos: &mut u64,
+    data_end: u64,
+    c: usize,
+    seg: u64,
+    len: u32,
+    next: Option<&SegmentMeta>,
+) -> Result<u64, String> {
+    let end = pos
+        .checked_add(u64::from(len))
+        .filter(|&end| end <= data_end);
+    let why = if len == 0 {
+        "its blob is empty".to_string()
+    } else if next.is_some_and(SegmentMeta::is_compacted) {
+        "it precedes a compacted segment".to_string()
+    } else if let Some(end) = end {
+        return Ok(std::mem::replace(pos, end));
+    } else {
+        format!("its {len}-byte blob at {pos} runs past the data region (ends at {data_end})")
+    };
+    Err(format!(
+        "corrupt capture index: checkpoint {c} (segment {seg}): {why}"
+    ))
 }
 
 /// Parse one directory entry (the inverse of the layout
@@ -811,8 +964,8 @@ pub struct CaptureReader<R: Read + Seek> {
     bytes: u64,
     buf: Vec<u8>,
     version: u32,
-    /// Where the extension block (if any) ends: no blob reaches past it.
-    dir_offset: u64,
+    /// Checked at open: each blob lies inside the data region (v3) or
+    /// the extension block (v1/v2), so `checkpoint_blob` reads at once.
     checkpoints: Vec<(u64, BlobRef)>,
     alerts_jsonl: String,
 }
@@ -838,7 +991,7 @@ impl<R: Read + Seek> CaptureReader<R> {
             return Err("bad magic: not a segmented trace capture".into());
         }
         let version = h.u32().map_err(bad)?;
-        if version != 1 && version != CAPTURE_VERSION {
+        if !(1..=CAPTURE_VERSION).contains(&version) {
             return Err(format!(
                 "unsupported capture version {version} (expected 1..={CAPTURE_VERSION})"
             ));
@@ -881,8 +1034,8 @@ impl<R: Read + Seek> CaptureReader<R> {
                 "inconsistent trailer: dir_offset {dir_offset}, {segments} segments, file {bytes} bytes"
             ));
         }
-        // The frame data region ends where the extension block (if
-        // any) starts; otherwise at the directory.
+        // The data region ends where the extension block (if any)
+        // starts; otherwise at the directory.
         if ext_offset != 0 && (ext_offset < CAPTURE_HEADER_LEN as u64 || ext_offset >= dir_offset) {
             return Err(format!(
                 "inconsistent trailer: extension block at {ext_offset} outside data region (directory at {dir_offset})"
@@ -893,24 +1046,54 @@ impl<R: Read + Seek> CaptureReader<R> {
         } else {
             dir_offset
         };
-        let (checkpoints, alerts_jsonl) = if ext_offset != 0 {
-            index_extension(&mut r, ext_offset, dir_offset)?
-        } else {
-            (Vec::new(), String::new())
+        let (entries, alerts_jsonl) = match ext_offset {
+            0 => (Vec::new(), String::new()),
+            _ if version == CAPTURE_VERSION => {
+                read_extension_index(&mut r, ext_offset, dir_offset)?
+            }
+            _ => index_extension(&mut r, ext_offset, dir_offset)?,
         };
+        let misplaced = (0..entries.len())
+            .find(|&i| entries[i].0 > segments || (i > 0 && entries[i].0 <= entries[i - 1].0));
+        if let Some(i) = misplaced {
+            return Err(corrupt_ext(format!(
+                "checkpoint {i} labelled segment {}: labels must rise strictly and stay within the {segments} segments",
+                entries[i].0
+            )));
+        }
         r.seek(SeekFrom::Start(dir_offset))
             .map_err(|e| format!("seek error: {e}"))?;
+        // Walk the directory, claiming the data region front to back:
+        // before segment i comes the checkpoint labelled i, if any — in
+        // version 3 its blob occupies the next bytes — then segment i's
+        // frames. `segments` fits the file: the trailer check above.
         let mut dir = Vec::with_capacity(segments as usize);
-        let mut entry = [0u8; SEGMENT_ENTRY_LEN];
-        let mut expected_offset = CAPTURE_HEADER_LEN as u64;
+        let mut checkpoints = Vec::with_capacity(entries.len());
+        let mut pending = entries.into_iter().peekable();
+        let mut pos = CAPTURE_HEADER_LEN as u64;
         let mut frame_sum = 0u64;
-        for i in 0..segments {
-            r.read_exact(&mut entry)
-                .map_err(|e| format!("short directory entry {i}: {e}"))?;
-            let m = parse_entry(&entry).map_err(|e| format!("corrupt directory entry {i}: {e}"))?;
-            if m.frames == 0 || (!m.is_compacted() && m.offset != expected_offset) {
+        let mut entry = [0u8; SEGMENT_ENTRY_LEN];
+        for i in 0..=segments {
+            let m = if i < segments {
+                r.read_exact(&mut entry)
+                    .map_err(|e| format!("short directory entry {i}: {e}"))?;
+                Some(parse_entry(&entry).map_err(|e| format!("corrupt directory entry {i}: {e}"))?)
+            } else {
+                None
+            };
+            if let Some((seg, len, offset)) = pending.next_if(|e| e.0 == i) {
+                let offset = match offset {
+                    Some(offset) => offset,
+                    None => {
+                        place_blob(&mut pos, data_end, checkpoints.len(), seg, len, m.as_ref())?
+                    }
+                };
+                checkpoints.push((seg, BlobRef { offset, len }));
+            }
+            let Some(m) = m else { break };
+            if m.frames == 0 || (!m.is_compacted() && m.offset != pos) {
                 return Err(format!(
-                    "corrupt directory: segment {i} at offset {} (expected {expected_offset}), {} frames",
+                    "corrupt directory: segment {i} at offset {} (expected {pos}), {} frames",
                     m.offset, m.frames
                 ));
             }
@@ -918,14 +1101,14 @@ impl<R: Read + Seek> CaptureReader<R> {
             // does not advance; their frames still count toward the
             // logical total so index-only queries stay exact.
             if !m.is_compacted() {
-                expected_offset += m.frames as u64 * FRAME_LEN as u64;
+                pos += m.frames as u64 * FRAME_LEN as u64;
             }
             frame_sum += m.frames as u64;
             dir.push(m);
         }
-        if expected_offset != data_end || frame_sum != frames {
+        if pos != data_end || frame_sum != frames {
             return Err(format!(
-                "corrupt directory: data ends at {expected_offset} (expected {data_end}), {frame_sum} frames indexed ({frames} in trailer)"
+                "corrupt capture index: segments and blobs end at {pos} (data region ends at {data_end}), {frame_sum} frames indexed ({frames} in trailer)"
             ));
         }
         Ok(CaptureReader {
@@ -936,7 +1119,6 @@ impl<R: Read + Seek> CaptureReader<R> {
             bytes,
             buf: Vec::new(),
             version,
-            dir_offset,
             checkpoints,
             alerts_jsonl,
         })
@@ -963,7 +1145,7 @@ impl<R: Read + Seek> CaptureReader<R> {
         self.bytes
     }
 
-    /// Container version from the header (1 or [`CAPTURE_VERSION`]).
+    /// Container version from the header (1 to [`CAPTURE_VERSION`]).
     pub fn version(&self) -> u32 {
         self.version
     }
@@ -985,15 +1167,6 @@ impl<R: Read + Seek> CaptureReader<R> {
                 self.checkpoints.len()
             )
         })?;
-        if b.offset
-            .checked_add(u64::from(b.len))
-            .is_none_or(|end| end > self.dir_offset)
-        {
-            return Err(format!(
-                "checkpoint {i} (segment {seg}): {}-byte blob at {} runs past the extension block",
-                b.len, b.offset
-            ));
-        }
         self.r
             .seek(SeekFrom::Start(b.offset))
             .map_err(|e| format!("seek error: {e}"))?;
@@ -1343,9 +1516,10 @@ mod tests {
         let mut w =
             CaptureWriter::new(Vec::new(), CaptureConfig { segment_frames: 8 }).expect("header");
         for (ev, at, key) in &frames {
-            w.push(ev, *at, *key).expect("push");
+            if w.push(ev, *at, *key).expect("push") && w.segments_sealed() == 1 {
+                w.add_checkpoint(1, vec![1, 2, 3]).expect("checkpoint");
+            }
         }
-        w.add_checkpoint(1, vec![1, 2, 3]);
         w.set_alerts_jsonl("{}\n".into());
         let (bytes, _) = w.finish().expect("finish");
         let trailer_u64 = |at: usize| {
@@ -1590,7 +1764,8 @@ mod tests {
         for (ev, at, key) in &frames {
             if w.push(ev, *at, *key).expect("push") {
                 let sealed = w.segments_sealed();
-                w.add_checkpoint(sealed, vec![sealed as u8; 5 + sealed as usize]);
+                w.add_checkpoint(sealed, vec![sealed as u8; 5 + sealed as usize])
+                    .expect("checkpoint");
                 boundaries.push(sealed);
             }
         }
@@ -1653,12 +1828,15 @@ mod tests {
         let keep_from = n_segs / 2;
         let mut w =
             CaptureWriter::new(Vec::new(), CaptureConfig { segment_frames: 8 }).expect("header");
-        w.add_checkpoint(keep_from as u64, vec![7; 3]);
         for idx in 0..n_segs {
             let meta = src.segments()[idx];
             if idx < keep_from {
-                w.push_compacted(&meta);
+                w.push_compacted(&meta).expect("compact");
             } else {
+                if idx == keep_from {
+                    w.add_checkpoint(keep_from as u64, vec![7; 3])
+                        .expect("checkpoint");
+                }
                 let raw = src.read_segment_raw(idx).expect("raw");
                 w.push_segment_raw(&meta, &raw).expect("copy");
             }
@@ -1711,22 +1889,26 @@ mod tests {
 
     #[test]
     fn extension_corruption_is_a_hard_open_error() {
-        // The block: head at `ext`, one entry head at `ext + 16`, a
-        // 3-byte blob at `ext + 28`, the 3-byte alert JSONL at
-        // `ext + 31`, the directory at `ext + 34`.
+        // The data region: segment 0 at 16, the 3-byte blob of the
+        // checkpoint labelled 1 at `blob` = 16 + 8 frames, segment 1
+        // right after it. The block: head at `ext`, the one entry head
+        // at `ext + 16` (label, then blob_len at `ext + 24`), the 3-byte
+        // alert JSONL at `ext + 28`, the directory at `ext + 31`.
         let mut w =
             CaptureWriter::new(Vec::new(), CaptureConfig { segment_frames: 8 }).expect("header");
         for (ev, at, key) in &stream(2) {
-            w.push(ev, *at, *key).expect("push");
+            if w.push(ev, *at, *key).expect("push") && w.segments_sealed() == 1 {
+                w.add_checkpoint(1, vec![1, 2, 3]).expect("checkpoint");
+            }
         }
-        w.add_checkpoint(1, vec![1, 2, 3]);
         w.set_alerts_jsonl("{}\n".into());
         let (bytes, _) = w.finish().expect("finish");
         let tr = bytes.len() - TRAILER_LEN;
         let ext = Reader::new(&bytes[tr + 32..]).u64().expect("ext_offset") as usize;
-        assert!(ext > 0);
+        let blob = CAPTURE_HEADER_LEN + 8 * FRAME_LEN;
         let r = CaptureReader::new(Cursor::new(bytes.clone())).expect("intact capture opens");
-        assert_eq!(r.checkpoints()[0].1.offset(), ext as u64 + 28);
+        assert_eq!(r.checkpoints()[0].1.offset(), blob as u64);
+        assert_eq!(r.segments()[1].offset, blob as u64 + 3);
         assert_eq!(r.alerts_jsonl(), "{}\n");
         let patch = |at: usize, with: &[u8]| {
             let mut bad = bytes.clone();
@@ -1736,21 +1918,25 @@ mod tests {
         let e = patch(ext, b"X").expect_err("bad magic");
         assert!(e.contains("bad magic"), "{e}");
         // Inflated lengths and counts: each fails the open, never
-        // panics or allocates by the field's word.
+        // panics or allocates by the field's word. A blob length now
+        // places the blob in the data region, so a wrong one breaks the
+        // tiling there.
+        let past_data = (ext - blob + 1) as u32;
+        let into_segment = format!("segment 1 at offset {} (expected {})", blob + 3, blob + 4);
         for (what, at, v, want) in [
             (
                 "blob_len past the block",
                 ext + 24,
                 u32::MAX,
-                "runs past the block",
+                "runs past the data region",
             ),
             (
                 "blob_len one past the block",
                 ext + 24,
-                7,
-                "runs past the block",
+                past_data,
+                "runs past the data region",
             ),
-            ("blob_len into the alerts", ext + 24, 4, "alert bytes"),
+            ("blob_len into the next segment", ext + 24, 4, &into_segment),
             ("count past the block", ext + 8, 2, "runs past the block"),
             ("count u32::MAX", ext + 8, u32::MAX, "runs past the block"),
             ("alert length short", ext + 12, 2, "alert bytes"),
@@ -1758,19 +1944,222 @@ mod tests {
             ("alert length u32::MAX", ext + 12, u32::MAX, "alert bytes"),
         ] {
             let e = patch(at, &v.to_le_bytes()).expect_err(what);
-            assert!(
-                e.contains("corrupt extension block") && e.contains(want),
-                "{what}: {e}"
-            );
+            assert!(e.contains("corrupt") && e.contains(want), "{what}: {e}");
         }
-        let e = patch(ext + 32, &[0xFF]).expect_err("non-UTF-8 alerts");
+        // Labels: out of range, moved to another segment, and an empty
+        // blob.
+        for (what, at, with, want) in [
+            (
+                "label past the segments",
+                ext + 16,
+                99u64.to_le_bytes().to_vec(),
+                "labels must rise strictly",
+            ),
+            (
+                "label moved later",
+                ext + 16,
+                2u64.to_le_bytes().to_vec(),
+                "segment 1 at offset",
+            ),
+            (
+                "label moved earlier",
+                ext + 16,
+                0u64.to_le_bytes().to_vec(),
+                "segment 0 at offset 16",
+            ),
+            (
+                "empty blob",
+                ext + 24,
+                0u32.to_le_bytes().to_vec(),
+                "blob is empty",
+            ),
+        ] {
+            let e = patch(at, &with).expect_err(what);
+            assert!(e.contains("corrupt") && e.contains(want), "{what}: {e}");
+        }
+        let e = patch(ext + 29, &[0xFF]).expect_err("non-UTF-8 alerts");
         assert!(e.contains("not UTF-8"), "{e}");
         // ext_offset leaving too few bytes for the block head, and
         // pointing past the directory.
-        let e = patch(tr + 32, &(ext as u64 + 34 - 8).to_le_bytes()).expect_err("short block");
+        let e = patch(tr + 32, &(ext as u64 + 31 - 8).to_le_bytes()).expect_err("short block");
         assert!(e.contains("shorter than its head"), "{e}");
         let e = patch(tr + 32, &(bytes.len() as u64).to_le_bytes()).expect_err("past directory");
         assert!(e.contains("extension block"), "{e}");
+    }
+
+    #[test]
+    fn checkpoints_reach_the_writer_at_once_and_are_not_kept() {
+        let frames = stream(2);
+        let mut w =
+            CaptureWriter::new(Vec::new(), CaptureConfig { segment_frames: 8 }).expect("header");
+        let mut blobs = Vec::new();
+        for (ev, at, key) in &frames {
+            if w.push(ev, *at, *key).expect("push") {
+                let sealed = w.segments_sealed();
+                let blob = vec![0xA0 | sealed as u8; 100 + sealed as usize];
+                let before = w.w.len();
+                w.add_checkpoint(sealed, blob.clone()).expect("checkpoint");
+                // The blob is in the underlying writer when the call
+                // returns, right after the segment it follows ...
+                assert_eq!(w.w[before..], blob[..]);
+                blobs.push(blob);
+            }
+        }
+        // ... and the writer keeps only each one's label and length.
+        let index: Vec<(u64, u32)> = (1..)
+            .zip(&blobs)
+            .map(|(k, b)| (k, b.len() as u32))
+            .collect();
+        assert_eq!(w.checkpoints, index);
+        let (bytes, stats) = w.finish().expect("finish");
+        // Every blob byte is written once: the file is the frames, the
+        // blobs, the index, the directory and the trailer.
+        let blob_bytes: usize = blobs.iter().map(Vec::len).sum();
+        let want = CAPTURE_HEADER_LEN
+            + frames.len() * FRAME_LEN
+            + blob_bytes
+            + EXT_HEAD_LEN as usize
+            + EXT_ENTRY_HEAD_LEN as usize * blobs.len()
+            + stats.segments as usize * SEGMENT_ENTRY_LEN
+            + TRAILER_LEN;
+        assert_eq!(bytes.len(), want);
+        let mut r = CaptureReader::new(Cursor::new(bytes)).expect("open");
+        for (i, blob) in blobs.iter().enumerate() {
+            assert_eq!(&r.checkpoint_blob(i).expect("blob"), blob);
+        }
+    }
+
+    #[test]
+    fn writer_rejects_misplaced_checkpoints() {
+        let frames = stream(1);
+        let mut w =
+            CaptureWriter::new(Vec::new(), CaptureConfig { segment_frames: 8 }).expect("header");
+        // A rejected checkpoint is InvalidInput and writes nothing.
+        let rejected = |w: &mut CaptureWriter<Vec<u8>>, seg: u64, blob: Vec<u8>| {
+            let before = w.w.len();
+            let e = w.add_checkpoint(seg, blob).expect_err("rejected");
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+            assert_eq!(w.w.len(), before, "{e}");
+            e.to_string()
+        };
+        // The label must equal the sealed segment count.
+        assert!(rejected(&mut w, 1, vec![1]).contains("0 segments are sealed"));
+        w.add_checkpoint(0, vec![1])
+            .expect("label 0 before any frame");
+        // It must rise above the previous label.
+        assert!(rejected(&mut w, 0, vec![1]).contains("already has this label"));
+        // No partial segment may be open.
+        for (ev, at, key) in &frames[..3] {
+            w.push(ev, *at, *key).expect("push");
+        }
+        assert!(rejected(&mut w, 0, vec![1]).contains("segment 0 is partly written"));
+        assert!(rejected(&mut w, 1, vec![1]).contains("segment 0 is partly written"));
+        for (ev, at, key) in &frames[3..8] {
+            w.push(ev, *at, *key).expect("push");
+        }
+        assert_eq!(w.segments_sealed(), 1);
+        assert!(rejected(&mut w, 0, vec![1]).contains("1 segments are sealed"));
+        assert!(rejected(&mut w, 1, Vec::new()).contains("the blob is empty"));
+        w.add_checkpoint(1, vec![2, 2])
+            .expect("label 1 after segment 0");
+        // A checkpoint's segment must hold data.
+        let meta = w.dir[0];
+        let e = w
+            .push_compacted(&meta)
+            .expect_err("compacted after a checkpoint");
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+        // The capture is still whole.
+        let (bytes, _) = w.finish().expect("finish");
+        let r = CaptureReader::new(Cursor::new(bytes)).expect("open");
+        let labels: Vec<u64> = r.checkpoints().iter().map(|c| c.0).collect();
+        assert_eq!(labels, [0, 1]);
+        assert_eq!(r.segments().len(), 1);
+
+        // A capture sink that meets a rejected checkpoint is failed.
+        let dir = std::env::temp_dir().join(format!("wmsn-capture-reject-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut sink =
+            CaptureSink::create(dir.join("reject.wcap"), CaptureConfig::default()).expect("create");
+        sink.record_keyed(&frames[0].0, frames[0].1, frames[0].2);
+        sink.add_checkpoint(1, vec![1]);
+        assert!(sink.finalize().is_none());
+        drop(sink);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A small version-3 capture exercising every placement: a blob
+    /// before segment 0, a compacted segment, a blob before the segment
+    /// after it, and a blob at the end of the data region.
+    fn small_v3_capture() -> Vec<u8> {
+        let src_bytes = write_capture(&stream(1), 4);
+        let mut src = CaptureReader::new(Cursor::new(src_bytes)).expect("open src");
+        let n = src.segments().len();
+        assert!(n >= 4, "{n} segments");
+        let mut w =
+            CaptureWriter::new(Vec::new(), CaptureConfig { segment_frames: 4 }).expect("header");
+        for idx in 0..n {
+            let meta = src.segments()[idx];
+            if idx == 1 {
+                w.push_compacted(&meta).expect("compact");
+                continue;
+            }
+            if idx == 0 || idx == 2 {
+                w.add_checkpoint(idx as u64, vec![idx as u8 + 1; 5 + idx])
+                    .expect("checkpoint");
+            }
+            let raw = src.read_segment_raw(idx).expect("raw");
+            w.push_segment_raw(&meta, &raw).expect("copy");
+        }
+        w.add_checkpoint(n as u64, vec![0xEE; 4])
+            .expect("end checkpoint");
+        w.set_alerts_jsonl("{\"a\":1}\n{\"b\":2}\n".into());
+        w.finish().expect("finish").0
+    }
+
+    #[test]
+    fn v3_index_mutations_fail_or_open_identically() {
+        let bytes = small_v3_capture();
+        let good = CaptureReader::new(Cursor::new(bytes.clone())).expect("intact capture opens");
+        let (segments, checkpoints) = (good.segments().to_vec(), good.checkpoints().to_vec());
+        assert_eq!(checkpoints.len(), 3);
+        assert!(segments[1].is_compacted());
+        // The outcome the property allows: an error, or the same index.
+        let check = |bad: Vec<u8>, what: &str| {
+            if let Ok(r) = CaptureReader::new(Cursor::new(bad)) {
+                assert_eq!(r.segments(), segments, "{what}");
+                assert_eq!(r.checkpoints(), checkpoints, "{what}");
+            }
+        };
+        for cut in 0..bytes.len() {
+            check(bytes[..cut].to_vec(), &format!("cut at {cut}"));
+        }
+        let trailer = |at: usize| {
+            let mut r = Reader::new(&bytes[bytes.len() - TRAILER_LEN + at..]);
+            r.u64().expect("trailer field") as usize
+        };
+        let (dir, ext) = (trailer(0), trailer(32));
+        // The extension index, and each directory entry's offset and
+        // frame count.
+        let positions = (ext..dir).chain(
+            (0..segments.len())
+                .flat_map(|i| dir + i * SEGMENT_ENTRY_LEN..dir + i * SEGMENT_ENTRY_LEN + 12),
+        );
+        // Of all these, only an alert byte changed to other valid
+        // UTF-8 opens.
+        let alerts = dir - good.alerts_jsonl().len()..dir;
+        let mut opened = 0;
+        for at in positions {
+            for byte in (0..=u8::MAX).filter(|&b| b != bytes[at]) {
+                let mut bad = bytes.clone();
+                bad[at] = byte;
+                if CaptureReader::new(Cursor::new(bad.clone())).is_ok() {
+                    assert!(alerts.contains(&at), "byte {at} set to {byte:#04x} opens");
+                    opened += 1;
+                }
+                check(bad, &format!("byte {at} set to {byte:#04x}"));
+            }
+        }
+        assert!(opened > 0);
     }
 
     /// Counts the bytes read through it.
@@ -1803,7 +2192,8 @@ mod tests {
             for (ev, at, key) in &frames {
                 if w.push(ev, *at, *key).expect("push") {
                     let sealed = w.segments_sealed();
-                    w.add_checkpoint(sealed, vec![sealed as u8; blob_len]);
+                    w.add_checkpoint(sealed, vec![sealed as u8; blob_len])
+                        .expect("checkpoint");
                 }
             }
             w.set_alerts_jsonl(alerts.into());

@@ -52,4 +52,4 @@ pub use replay::{
 };
 pub use ring::{FrameBufferSink, RingConfig, RingSink, RingStats};
 pub use sink::{expect_sink, BufferSink, CountingSink, JsonlSink, NullSink, TraceSink};
-pub use structured::{log_error, log_record, record_line};
+pub use structured::{log_error, log_record, record_line, write_stdout};

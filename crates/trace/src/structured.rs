@@ -6,6 +6,7 @@
 //! JSON-object-per-line format as the trace files, distinguished by a
 //! leading `"record"` field instead of `"ev"`.
 
+use std::io::{ErrorKind, Write};
 use wmsn_util::json::Json;
 
 /// Format one structured record line: a compact JSON object whose
@@ -17,9 +18,23 @@ pub fn record_line(kind: &str, fields: Vec<(&'static str, Json)>) -> String {
     Json::obj(all).to_string()
 }
 
-/// Print one structured record line to stdout.
+/// Print one structured record line to stdout (see [`write_stdout`]).
 pub fn log_record(kind: &str, fields: Vec<(&'static str, Json)>) {
-    println!("{}", record_line(kind, fields));
+    write_stdout(format_args!("{}\n", record_line(kind, fields)));
+}
+
+/// Write to stdout through its lock. A closed pipe — the reader went
+/// away, as `head` does — ends the process quietly with status 0
+/// instead of panicking; any other write error is reported on stderr
+/// and exits 1.
+pub fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error writing stdout: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// Print one structured record line to stderr (for errors / usage).

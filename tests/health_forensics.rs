@@ -13,9 +13,14 @@ use std::path::PathBuf;
 use wmsn::core::experiments::e18_forensics_capture;
 use wmsn::health::{
     alerts_in_window, alerts_to_jsonl, compact_capture, explain_alert, replay_window, restore,
-    snapshot, CompactionPolicy, HealthAlert, HealthConfig, HealthMonitor,
+    snapshot, AlertKind, CompactionPolicy, ForensicCaptureSink, HealthAlert, HealthConfig,
+    HealthMonitor,
 };
-use wmsn::trace::{capture_counts, CaptureReader, ScanFilter};
+use wmsn::trace::{
+    capture_counts, CaptureConfig, CaptureReader, ScanFilter, TraceEvent, TraceKind, TraceSink,
+    TraceTier,
+};
+use wmsn::util::NodeId;
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -305,4 +310,63 @@ fn compaction_keeps_the_index_exact_and_fails_frame_reads_loudly() {
 
     std::fs::remove_file(path).ok();
     std::fs::remove_file(out).ok();
+}
+
+#[test]
+fn a_window_from_genesis_never_resumes_past_a_multi_window_first_segment() {
+    // Node 4 seeds three unprompted floods in windows 0 and 1; the
+    // reception at t = 1.0 s closes window 1 and raises the announce
+    // spike while segment 0 is still open. Segment 0 thus spans three
+    // detector windows and its checkpoint (labelled 1) carries the
+    // spike's latch but not the alert.
+    let cfg = HealthConfig::default();
+    let flood = |t: u64, seq: u64| TraceEvent::TxStart {
+        t,
+        seq,
+        src: NodeId(4),
+        dst: None,
+        tier: TraceTier::Sensor,
+        kind: TraceKind::Control,
+        bytes: 16,
+    };
+    let rx = |t: u64, seq: u64| TraceEvent::Rx {
+        t,
+        seq,
+        node: NodeId(2),
+    };
+    let mut events = vec![
+        flood(300_000, 1),
+        flood(600_000, 2),
+        flood(900_000, 3),
+        rx(1_000_000, 3),
+    ];
+    events.extend((0..8u64).map(|k| rx(1_200_000 + 400_000 * k, 3)));
+    let path = scratch("genesis").join("genesis.wcap");
+    let mut sink = ForensicCaptureSink::create(&path, CaptureConfig { segment_frames: 4 }, cfg, 1)
+        .expect("create capture");
+    for (key, ev) in events.iter().enumerate() {
+        sink.record_keyed(ev, ev.t(), key as u64);
+    }
+    sink.finalize().expect("capture written");
+    drop(sink);
+
+    let mut r = CaptureReader::open(&path).expect("open");
+    let first = r.segments()[0];
+    assert!(first.at_max / cfg.window_us >= 2, "{first:?}");
+    assert_eq!(r.checkpoints()[0].0, 1);
+    let (lo, hi) = (0, 2_000_000);
+    let (fast, stats) = replay_window(&mut r, lo, hi, cfg, false).expect("window");
+    let (full, _) = replay_window(&mut r, lo, hi, cfg, true).expect("full scan");
+    assert_eq!(stats.checkpoint_seg, None, "{stats:?}");
+    let want = alerts_in_window(&full, lo, hi);
+    assert!(
+        want.iter()
+            .any(|a| a.kind == AlertKind::AnnounceSpike && a.t <= first.at_max),
+        "the spike must be raised inside segment 0: {want:?}"
+    );
+    assert_eq!(
+        alerts_to_jsonl(&alerts_in_window(&fast, lo, hi)),
+        alerts_to_jsonl(&want)
+    );
+    std::fs::remove_file(path).ok();
 }
