@@ -97,6 +97,51 @@ const GOLDEN_SEED_11: &[u64] = &[
     0x400fdee6eb31093b, // e16.slack=2 energy_d2_round8 = 3.9838388799991242
     0x3feff11786df27d5, // e16.slack=2 delivery_ratio = 0.9981801637852593
     0x4000f8dbec06292a, // e16.slack=2 mean_hops = 2.1215132178669096
+    0x3ff0000000000000, // e2.round 1 occupied ["A", "B", "C"] selected_place_id = 1
+    0x3ff0000000000000, // e2.round 1 paper_selects B selected_place_paper = 1
+    0x4018000000000000, // e2.round 1 selected_hops = 6
+    0x4018000000000000, // e2.round 1 paper_hops = 6
+    0x4008000000000000, // e2.round 1 table_entries = 3
+    0x4008000000000000, // e2.round 2 occupied ["A", "D", "C"] selected_place_id = 3
+    0x4008000000000000, // e2.round 2 paper_selects D selected_place_paper = 3
+    0x4014000000000000, // e2.round 2 selected_hops = 5
+    0x4014000000000000, // e2.round 2 paper_hops = 5
+    0x4010000000000000, // e2.round 2 table_entries = 4
+    0x4008000000000000, // e2.round 3 occupied ["E", "D", "C"] selected_place_id = 3
+    0x4008000000000000, // e2.round 3 paper_selects D selected_place_paper = 3
+    0x4014000000000000, // e2.round 3 selected_hops = 5
+    0x4014000000000000, // e2.round 3 paper_hops = 5
+    0x4014000000000000, // e2.round 3 table_entries = 5
+    0x405ac00000000000, // e10.alpha=0 gw0_absorbed = 107
+    0x4040800000000000, // e10.alpha=0 gw1_absorbed = 33
+    0x3fe0ea0ea0ea0ea1, // e10.alpha=0 load_imbalance = 0.5285714285714286
+    0x3ff0000000000000, // e10.alpha=0 delivery_ratio = 1
+    0x4057000000000000, // e10.alpha=4 gw0_absorbed = 92
+    0x4048000000000000, // e10.alpha=4 gw1_absorbed = 48
+    0x3fd41d41d41d41d4, // e10.alpha=4 load_imbalance = 0.3142857142857143
+    0x3ff0000000000000, // e10.alpha=4 delivery_ratio = 1
+    0x3ff0000000000000, // e13.all_awake awake_fraction = 1
+    0x3ff0000000000000, // e13.all_awake delivery_ratio = 1
+    0x404bf3f7ced90580, // e13.all_awake sensor_energy_j = 55.905999999969026
+    0x40674b4e81b4d9eb, // e13.all_awake energy_per_delivery_mj = 186.3533333332301
+    0x3fdd70a3d70a3d71, // e13.gaf awake_fraction = 0.46
+    0x3ff0000000000000, // e13.gaf delivery_ratio = 1
+    0x402484189374afea, // e13.gaf sensor_energy_j = 10.257999999994315
+    0x4052955555554a03, // e13.gaf energy_per_delivery_mj = 74.33333333329215
+    0x3ff0000000000000, // e14.mlr loss=0 delivery_ratio = 1
+    0x3ff0000000000000, // e14.secmlr loss=0 delivery_ratio = 1
+    0x3fee000000000000, // e14.mlr loss=0.02 delivery_ratio = 0.9375
+    0x3feecccccccccccd, // e14.secmlr loss=0.02 delivery_ratio = 0.9625
+    0x3fed333333333333, // e14.mlr loss=0.05 delivery_ratio = 0.9125
+    0x3feb99999999999a, // e14.secmlr loss=0.05 delivery_ratio = 0.8625
+    0x3fe999999999999a, // e14.mlr loss=0.1 delivery_ratio = 0.8
+    0x3fe999999999999a, // e14.secmlr loss=0.1 delivery_ratio = 0.8
+    0x3ff0000000000000, // e14.mlr collisions=false csma=false delivery_ratio = 1
+    0x0000000000000000, // e14.mlr collisions=false csma=false collided_frames = 0
+    0x3fd0cccccccccccd, // e14.mlr collisions=true csma=false delivery_ratio = 0.2625
+    0x40b4190000000000, // e14.mlr collisions=true csma=false collided_frames = 5145
+    0x3fe0000000000000, // e14.mlr collisions=true csma=true delivery_ratio = 0.5
+    0x40a1d00000000000, // e14.mlr collisions=true csma=true collided_frames = 2280
     0x3ff0000000000000, // e6.mlr vs none delivery_ratio = 1
     0x3fe0000000000000, // e6.mlr vs blackhole delivery_ratio = 0.5
     0x0000000000000000, // e6.mlr vs sinkhole delivery_ratio = 0
@@ -212,6 +257,51 @@ const GOLDEN_SEED_23: &[u64] = &[
     0x401da7e1f6aa8f94, // e16.slack=2 energy_d2_round8 = 7.4139479199983676
     0x3fefeaca2927bd3c, // e16.slack=2 delivery_ratio = 0.9974108508885489
     0x40016e58247d4be9, // e16.slack=2 mean_hops = 2.178879056047198
+    0x3ff0000000000000, // e2.round 1 occupied ["A", "B", "C"] selected_place_id = 1
+    0x3ff0000000000000, // e2.round 1 paper_selects B selected_place_paper = 1
+    0x4018000000000000, // e2.round 1 selected_hops = 6
+    0x4018000000000000, // e2.round 1 paper_hops = 6
+    0x4008000000000000, // e2.round 1 table_entries = 3
+    0x4008000000000000, // e2.round 2 occupied ["A", "D", "C"] selected_place_id = 3
+    0x4008000000000000, // e2.round 2 paper_selects D selected_place_paper = 3
+    0x4014000000000000, // e2.round 2 selected_hops = 5
+    0x4014000000000000, // e2.round 2 paper_hops = 5
+    0x4010000000000000, // e2.round 2 table_entries = 4
+    0x4008000000000000, // e2.round 3 occupied ["E", "D", "C"] selected_place_id = 3
+    0x4008000000000000, // e2.round 3 paper_selects D selected_place_paper = 3
+    0x4014000000000000, // e2.round 3 selected_hops = 5
+    0x4014000000000000, // e2.round 3 paper_hops = 5
+    0x4014000000000000, // e2.round 3 table_entries = 5
+    0x405f000000000000, // e10.alpha=0 gw0_absorbed = 124
+    0x4044800000000000, // e10.alpha=0 gw1_absorbed = 41
+    0x3fe018d3018d3019, // e10.alpha=0 load_imbalance = 0.503030303030303
+    0x3ff0000000000000, // e10.alpha=0 delivery_ratio = 1
+    0x4051400000000000, // e10.alpha=4 gw0_absorbed = 69
+    0x4058000000000000, // e10.alpha=4 gw1_absorbed = 96
+    0x3fc4f2094f2094f2, // e10.alpha=4 load_imbalance = 0.16363636363636364
+    0x3ff0000000000000, // e10.alpha=4 delivery_ratio = 1
+    0x3ff0000000000000, // e13.all_awake awake_fraction = 1
+    0x3ff0000000000000, // e13.all_awake delivery_ratio = 1
+    0x404cd439581050bb, // e13.all_awake sensor_energy_j = 57.657999999968034
+    0x4068062fc962edf1, // e13.all_awake energy_per_delivery_mj = 192.19333333322678
+    0x3fddddddddddddde, // e13.gaf awake_fraction = 0.4666666666666667
+    0x3ff0000000000000, // e13.gaf delivery_ratio = 1
+    0x4026fced916864ae, // e13.gaf sensor_energy_j = 11.49399999999363
+    0x40548666666659e5, // e13.gaf energy_per_delivery_mj = 82.0999999999545
+    0x3ff0000000000000, // e14.mlr loss=0 delivery_ratio = 1
+    0x3ff0000000000000, // e14.secmlr loss=0 delivery_ratio = 1
+    0x3feecccccccccccd, // e14.mlr loss=0.02 delivery_ratio = 0.9625
+    0x3fef99999999999a, // e14.secmlr loss=0.02 delivery_ratio = 0.9875
+    0x3fec666666666666, // e14.mlr loss=0.05 delivery_ratio = 0.8875
+    0x3fed99999999999a, // e14.secmlr loss=0.05 delivery_ratio = 0.925
+    0x3fea000000000000, // e14.mlr loss=0.1 delivery_ratio = 0.8125
+    0x3feb333333333333, // e14.secmlr loss=0.1 delivery_ratio = 0.85
+    0x3ff0000000000000, // e14.mlr collisions=false csma=false delivery_ratio = 1
+    0x0000000000000000, // e14.mlr collisions=false csma=false collided_frames = 0
+    0x3fb3333333333333, // e14.mlr collisions=true csma=false delivery_ratio = 0.075
+    0x40c2a80000000000, // e14.mlr collisions=true csma=false collided_frames = 9552
+    0x3fd2666666666666, // e14.mlr collisions=true csma=true delivery_ratio = 0.2875
+    0x40b2660000000000, // e14.mlr collisions=true csma=true collided_frames = 4710
     0x3ff0000000000000, // e6.mlr vs none delivery_ratio = 1
     0x3fe0000000000000, // e6.mlr vs blackhole delivery_ratio = 0.5
     0x0000000000000000, // e6.mlr vs sinkhole delivery_ratio = 0
@@ -327,6 +417,51 @@ const GOLDEN_SEED_37: &[u64] = &[
     0x40111b28954a7b5d, // e16.slack=2 energy_d2_round8 = 4.276521999999059
     0x3feffcb888e7ac38, // e16.slack=2 delivery_ratio = 0.9995997117924906
     0x40007d5069a19ab7, // e16.slack=2 mean_hops = 2.0611885311548934
+    0x3ff0000000000000, // e2.round 1 occupied ["A", "B", "C"] selected_place_id = 1
+    0x3ff0000000000000, // e2.round 1 paper_selects B selected_place_paper = 1
+    0x4018000000000000, // e2.round 1 selected_hops = 6
+    0x4018000000000000, // e2.round 1 paper_hops = 6
+    0x4008000000000000, // e2.round 1 table_entries = 3
+    0x4008000000000000, // e2.round 2 occupied ["A", "D", "C"] selected_place_id = 3
+    0x4008000000000000, // e2.round 2 paper_selects D selected_place_paper = 3
+    0x4014000000000000, // e2.round 2 selected_hops = 5
+    0x4014000000000000, // e2.round 2 paper_hops = 5
+    0x4010000000000000, // e2.round 2 table_entries = 4
+    0x4008000000000000, // e2.round 3 occupied ["E", "D", "C"] selected_place_id = 3
+    0x4008000000000000, // e2.round 3 paper_selects D selected_place_paper = 3
+    0x4014000000000000, // e2.round 3 selected_hops = 5
+    0x4014000000000000, // e2.round 3 paper_hops = 5
+    0x4014000000000000, // e2.round 3 table_entries = 5
+    0x405d000000000000, // e10.alpha=0 gw0_absorbed = 116
+    0x4041000000000000, // e10.alpha=0 gw1_absorbed = 34
+    0x3fe17e4b17e4b17e, // e10.alpha=0 load_imbalance = 0.5466666666666666
+    0x3ff0000000000000, // e10.alpha=0 delivery_ratio = 1
+    0x405d000000000000, // e10.alpha=4 gw0_absorbed = 116
+    0x4041000000000000, // e10.alpha=4 gw1_absorbed = 34
+    0x3fe17e4b17e4b17e, // e10.alpha=4 load_imbalance = 0.5466666666666666
+    0x3ff0000000000000, // e10.alpha=4 delivery_ratio = 1
+    0x3ff0000000000000, // e13.all_awake awake_fraction = 1
+    0x3ff0000000000000, // e13.all_awake delivery_ratio = 1
+    0x404b10624dd2e130, // e13.all_awake sensor_energy_j = 54.12799999997003
+    0x40668da740da6653, // e13.all_awake energy_per_delivery_mj = 180.42666666656677
+    0x3fe0000000000000, // e13.gaf awake_fraction = 0.5
+    0x3ff0000000000000, // e13.gaf delivery_ratio = 1
+    0x40265a1cac082388, // e13.gaf sensor_energy_j = 11.175999999993806
+    0x4052a06d3a06c847, // e13.gaf energy_per_delivery_mj = 74.50666666662538
+    0x3ff0000000000000, // e14.mlr loss=0 delivery_ratio = 1
+    0x3ff0000000000000, // e14.secmlr loss=0 delivery_ratio = 1
+    0x3feecccccccccccd, // e14.mlr loss=0.02 delivery_ratio = 0.9625
+    0x3feecccccccccccd, // e14.secmlr loss=0.02 delivery_ratio = 0.9625
+    0x3fed333333333333, // e14.mlr loss=0.05 delivery_ratio = 0.9125
+    0x3fee000000000000, // e14.secmlr loss=0.05 delivery_ratio = 0.9375
+    0x3fec000000000000, // e14.mlr loss=0.1 delivery_ratio = 0.875
+    0x3fe8cccccccccccd, // e14.secmlr loss=0.1 delivery_ratio = 0.775
+    0x3ff0000000000000, // e14.mlr collisions=false csma=false delivery_ratio = 1
+    0x0000000000000000, // e14.mlr collisions=false csma=false collided_frames = 0
+    0x3f8999999999999a, // e14.mlr collisions=true csma=false delivery_ratio = 0.0125
+    0x40c2e78000000000, // e14.mlr collisions=true csma=false collided_frames = 9679
+    0x3fd599999999999a, // e14.mlr collisions=true csma=true delivery_ratio = 0.3375
+    0x40a9140000000000, // e14.mlr collisions=true csma=true collided_frames = 3210
     0x3ff0000000000000, // e6.mlr vs none delivery_ratio = 1
     0x3fe0000000000000, // e6.mlr vs blackhole delivery_ratio = 0.5
     0x0000000000000000, // e6.mlr vs sinkhole delivery_ratio = 0
@@ -442,6 +577,51 @@ const GOLDEN_SEED_53: &[u64] = &[
     0x40119310c925f4f8, // e16.slack=2 energy_d2_round8 = 4.393618719999033
     0x3fefc712b09c60b5, // e16.slack=2 delivery_ratio = 0.9930509042196919
     0x4000aba177083927, // e16.slack=2 mean_hops = 2.083804063738302
+    0x3ff0000000000000, // e2.round 1 occupied ["A", "B", "C"] selected_place_id = 1
+    0x3ff0000000000000, // e2.round 1 paper_selects B selected_place_paper = 1
+    0x4018000000000000, // e2.round 1 selected_hops = 6
+    0x4018000000000000, // e2.round 1 paper_hops = 6
+    0x4008000000000000, // e2.round 1 table_entries = 3
+    0x4008000000000000, // e2.round 2 occupied ["A", "D", "C"] selected_place_id = 3
+    0x4008000000000000, // e2.round 2 paper_selects D selected_place_paper = 3
+    0x4014000000000000, // e2.round 2 selected_hops = 5
+    0x4014000000000000, // e2.round 2 paper_hops = 5
+    0x4010000000000000, // e2.round 2 table_entries = 4
+    0x4008000000000000, // e2.round 3 occupied ["E", "D", "C"] selected_place_id = 3
+    0x4008000000000000, // e2.round 3 paper_selects D selected_place_paper = 3
+    0x4014000000000000, // e2.round 3 selected_hops = 5
+    0x4014000000000000, // e2.round 3 paper_hops = 5
+    0x4014000000000000, // e2.round 3 table_entries = 5
+    0x4060400000000000, // e10.alpha=0 gw0_absorbed = 130
+    0x4039000000000000, // e10.alpha=0 gw1_absorbed = 25
+    0x3fe5ad6b5ad6b5ad, // e10.alpha=0 load_imbalance = 0.6774193548387096
+    0x3ff0000000000000, // e10.alpha=0 delivery_ratio = 1
+    0x4049000000000000, // e10.alpha=4 gw0_absorbed = 50
+    0x405a400000000000, // e10.alpha=4 gw1_absorbed = 105
+    0x3fd6b5ad6b5ad6b6, // e10.alpha=4 load_imbalance = 0.3548387096774194
+    0x3ff0000000000000, // e10.alpha=4 delivery_ratio = 1
+    0x3ff0000000000000, // e13.all_awake awake_fraction = 1
+    0x3ff0000000000000, // e13.all_awake delivery_ratio = 1
+    0x404b945a1cabf765, // e13.all_awake sensor_energy_j = 55.158999999969446
+    0x4066fba06d39f8d4, // e13.all_awake energy_per_delivery_mj = 183.86333333323148
+    0x3fdc28f5c28f5c29, // e13.gaf awake_fraction = 0.44
+    0x3ff0000000000000, // e13.gaf delivery_ratio = 1
+    0x402266e978d4f2bd, // e13.gaf sensor_energy_j = 9.2009999999949
+    0x40516d1745d169bf, // e13.gaf energy_per_delivery_mj = 69.70454545450683
+    0x3ff0000000000000, // e14.mlr loss=0 delivery_ratio = 1
+    0x3ff0000000000000, // e14.secmlr loss=0 delivery_ratio = 1
+    0x3fef99999999999a, // e14.mlr loss=0.02 delivery_ratio = 0.9875
+    0x3fee666666666666, // e14.secmlr loss=0.02 delivery_ratio = 0.95
+    0x3fec666666666666, // e14.mlr loss=0.05 delivery_ratio = 0.8875
+    0x3fed99999999999a, // e14.secmlr loss=0.05 delivery_ratio = 0.925
+    0x3feb333333333333, // e14.mlr loss=0.1 delivery_ratio = 0.85
+    0x3fec666666666666, // e14.secmlr loss=0.1 delivery_ratio = 0.8875
+    0x3ff0000000000000, // e14.mlr collisions=false csma=false delivery_ratio = 1
+    0x0000000000000000, // e14.mlr collisions=false csma=false collided_frames = 0
+    0x3fa999999999999a, // e14.mlr collisions=true csma=false delivery_ratio = 0.05
+    0x40c2e40000000000, // e14.mlr collisions=true csma=false collided_frames = 9672
+    0x3fdc000000000000, // e14.mlr collisions=true csma=true delivery_ratio = 0.4375
+    0x40a77e0000000000, // e14.mlr collisions=true csma=true collided_frames = 3007
     0x3ff0000000000000, // e6.mlr vs none delivery_ratio = 1
     0x3fe0000000000000, // e6.mlr vs blackhole delivery_ratio = 0.5
     0x0000000000000000, // e6.mlr vs sinkhole delivery_ratio = 0

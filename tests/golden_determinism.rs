@@ -4,8 +4,9 @@
 //! Determinism is a hard invariant of the simulator (same seed → same
 //! metrics, bit for bit), and the hot-path work (allocation-free
 //! fan-out, incremental adjacency, dense medium state) must not shift a
-//! single reception. This test runs the E1, E3, E5, E6, E7, E8, E12,
-//! E15 and E16 kernels for four fixed seeds and compares every reported
+//! single reception. This test runs the E1, E2, E3, E5, E6, E7, E8,
+//! E10, E12, E13, E14, E15 and E16 kernels for four fixed seeds and
+//! compares every reported
 //! metric against committed golden values **as raw `f64` bit patterns**
 //! — an epsilon-free comparison, so even a last-ulp drift fails.
 //!
@@ -13,7 +14,10 @@
 //! SPR (E1, E3), MLR with and without the table-reset ablation (E3, E5,
 //! E16 via `build_mlr_with`), SecMLR (E7), LEACH and the MLR gateway
 //! kill (E8), the three-tier architecture (E12) and the seven
-//! single-sink baselines (E15).
+//! single-sink baselines (E15). MLR's Table 1 place-table reuse (E2),
+//! its load-balanced selection (E10, `load_alpha > 0`), sleep
+//! scheduling (E13) and MLR on a lossy, colliding or CSMA medium (E14)
+//! are pinned too.
 //!
 //! To regenerate after an *intentional* semantic change:
 //!
@@ -27,7 +31,8 @@
 use wmsn::core::builder::build_spr;
 use wmsn::core::drivers::SprDriver;
 use wmsn::core::experiments::{
-    e12_backbone_fault, e12_three_tier, e15_baselines, e16_energy_aware, e3_lifetime, e5_overhead,
+    e10_load_balance, e12_backbone_fault, e12_three_tier, e13_sleep_scheduling,
+    e14_loss_and_collisions, e15_baselines, e16_energy_aware, e2_table1, e3_lifetime, e5_overhead,
     e6_attacks, e7_secmlr_cost, e8_robustness,
 };
 use wmsn::core::params::{FieldParams, GatewayParams, TrafficParams};
@@ -92,6 +97,15 @@ fn fingerprint(seed: u64) -> Vec<(&'static str, f64)> {
     fp.extend(rows("e15", e15_baselines(seed)));
     // E16: `build_mlr_with` under the table reset, run to first death.
     fp.extend(rows("e16", e16_energy_aware(seed)));
+    // E2: the Table 1 walk — place entries reused across rounds (the
+    // scenario is fixed, so every seed pins the same rows).
+    fp.extend(rows("e2", e2_table1()));
+    // E10: MLR's load-balanced selection (α = 0 and α > 0).
+    fp.extend(rows("e10", e10_load_balance(seed)));
+    // E13: MLR rounds with GAF-slept sensors.
+    fp.extend(rows("e13", e13_sleep_scheduling(seed)));
+    // E14: MLR and SecMLR under loss, collisions and CSMA.
+    fp.extend(rows("e14", e14_loss_and_collisions(seed)));
     // E6 last: the attack suite against MLR and SecMLR
     // (`zero_copy_equivalence` reads these rows as the table's tail).
     fp.extend(rows("e6", e6_attacks(seed)));

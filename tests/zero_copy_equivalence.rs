@@ -12,7 +12,13 @@
 //!   golden table;
 //! * the E1 JSONL trace must hash to the pinned digest, which was
 //!   verified against a pre-zero-copy checkout when this test landed
-//!   (E6 has no trace hook, so its equivalence is pinned via metrics).
+//!   (E6 has no trace hook, so its equivalence is pinned via metrics);
+//! * two multi-round MLR JSONL traces must hash to their pinned
+//!   digests: rotating gateways (moves, cache replies, targeted
+//!   `wanted` lists) under pure minimum-hop selection, and the same
+//!   field under load-balanced and energy-aware selection. These pin
+//!   the order of every `RouteSelect`/`Forward` pair, which the metrics
+//!   and the perfbench MLR digest (counts and sizes only) cannot.
 //!
 //! The digests were re-pinned when the sharded kernel landed: causal
 //! event keys (`node << 32 | per-node counter`, replacing the global
@@ -28,10 +34,11 @@
 //! GOLDEN_REGEN=1 cargo test --release --test zero_copy_equivalence -- --nocapture
 //! ```
 
-use wmsn::core::builder::build_spr;
-use wmsn::core::drivers::SprDriver;
+use wmsn::core::builder::{build_mlr_with, build_spr};
+use wmsn::core::drivers::{MlrDriver, SprDriver};
 use wmsn::core::experiments::e6_attacks;
 use wmsn::core::params::{FieldParams, GatewayParams, TrafficParams};
+use wmsn::routing::mlr::{MlrConfig, MlrGateway};
 use wmsn::trace::BufferSink;
 
 const GOLDEN: [&[u64]; 4] = [
@@ -56,6 +63,56 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Pinned digests of the E1 trace JSONL, one per traced seed. Verified
 /// byte-identical against the pre-zero-copy tree when introduced.
 const E1_TRACE_FNV: [(u64, u64); 2] = [(11, 0x91bf92fa3aeeb67f), (23, 0x9761ea7e6a2dce79)];
+
+/// Pinned digests of multi-round MLR JSONL traces (seed 11): `(label,
+/// load_alpha, energy_slack, digest)`. A positive `load_alpha` also has
+/// every gateway advertise its load after each round.
+const MLR_TRACE_FNV: [(&str, f64, u32, u64); 3] = [
+    ("min_hop", 0.0, 0, 0x470a1ffa031fb8bb),
+    ("load_balanced", 4.0, 0, 0x802875cd6c5c2c8c),
+    ("energy_aware", 0.0, 2, 0xe29a322ac4796205),
+];
+
+/// Four MLR rounds on a 60-sensor field (2 J batteries, so residual
+/// energy differs between relays) with three gateways rotating
+/// round-robin over a 3×3 place grid, traced to JSONL.
+fn mlr_rounds_trace(load_alpha: f64, energy_slack: u32) -> String {
+    let scen = build_mlr_with(
+        &FieldParams {
+            battery_j: 2.0,
+            ..FieldParams::default_uniform(60, 11)
+        },
+        &GatewayParams::rotating(3, 3, 3),
+        TrafficParams::default(),
+        MlrConfig {
+            load_alpha,
+            energy_slack,
+            ..MlrConfig::default()
+        },
+    );
+    let mut d = MlrDriver::new(scen);
+    d.scenario.world.set_trace_sink(Box::new(BufferSink::new()));
+    for _ in 0..4 {
+        d.run_round();
+        if load_alpha > 0.0 {
+            for &g in &d.scenario.gateways {
+                d.scenario
+                    .world
+                    .with_behavior::<MlrGateway, _>(g, |b, ctx| b.announce_load(ctx));
+            }
+            d.scenario.world.run_for(500_000);
+        }
+    }
+    d.scenario
+        .world
+        .take_trace_sink()
+        .expect("sink installed")
+        .as_any()
+        .downcast_ref::<BufferSink>()
+        .expect("BufferSink")
+        .out
+        .clone()
+}
 
 fn e1_round(seed: u64, traced: bool) -> (Vec<f64>, String) {
     let field = FieldParams::default_uniform(40, seed);
@@ -151,6 +208,34 @@ fn e1_trace_bytes_match_the_pinned_pre_zero_copy_digest() {
     assert!(
         !regen,
         "GOLDEN_REGEN run: paste the printed digests into E1_TRACE_FNV"
+    );
+}
+
+#[test]
+fn mlr_traces_match_the_pinned_digests() {
+    let regen = std::env::var("GOLDEN_REGEN").is_ok();
+    for (label, alpha, slack, expected) in MLR_TRACE_FNV {
+        let trace = mlr_rounds_trace(alpha, slack);
+        // The run must reach the code the digest is meant to pin.
+        for event in ["gateway_move", "cache_reply", "route_select", "forward"] {
+            assert!(
+                trace.contains(&format!("\"ev\":\"{event}\"")),
+                "{label}: trace has no {event} event"
+            );
+        }
+        let got = fnv1a(trace.as_bytes());
+        if regen {
+            println!("    ({label:?}, {alpha:?}, {slack}, {got:#018x}),");
+            continue;
+        }
+        assert_eq!(
+            got, expected,
+            "{label}: trace digest {got:#018x} != pinned {expected:#018x}"
+        );
+    }
+    assert!(
+        !regen,
+        "GOLDEN_REGEN run: paste the printed digests into MLR_TRACE_FNV"
     );
 }
 
