@@ -14,6 +14,9 @@
 //!   start; only never-seen places trigger discovery (Table 1). Optional
 //!   residual-energy-aware path selection and gateway load balancing
 //!   (§4.3) are implemented as flagged extensions.
+//! * [`discovery`] — the machinery SPR and MLR share: one sensor core
+//!   (flood, cache answers, RREP relay, DATA forwarding, retries) and
+//!   one gateway, each specialised by a small per-protocol policy.
 //! * [`optimal`] — the upper bound the MLR formulation (eqs. 1–6) aims
 //!   at: maximum rounds before first sensor death, computed exactly by
 //!   binary search over per-round flow with a Dinic max-flow feasibility
@@ -44,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod discovery;
 pub mod flooding;
 pub mod leach;
 pub mod mcfa;
