@@ -696,13 +696,18 @@ pub fn compact_capture(
         alerts: monitor.alerts().len() as u64,
         ..CompactionStats::default()
     };
+    // No snapshot is taken past the last run start, so the replay stops
+    // there.
+    let replay_end = starts.last().copied().unwrap_or(0);
     let mut m2 = HealthMonitor::with_config(cfg);
     for idx in 0..n {
         if starts.contains(&idx) {
             w.add_checkpoint(idx as u64, snapshot(&m2))
                 .map_err(write_err)?;
         }
-        r.scan_range(idx..idx + 1, &ScanFilter::all(), |ev, _, _| m2.observe(ev))?;
+        if idx < replay_end {
+            r.scan_range(idx..idx + 1, &ScanFilter::all(), |ev, _, _| m2.observe(ev))?;
+        }
         let meta = r.segments()[idx];
         if retained.contains(&idx) {
             let raw = r.read_segment_raw(idx)?;
