@@ -84,28 +84,47 @@ pub struct MlrPolicy {
     /// The round stamp disambiguates stale claims: when two gateways have
     /// announced the same place, the most recent announcement wins.
     occupied: HashMap<NodeId, (u16, u32)>,
+    /// Occupied places, sorted and deduped, derived from `occupied`
+    /// whenever it changes, so per-frame reads neither collect nor scan.
+    places: Vec<u16>,
+    /// Current occupant of each place in `places`, index for index.
+    occupants: Vec<NodeId>,
     /// Gateway load advertisements (for the §4.3 extension).
     loads: HashMap<NodeId, u32>,
     seen_load: SeenTable,
 }
 
 impl MlrPolicy {
-    /// Places currently occupied (sorted, deduped).
-    fn occupied_places(&self) -> Vec<u16> {
-        let mut v: Vec<u16> = self.occupied.values().map(|&(p, _)| p).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+    /// Rebuild `places` and `occupants` after `occupied` changed. The
+    /// occupant of a place is the gateway with the most recent
+    /// announcement (ties break toward the higher id).
+    fn refresh_places(&mut self) {
+        let mut claims: Vec<(u16, u32, NodeId)> = self
+            .occupied
+            .iter()
+            .map(|(&g, &(p, round))| (p, round, g))
+            .collect();
+        // Per place, the winning claim sorts last.
+        claims.sort_unstable();
+        self.places.clear();
+        self.occupants.clear();
+        for (i, &(p, _, g)) in claims.iter().enumerate() {
+            if claims.get(i + 1).is_none_or(|next| next.0 != p) {
+                self.places.push(p);
+                self.occupants.push(g);
+            }
+        }
     }
 
-    /// Current occupant of `place`: the gateway with the most recent
-    /// announcement (ties break toward the higher id).
+    /// Places currently occupied (sorted, deduped).
+    fn occupied_places(&self) -> &[u16] {
+        &self.places
+    }
+
+    /// Current occupant of `place`.
     fn occupant_of(&self, place: u16) -> Option<NodeId> {
-        self.occupied
-            .iter()
-            .filter(|(_, &(p, _))| p == place)
-            .max_by_key(|(&g, &(_, round))| (round, g))
-            .map(|(&g, _)| g)
+        let i = self.places.binary_search(&place).ok()?;
+        Some(self.occupants[i])
     }
 
     /// The gateway to name for `route`: the current occupant of its
@@ -127,9 +146,9 @@ impl Policy for MlrPolicy {
         let occupied = self.occupied_places();
         let route = if self.load_alpha <= 0.0 {
             if self.energy_slack > 0 {
-                table.best_energy_aware(&occupied, self.energy_slack)
+                table.best_energy_aware(occupied, self.energy_slack)
             } else {
-                table.best_among_places(&occupied)
+                table.best_among_places(occupied)
             }
         } else {
             let total: u64 = self.loads.values().map(|&l| l as u64).sum();
@@ -162,9 +181,11 @@ impl Policy for MlrPolicy {
     /// cached replies for other places must not satisfy (or suppress)
     /// the query.
     fn wanted(&self, table: &RoutingTable) -> Vec<u16> {
-        let mut wanted = self.occupied_places();
-        wanted.retain(|&p| table.by_place(p).is_none());
-        wanted
+        self.occupied_places()
+            .iter()
+            .copied()
+            .filter(|&p| table.by_place(p).is_none())
+            .collect()
     }
 
     fn answer<'t>(
@@ -181,7 +202,7 @@ impl Policy for MlrPolicy {
         let occupied = self.occupied_places();
         if wanted.is_empty() {
             // SPR-style query: any occupied route satisfies it entirely.
-            return match table.best_among_places(&occupied).filter(offerable) {
+            return match table.best_among_places(occupied).filter(offerable) {
                 Some(route) => {
                     reply(route, self.gateway_for(route));
                     Onward::Stop
@@ -231,6 +252,7 @@ impl Policy for MlrPolicy {
             .is_some_and(|&(_, have)| round < have);
         if !stale {
             self.occupied.insert(gateway, (place, round));
+            self.refresh_places();
         }
     }
 
@@ -259,6 +281,8 @@ impl MlrSensor {
             load_alpha: cfg.load_alpha,
             energy_slack: cfg.energy_slack,
             occupied: HashMap::new(),
+            places: Vec::new(),
+            occupants: Vec::new(),
             loads: HashMap::new(),
             seen_load: SeenTable::new(),
         };
@@ -271,7 +295,7 @@ impl MlrSensor {
     }
 
     /// Places currently occupied (sorted, deduped).
-    pub fn occupied_places(&self) -> Vec<u16> {
+    pub fn occupied_places(&self) -> &[u16] {
         self.policy.occupied_places()
     }
 
@@ -287,6 +311,7 @@ impl MlrSensor {
     /// rounds arrive via `Announce` floods.
     pub fn set_initial_occupancy(&mut self, occupants: &[(NodeId, u16)]) {
         self.policy.occupied = occupants.iter().map(|&(g, p)| (g, (p, 0))).collect();
+        self.policy.refresh_places();
     }
 
     /// Forget a gateway entirely (a watchdog detected it dead): its
@@ -294,6 +319,7 @@ impl MlrSensor {
     /// surviving gateways — the §4.2 fault-tolerance redirect.
     pub fn remove_gateway(&mut self, gateway: NodeId) {
         self.policy.occupied.remove(&gateway);
+        self.policy.refresh_places();
     }
 }
 
@@ -348,6 +374,28 @@ mod tests {
     fn announce(w: &mut World, gw: NodeId, place: u16, round: u32) {
         w.with_behavior::<MlrGateway, _>(gw, |g, ctx| g.set_place(ctx, place, round));
         w.run_for(500_000);
+    }
+
+    #[test]
+    fn occupants_follow_the_latest_claim_per_place() {
+        let (g3, g5, g7) = (NodeId(3), NodeId(5), NodeId(7));
+        let mut b = MlrSensor::new(MlrConfig::default());
+        b.set_initial_occupancy(&[(g5, 4), (g3, 4), (g7, 1)]);
+        assert_eq!(b.occupied_places(), [1, 4]);
+        // Equal rounds: the higher id holds the place.
+        assert_eq!(b.occupant_of(4), Some(g5));
+        assert_eq!(b.occupant_of(2), None);
+        // A newer announce wins; an older one for the same gateway is
+        // ignored.
+        b.policy.on_announce(g3, 4, 2);
+        b.policy.on_announce(g3, 9, 1);
+        assert_eq!(b.occupant_of(4), Some(g3));
+        b.policy.on_announce(g7, 2, 3);
+        assert_eq!(b.occupied_places(), [2, 4]);
+        b.remove_gateway(g3);
+        assert_eq!(b.occupant_of(4), Some(g5));
+        b.remove_gateway(g5);
+        assert_eq!(b.occupied_places(), [2]);
     }
 
     #[test]
