@@ -40,13 +40,14 @@ pub struct MediumConfig {
     /// unicast frame can only ever be *processed* by its link destination
     /// and by promiscuous eavesdroppers — every other in-range radio
     /// address-filters it without observable effect (no energy charge, no
-    /// counter, no trace line). With this flag the simulator skips
-    /// scheduling those no-op deliveries entirely, which collapses the
-    /// dominant cost of dense unicast workloads (a 40-neighbour fan-out
-    /// becomes 1 event). Metrics and traces are bit-identical either way;
-    /// only the event-queue throughput statistics differ. Ignored when
-    /// loss or collisions are enabled, where non-addressed receptions
-    /// consume medium randomness and collision windows.
+    /// counter, no trace line). With this flag the simulator leaves
+    /// those no-op receptions out of the fan-out entirely, which
+    /// collapses the dominant cost of dense unicast workloads (a
+    /// 40-neighbour fan-out serves 1 reception instead of 40). Metrics
+    /// and traces are bit-identical either way; only the event-queue
+    /// throughput statistics differ. Ignored when loss or collisions are
+    /// enabled, where non-addressed receptions consume medium randomness
+    /// and collision windows.
     pub unicast_fast_path: bool,
 }
 
