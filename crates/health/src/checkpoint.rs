@@ -15,11 +15,22 @@
 //! always serialises to the same bytes. Floats travel via
 //! [`f64::to_bits`] — bit-exact, like the trace frame codec.
 //!
+//! The seq table's sorted order comes from the ring, not from a sort.
+//! A seq is `(src << 32) | counter` and each source announces its seqs
+//! in non-decreasing order, so a counting pass that buckets the ring by
+//! source yields the seqs in order, each run of equal seqs being one
+//! table entry with the run length as its count. A ring that is out of
+//! order within a source (a hand-fed offline trace) or whose sources
+//! spread too far falls back to collecting the map and sorting it; the
+//! bytes are the same either way. Restore checks that ring and table
+//! agree — every ring seq is in the table, with the ring's occurrence
+//! count — and refuses the blob otherwise.
+//!
 //! The blob is opaque to `wmsn-trace`: the capture layer stores
 //! `(seg_index, bytes)` pairs; only this module interprets them.
 
 use crate::alert::AlertKind;
-use crate::monitor::{HealthConfig, HealthMonitor};
+use crate::monitor::{HealthConfig, HealthMonitor, RingEntry};
 use crate::stats::{Ewma, GatewayStats, NetStats, NodeStats, DROP_CAUSE_COUNT};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use wmsn_trace::{TraceKind, TraceTier};
@@ -175,6 +186,17 @@ fn enc_net(e: &mut Enc, n: &NetStats) {
 /// monitor reports only alerts raised *after* the checkpoint, while
 /// the carried latch sets keep it from re-raising earlier ones.
 pub fn snapshot(m: &HealthMonitor) -> Vec<u8> {
+    encode(m, true)
+}
+
+/// [`snapshot`] with the seq table always collected from the map and
+/// sorted: the reference the ring-derived table must equal.
+#[cfg(test)]
+fn snapshot_by_sort(m: &HealthMonitor) -> Vec<u8> {
+    encode(m, false)
+}
+
+fn encode(m: &HealthMonitor, from_ring: bool) -> Vec<u8> {
     let mut e = Enc { out: Vec::new() };
     e.out.extend_from_slice(&CHECKPOINT_MAGIC);
     enc_config(&mut e, &m.cfg);
@@ -190,23 +212,11 @@ pub fn snapshot(m: &HealthMonitor) -> Vec<u8> {
     }
     enc_net(&mut e, &m.net);
     e.u64(m.seq_ring.len() as u64);
-    for &seq in &m.seq_ring {
-        e.u64(seq);
+    for r in &m.seq_ring {
+        e.u64(r.seq);
     }
-    // HashMap/HashSet iteration order is unstable; sort for a
-    // deterministic byte stream.
-    let mut seqs: Vec<(u64, TraceKind, TraceTier, u32)> = m
-        .seq_kinds
-        .iter()
-        .map(|(&s, &(k, t, n))| (s, k, t, n))
-        .collect();
-    seqs.sort_unstable_by_key(|&(s, ..)| s);
-    e.u64(seqs.len() as u64);
-    for (seq, kind, tier, count) in seqs {
-        e.u64(seq);
-        e.u8(kind.byte());
-        e.u8(tier.byte());
-        e.u32(count);
+    if !(from_ring && enc_seq_table_from_ring(&mut e, m)) {
+        enc_seq_table_by_sort(&mut e, m);
     }
     let mut fwd: Vec<(u64, u64, u64)> = m.forwarded.iter().copied().collect();
     fwd.sort_unstable();
@@ -233,6 +243,82 @@ pub fn snapshot(m: &HealthMonitor) -> Vec<u8> {
         e.u64(subject);
     }
     e.out
+}
+
+/// The seq table in seq order, from the map: collect and sort.
+fn enc_seq_table_by_sort(e: &mut Enc, m: &HealthMonitor) {
+    // HashMap iteration order is unstable; sort for a deterministic
+    // byte stream.
+    let mut seqs: Vec<(u64, TraceKind, TraceTier, u32)> = m
+        .seq_kinds
+        .iter()
+        .map(|(&s, &(k, t, n))| (s, k, t, n))
+        .collect();
+    seqs.sort_unstable_by_key(|&(s, ..)| s);
+    e.u64(seqs.len() as u64);
+    for (seq, kind, tier, count) in seqs {
+        enc_seq_entry(e, seq, kind, tier, count);
+    }
+}
+
+fn enc_seq_entry(e: &mut Enc, seq: u64, kind: TraceKind, tier: TraceTier, count: u32) {
+    e.u64(seq);
+    e.u8(kind.byte());
+    e.u8(tier.byte());
+    e.u32(count);
+}
+
+/// The seq table in seq order, from the ring, without a sort; `false`
+/// (and nothing written) when the ring does not allow it.
+///
+/// A seq is `(src << 32) | counter`, and a simulated source announces
+/// its seqs in non-decreasing order, so bucketing the ring by source
+/// (a stable counting pass) lays it out in seq order. Each run of equal
+/// seqs is then one table entry: the ring entries carry the table's
+/// `(kind, tier)`, and the run length is the occurrence count. A ring
+/// that is not ordered within a source (a hand-fed offline trace), or
+/// whose sources spread too far for a bucket array, falls back to the
+/// sort.
+fn enc_seq_table_from_ring(e: &mut Enc, m: &HealthMonitor) -> bool {
+    let ring = &m.seq_ring;
+    let src = |seq: u64| (seq >> 32) as usize;
+    let mut srcs = ring.iter().map(|r| src(r.seq));
+    let Some(first) = srcs.next() else {
+        e.u64(0);
+        return true;
+    };
+    let (lo, hi) = srcs.fold((first, first), |(lo, hi), s| (lo.min(s), hi.max(s)));
+    if hi - lo > (4 * ring.len()).max(1024) {
+        return false;
+    }
+    // starts[s - lo] is where source s's entries begin in `by_src`.
+    let mut starts = vec![0usize; hi - lo + 2];
+    for r in ring {
+        starts[src(r.seq) - lo + 1] += 1;
+    }
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+    let mut by_src = vec![ring[0]; ring.len()];
+    for r in ring {
+        let slot = &mut starts[src(r.seq) - lo];
+        by_src[*slot] = *r;
+        *slot += 1;
+    }
+    let mut runs = 1;
+    for w in by_src.windows(2) {
+        if w[1].seq < w[0].seq {
+            return false;
+        }
+        runs += usize::from(w[1].seq != w[0].seq);
+    }
+    debug_assert_eq!(runs, m.seq_kinds.len(), "the ring holds the table's seqs");
+    e.u64(runs as u64);
+    for run in by_src.chunk_by(|a, b| a.seq == b.seq) {
+        let r = run[0];
+        enc_seq_entry(e, r.seq, r.kind, r.tier, run.len() as u32);
+    }
+    true
 }
 
 // ------------------------------------------------------------ decode --
@@ -384,6 +470,41 @@ fn dec_net(d: &mut Reader) -> Result<NetStats, DecodeError> {
     Ok(n)
 }
 
+const COUNT_MISMATCH: &str = "seq table count disagrees with the ring";
+
+/// The ring with each entry's `(kind, tier)` filled from the table.
+/// Ring and table must agree: every ring seq is in the table, and each
+/// table count is the number of ring entries holding its seq.
+fn dec_seq_ring(
+    seqs: &[u64],
+    table: &mut HashMap<u64, (TraceKind, TraceTier, u32)>,
+) -> Result<VecDeque<RingEntry>, DecodeError> {
+    let mut ring = VecDeque::with_capacity(seqs.len());
+    // Count each seq's occurrences down to zero, then back up.
+    for &seq in seqs {
+        let (kind, tier, count) = table
+            .get_mut(&seq)
+            .ok_or(DecodeError::Inconsistent("ring seq missing from table"))?;
+        *count = count
+            .checked_sub(1)
+            .ok_or(DecodeError::Inconsistent(COUNT_MISMATCH))?;
+        ring.push_back(RingEntry {
+            seq,
+            kind: *kind,
+            tier: *tier,
+        });
+    }
+    if table.values().any(|&(.., count)| count != 0) {
+        return Err(DecodeError::Inconsistent(COUNT_MISMATCH));
+    }
+    for &seq in seqs {
+        if let Some(e) = table.get_mut(&seq) {
+            e.2 += 1;
+        }
+    }
+    Ok(ring)
+}
+
 /// Rebuild a monitor from [`snapshot`] bytes. The restored monitor
 /// continues exactly where the snapshot was taken: feeding it the
 /// same subsequent events produces the same subsequent alerts the
@@ -416,9 +537,9 @@ fn dec_monitor(d: &mut Reader) -> Result<HealthMonitor, DecodeError> {
     }
     let net = dec_net(d)?;
     let n_ring = d.length()?;
-    let mut seq_ring = VecDeque::with_capacity(n_ring);
+    let mut ring_seqs = Vec::with_capacity(n_ring);
     for _ in 0..n_ring {
-        seq_ring.push_back(d.u64()?);
+        ring_seqs.push(d.u64()?);
     }
     let n_seqs = d.length()?;
     let mut seq_kinds = HashMap::with_capacity(n_seqs);
@@ -427,8 +548,13 @@ fn dec_monitor(d: &mut Reader) -> Result<HealthMonitor, DecodeError> {
         let kind = d.trace_enum(TraceKind::from_byte)?;
         let tier = d.trace_enum(TraceTier::from_byte)?;
         let count = d.u32()?;
-        seq_kinds.insert(seq, (kind, tier, count));
+        if count == 0 || seq_kinds.insert(seq, (kind, tier, count)).is_some() {
+            return Err(DecodeError::Inconsistent(
+                "zero-count or repeated seq table entry",
+            ));
+        }
     }
+    let seq_ring = dec_seq_ring(&ring_seqs, &mut seq_kinds)?;
     let n_fwd = d.length()?;
     let mut forwarded = HashSet::with_capacity(n_fwd);
     for _ in 0..n_fwd {
@@ -632,12 +758,163 @@ mod tests {
         for cut in 0..blob.len() {
             assert!(restore(&blob[..cut]).is_err(), "cut at {cut} accepted");
         }
+        // busy_monitor announces seqs 0..40 once each: the ring section
+        // is its length and those 40 seqs, and the table (a count, then
+        // 14 bytes per entry) follows it. Ring and table must agree, so
+        // every flip in either is refused.
+        let mut ring_head = 40u64.to_le_bytes().to_vec();
+        for seq in 0..40u64 {
+            ring_head.extend_from_slice(&seq.to_le_bytes());
+        }
+        let ring_at = blob
+            .windows(ring_head.len())
+            .position(|w| w == ring_head)
+            .expect("ring section");
+        let seq_section = ring_at..ring_at + ring_head.len() + 8 + 40 * 14;
         for i in 0..blob.len() {
             let mut bad = blob.clone();
             bad[i] ^= 0xA5;
             // Flips inside a counter or a float restore fine; the rest
             // must fail cleanly.
-            let _ = restore(&bad);
+            let got = restore(&bad);
+            if seq_section.contains(&i) {
+                assert!(got.is_err(), "flip at {i} in the seq section accepted");
+            }
         }
+        let mut bad = blob.clone();
+        bad[ring_at + 8] ^= 0xA5;
+        let e = restore(&bad).err().expect("ring seq not in the table");
+        assert!(e.contains("ring seq missing from table"), "{e}");
+    }
+
+    /// Seeded event streams shaped like a simulation's: each source
+    /// announces `(src << 32) | counter` seqs in order, CSMA retries
+    /// re-announce the last seq (sometimes under another kind), and
+    /// forwards and deliveries repeat. With `disorder`, a source now and
+    /// then announces an older seq out of order, which the ring-derived
+    /// table cannot take. Returns a snapshot of every 40th state.
+    fn random_states(
+        seed: u64,
+        seq_window: usize,
+        stride: u64,
+        disorder: bool,
+    ) -> Vec<HealthMonitor> {
+        use wmsn_trace::{TraceKind as K, TraceTier as T};
+        let mut rng = wmsn_util::rng::SplitMix64::new(seed);
+        let mut m = HealthMonitor::with_config(HealthConfig {
+            seq_window,
+            ..HealthConfig::default()
+        });
+        let n_src = 1 + rng.next_below(12) as usize;
+        let mut counters = vec![0u64; n_src];
+        let mut announced: Vec<u64> = Vec::new();
+        let mut states = Vec::new();
+        let mut t = 0u64;
+        for step in 0..600 {
+            t += rng.next_below(40_000);
+            let node = NodeId(rng.next_below(n_src as u64) as u32);
+            let ev = match rng.next_below(10) {
+                0..=4 => {
+                    let i = rng.next_index(n_src);
+                    let src = i as u64 * stride;
+                    let seq = if counters[i] > 0 && rng.chance(0.25) {
+                        (src << 32) | (counters[i] - 1)
+                    } else if disorder && counters[i] > 1 && rng.chance(0.2) {
+                        (src << 32) | rng.next_below(counters[i] - 1)
+                    } else {
+                        counters[i] += 1;
+                        (src << 32) | (counters[i] - 1)
+                    };
+                    announced.push(seq);
+                    TraceEvent::TxStart {
+                        t,
+                        seq,
+                        src: NodeId(src as u32),
+                        dst: rng.chance(0.5).then_some(NodeId(1)),
+                        tier: [T::Sensor, T::Mesh][rng.next_index(2)],
+                        kind: [K::Control, K::Data, K::Security][rng.next_index(3)],
+                        bytes: 48,
+                    }
+                }
+                5 | 6 => TraceEvent::Rx {
+                    t,
+                    seq: if announced.is_empty() || rng.chance(0.1) {
+                        rng.next_u64_raw()
+                    } else {
+                        announced[rng.next_index(announced.len())]
+                    },
+                    node,
+                },
+                7 => TraceEvent::Forward {
+                    t,
+                    node,
+                    origin: NodeId(rng.next_below(3) as u32),
+                    msg_id: rng.next_below(6),
+                    next: Some(NodeId(0)),
+                    hops: 2,
+                },
+                8 => TraceEvent::Deliver {
+                    t,
+                    node,
+                    origin: NodeId(rng.next_below(3) as u32),
+                    msg_id: rng.next_below(6),
+                    hops: 3,
+                    latency_us: 100,
+                },
+                _ => TraceEvent::RreqFlood {
+                    t,
+                    node,
+                    origin: node,
+                    req_id: step,
+                    forwarded: rng.chance(0.5),
+                },
+            };
+            m.observe(&ev);
+            if step % 40 == 39 {
+                states.push(m.clone());
+            }
+        }
+        states
+    }
+
+    #[test]
+    fn ring_derived_snapshot_equals_the_sorted_reference() {
+        // Tables derived from the ring, and sorts for disorder or spread.
+        let (mut from_ring, mut disordered, mut spread) = (0, 0, 0);
+        for seed in 0..120u64 {
+            let seq_window = [1, 3, 16, 4096][seed as usize % 4];
+            // Stride 300 spreads the sources too far for a bucket array.
+            let stride = [1, 7, 300][seed as usize / 4 % 3];
+            let disorder = seed / 12 % 2 == 1;
+            for (i, m) in random_states(seed, seq_window, stride, disorder)
+                .iter()
+                .enumerate()
+            {
+                let blob = snapshot(m);
+                assert_eq!(blob, snapshot_by_sort(m), "seed {seed} state {i}");
+                let restored = restore(&blob).expect("restore");
+                assert_eq!(snapshot(&restored), blob, "seed {seed} state {i}");
+                assert_eq!(snapshot_by_sort(&restored), blob);
+                let mut e = Enc { out: Vec::new() };
+                if enc_seq_table_from_ring(&mut e, m) {
+                    from_ring += 1;
+                } else {
+                    assert!(e.out.is_empty(), "a refused ring writes nothing");
+                    assert!(
+                        disorder || stride == 300,
+                        "seed {seed}: ordered ring refused"
+                    );
+                    if stride == 300 {
+                        spread += 1;
+                    } else {
+                        disordered += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            from_ring > 0 && disordered > 0 && spread > 0,
+            "{from_ring} / {disordered} / {spread}"
+        );
     }
 }

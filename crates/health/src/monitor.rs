@@ -103,15 +103,18 @@ pub struct HealthMonitor {
     pub(crate) gateways: BTreeMap<u64, GatewayStats>,
     pub(crate) net: NetStats,
     /// Frame kind/tier per recently announced `tx_start` sequence
-    /// number, for classifying `rx` events. Keyed lookups only (never
-    /// iterated), so the `HashMap` stays deterministic. Sequence
-    /// numbers are causal keys, NOT monotone in emission order — a
-    /// CSMA retransmit can also re-announce the same seq, hence the
-    /// occurrence count.
+    /// number, for classifying `rx` events. Keyed lookups only (a
+    /// checkpoint that cannot derive it from the ring sorts it), so the
+    /// `HashMap` stays deterministic. Sequence numbers are causal keys,
+    /// NOT monotone in emission order — a CSMA retransmit can also
+    /// re-announce the same seq, hence the occurrence count.
     pub(crate) seq_kinds: HashMap<u64, (TraceKind, TraceTier, u32)>,
     /// Eviction order for `seq_kinds`, bounding it to
-    /// [`HealthConfig::seq_window`] recent announcements.
-    pub(crate) seq_ring: VecDeque<u64>,
+    /// [`HealthConfig::seq_window`] recent announcements. Each entry
+    /// carries the `(kind, tier)` of its seq's `seq_kinds` entry, so
+    /// the ring alone is the table in announcement order: a checkpoint
+    /// derives the sorted table from it without touching the map.
+    pub(crate) seq_ring: VecDeque<RingEntry>,
     /// `(node, origin, msg_id)` triples already forwarded — membership
     /// only, never iterated, so a HashSet stays deterministic.
     pub(crate) forwarded: HashSet<(u64, u64, u64)>,
@@ -127,6 +130,17 @@ pub struct HealthMonitor {
     pub(crate) drained: usize,
     /// `(kind, subject)` pairs already alerted (latch).
     pub(crate) latched: BTreeSet<(AlertKind, u64)>,
+}
+
+/// One announcement in [`HealthMonitor`]'s seq ring: the seq and the
+/// `(kind, tier)` its `seq_kinds` entry held when it was pushed. Every
+/// occurrence of a seq therefore agrees with the table, and the table's
+/// occurrence count is the number of ring entries holding that seq.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RingEntry {
+    pub(crate) seq: u64,
+    pub(crate) kind: TraceKind,
+    pub(crate) tier: TraceTier,
 }
 
 impl HealthMonitor {
@@ -233,10 +247,15 @@ impl HealthMonitor {
                     self.net.last_mesh_data_window = Some(cur);
                 }
                 self.net.tx_total += 1;
-                self.seq_ring.push_back(seq);
-                self.seq_kinds.entry(seq).or_insert((kind, tier, 0)).2 += 1;
+                let entry = self.seq_kinds.entry(seq).or_insert((kind, tier, 0));
+                entry.2 += 1;
+                self.seq_ring.push_back(RingEntry {
+                    seq,
+                    kind: entry.0,
+                    tier: entry.1,
+                });
                 while self.seq_ring.len() > seq_cap {
-                    let old = self.seq_ring.pop_front().expect("len > 0");
+                    let old = self.seq_ring.pop_front().expect("len > 0").seq;
                     if let Some(e) = self.seq_kinds.get_mut(&old) {
                         e.2 -= 1;
                         if e.2 == 0 {

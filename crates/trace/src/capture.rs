@@ -32,8 +32,13 @@
 //! directory and trailer are written only by [`CaptureWriter::finish`],
 //! a capture that was cut off mid-write fails validation loudly instead
 //! of silently truncating a forensic record. The writer is append-only
-//! (no seeks), so it can sit behind a `BufWriter` on the ring pipeline's
-//! drain thread.
+//! (no seeks), so [`CaptureSink`] (also the per-shard sink on the ring
+//! pipeline's drain thread) gathers frames and blobs into
+//! [`WRITE_CHUNK`]-byte chunks and hands the file one chunk per `write`;
+//! a slice of at least a chunk goes to the file directly.
+//! [`TraceSink::flush`] still puts everything pushed so far on disk. A
+//! crash loses only the tail that was never flushed, now up to one
+//! chunk, and the file then fails validation as above.
 //!
 //! **Checkpoints** are opaque blobs keyed by segment index (the health
 //! plane stores serialized detector-bank state there — this crate never
@@ -133,6 +138,12 @@ pub const NODE_FILTER_LEN: usize = 32;
 /// Default frames per segment: 8192 × 64 B = 512 KiB of data per
 /// segment — the unit of both read buffering and index granularity.
 pub const DEFAULT_SEGMENT_FRAMES: usize = 8192;
+/// Bytes a [`CaptureSink`] gathers before it writes them to the file.
+/// A recording then makes one `write` per chunk instead of one per
+/// 8 KiB; a slice at least this long (a whole segment copied by
+/// [`CaptureWriter::push_segment_raw`], a large checkpoint blob) goes
+/// to the file directly.
+pub const WRITE_CHUNK: usize = 128 * 1024;
 
 /// Tuning for a capture writer.
 #[derive(Clone, Copy, Debug)]
@@ -523,6 +534,12 @@ fn len_u32(len: usize, what: &str) -> std::io::Result<u32> {
     u32::try_from(len).map_err(|_| invalid_input(format!("{what} {len} does not fit in u32")))
 }
 
+/// `w` behind a [`WRITE_CHUNK`]-byte buffer: the write path of
+/// [`CaptureSink`].
+fn chunked<W: Write>(w: W) -> BufWriter<W> {
+    BufWriter::with_capacity(WRITE_CHUNK, w)
+}
+
 /// File-backed capture sink, installable wherever a [`TraceSink`] goes
 /// (on the sharded kernel, behind a per-shard `RingSink`, so the
 /// segment bookkeeping and disk writes run on the drain thread). Like
@@ -541,7 +558,7 @@ impl CaptureSink {
     /// Create (truncating) a capture file at `path`.
     pub fn create(path: impl Into<PathBuf>, cfg: CaptureConfig) -> std::io::Result<CaptureSink> {
         let path = path.into();
-        let w = CaptureWriter::new(BufWriter::new(File::create(&path)?), cfg)?;
+        let w = CaptureWriter::new(chunked(File::create(&path)?), cfg)?;
         Ok(CaptureSink {
             w: Some(w),
             path,
@@ -1752,6 +1769,112 @@ mod tests {
         r.scan(&ScanFilter::all(), |ev, at, key| got.push((*ev, at, key)))
             .expect("scan");
         assert_eq!(got, frames);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `Write` that counts the calls reaching it.
+    #[derive(Default)]
+    struct CountingWrite {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn capture_writes_go_out_in_whole_chunks() {
+        // 24 segments of 512 frames, each followed by a 40 KB
+        // checkpoint: about 1.75 MB, which an 8 KiB buffer hands over
+        // in about 120 writes.
+        let segment_frames = 512;
+        let frames: Vec<_> = stream(1)
+            .into_iter()
+            .cycle()
+            .take(24 * segment_frames)
+            .collect();
+        let mut w = CaptureWriter::new(
+            chunked(CountingWrite::default()),
+            CaptureConfig { segment_frames },
+        )
+        .expect("header");
+        for (ev, at, key) in &frames {
+            if w.push(ev, *at, *key).expect("push") {
+                let sealed = w.segments_sealed();
+                w.add_checkpoint(sealed, vec![sealed as u8; 40_000])
+                    .expect("checkpoint");
+            }
+        }
+        let (buffered, stats) = w.finish().expect("finish");
+        let sink = buffered
+            .into_inner()
+            .map_err(|e| e.into_error())
+            .expect("flush");
+        assert_eq!(sink.bytes.len() as u64, stats.bytes);
+        let bound = sink.bytes.len().div_ceil(WRITE_CHUNK) + 4;
+        assert!(
+            sink.writes <= bound,
+            "{} writes for {} bytes (bound {bound})",
+            sink.writes,
+            sink.bytes.len()
+        );
+        // The bytes are those of an unbuffered writer.
+        let mut plain =
+            CaptureWriter::new(Vec::new(), CaptureConfig { segment_frames }).expect("header");
+        for (ev, at, key) in &frames {
+            if plain.push(ev, *at, *key).expect("push") {
+                let sealed = plain.segments_sealed();
+                plain
+                    .add_checkpoint(sealed, vec![sealed as u8; 40_000])
+                    .expect("checkpoint");
+            }
+        }
+        assert_eq!(plain.finish().expect("finish").0, sink.bytes);
+    }
+
+    #[test]
+    fn capture_sink_flush_puts_every_pushed_frame_and_blob_on_disk() {
+        let dir = std::env::temp_dir().join(format!("wmsn-capture-flush-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("flush.wcap");
+        // 1,500 frames and 23 blobs: about 98 KB, under one chunk.
+        let frames: Vec<_> = stream(1).into_iter().cycle().take(1500).collect();
+        let mut sink =
+            CaptureSink::create(&path, CaptureConfig { segment_frames: 64 }).expect("create");
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&CAPTURE_MAGIC);
+        expected.extend_from_slice(&CAPTURE_VERSION.to_le_bytes());
+        expected.extend_from_slice(&(FRAME_LEN as u32).to_le_bytes());
+        for (i, (ev, at, key)) in frames.iter().enumerate() {
+            expected.extend_from_slice(&encode_frame(ev, *at, *key));
+            if let Some(sealed) = sink.push(ev, *at, *key) {
+                let blob = vec![0xB0 | sealed as u8; 100];
+                sink.add_checkpoint(sealed, blob.clone());
+                expected.extend_from_slice(&blob);
+            }
+            if i == 1000 {
+                // Nothing reaches the file before a chunk fills...
+                assert!(expected.len() < WRITE_CHUNK);
+                assert_eq!(std::fs::metadata(&path).expect("stat").len(), 0);
+            }
+            // ...and a flush puts every frame and blob pushed so far in
+            // it.
+            if i >= 1000 && i % 97 == 5 {
+                TraceSink::flush(&mut sink);
+                assert_eq!(std::fs::read(&path).expect("read"), expected, "frame {i}");
+            }
+        }
+        TraceSink::flush(&mut sink);
+        assert_eq!(std::fs::read(&path).expect("read"), expected);
+        drop(sink);
         std::fs::remove_dir_all(&dir).ok();
     }
 

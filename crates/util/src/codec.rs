@@ -41,6 +41,9 @@ pub enum DecodeError {
     TrailingBytes(usize),
     /// A padding byte was not zero.
     NonZeroPadding,
+    /// Fields that each decoded fine contradict one another (the
+    /// message names how).
+    Inconsistent(&'static str),
 }
 
 impl fmt::Display for DecodeError {
@@ -53,6 +56,7 @@ impl fmt::Display for DecodeError {
             DecodeError::LengthOutOfRange(n) => write!(f, "length {n} out of range"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes"),
             DecodeError::NonZeroPadding => write!(f, "non-zero padding byte"),
+            DecodeError::Inconsistent(what) => f.write_str(what),
         }
     }
 }
