@@ -2,8 +2,8 @@
 //!
 //! Times the E9-scalability kernel (n = 800, analytic and fully
 //! simulated, untraced and with an inline health monitor), the n=100k
-//! sharded round (unmonitored, and monitored through per-shard capture
-//! files), the E17 seed sweep and a wire microbench, and writes the
+//! round on the reference kernel (untraced, and monitored through a
+//! capture file), the E17 seed sweep and a wire microbench, and writes the
 //! tracked perf baseline `BENCH_hotpath.json` at the repo root. For the
 //! simulated kernels it also records event-loop throughput
 //! (`events_per_sec`) and the peak event-queue depth alongside wall
@@ -30,24 +30,19 @@
 //! the kernel, and is otherwise carried forward from the committed
 //! `BENCH_hotpath.json`.
 //!
-//! `--threads N` sets the worker-thread count for the sharded kernels
-//! (default: available parallelism).
-//!
 //! `--check` is the CI smoke gate: it re-times the simulated E9 kernels
-//! (n=800 untraced and monitored, and the n=100k sharded row) and exits
+//! (n=800 untraced and monitored, and the untraced n=100k row) and exits
 //! non-zero if wall time regressed more than 25% against the committed
 //! `BENCH_hotpath.json` baseline.
 
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use wmsn_core::experiments::{
     e17_seed_sweep, e9_event_stats, e9_large, e9_large_monitored, e9_scalability,
 };
-use wmsn_core::params::ParallelConfig;
 use wmsn_health::{HealthConfig, HealthMonitor};
 use wmsn_routing::wire::{rreq_append_forward, RoutingMsg, RoutingMsgView};
-use wmsn_trace::{log_error, log_record, CaptureStats, RingStats, TraceSink};
+use wmsn_trace::{log_error, log_record, CaptureStats, TraceSink};
 use wmsn_util::json::Json;
 use wmsn_util::NodeId;
 
@@ -85,30 +80,21 @@ fn flood_forward_kernel() -> usize {
     acc
 }
 
-/// Worker-thread count for the sharded kernels (`--threads`, default
-/// available parallelism). A process-wide atomic so the `fn()`-typed
-/// kernel entries below can read it without captures.
-static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-fn bench_threads() -> usize {
-    THREADS.load(Ordering::Relaxed).max(1)
-}
-
 /// Sources reporting in the n=100k round. Route caches only populate
 /// along reply paths, so *every* cache-cold SPR discovery is a
 /// near-network-wide flood (~3M events at this density) — the source
 /// count, not `n`, sets the event budget. Three stride-spaced sources
 /// (~10M events) keep the round interactive and the CI `--check`
-/// re-timing affordable while still flooding every shard seam.
+/// re-timing affordable.
 const N100K_SOURCES: usize = 3;
 
-/// One un-timed run of a kernel: event-loop statistics, plus the ring
-/// and capture telemetry of the kernel that streams its trace to disk.
+/// One un-timed run of a kernel: event-loop statistics, plus the alert
+/// count and capture telemetry of the kernel that records its trace to
+/// disk.
 struct RunStats {
     events: u64,
     peak_queue_depth: usize,
-    ring: Option<RingStats>,
-    capture: Option<CaptureStats>,
+    monitored: Option<(u64, CaptureStats)>,
 }
 
 /// The n=800 E9 rounds' statistics with `sink` building each world's
@@ -118,8 +104,7 @@ fn n800_stats(sink: fn() -> Option<Box<dyn TraceSink>>) -> RunStats {
     RunStats {
         events,
         peak_queue_depth,
-        ring: None,
-        capture: None,
+        monitored: None,
     }
 }
 
@@ -128,16 +113,10 @@ fn inline_monitor() -> Option<Box<dyn TraceSink>> {
     Some(HealthMonitor::boxed(HealthConfig::default()))
 }
 
-/// The monitored n=100k round with its trace streamed to per-shard
-/// segmented capture files in a scratch directory (deleted afterwards)
-/// instead of buffered in memory — the configuration the
-/// `e9_n100k_sim_monitored` row times.
-fn n100k_monitored_captured() -> (
-    wmsn_core::experiments::E9LargeSummary,
-    RingStats,
-    u64,
-    CaptureStats,
-) {
+/// The monitored n=100k round with its trace recorded to a capture
+/// file in a scratch directory (deleted afterwards) — the configuration
+/// the `e9_n100k_sim_monitored` row times.
+fn n100k_monitored_captured() -> (wmsn_core::experiments::E9LargeSummary, u64, CaptureStats) {
     let dir = std::env::temp_dir().join(format!(
         "wmsn-hotpath-capture-{}-{:x}",
         std::process::id(),
@@ -147,15 +126,9 @@ fn n100k_monitored_captured() -> (
             .unwrap_or(0)
     ));
     std::fs::create_dir_all(&dir).expect("create capture scratch dir");
-    let out = e9_large_monitored(
-        100_000,
-        17,
-        N100K_SOURCES,
-        ParallelConfig::per_thread(bench_threads()),
-        &dir,
-    );
+    let (summary, monitor, capture) = e9_large_monitored(100_000, 17, N100K_SOURCES, &dir);
     let _ = std::fs::remove_dir_all(&dir);
-    out
+    (summary, monitor.alerts().len() as u64, capture)
 }
 
 struct Kernel {
@@ -187,44 +160,27 @@ const KERNELS: &[Kernel] = &[
     },
     Kernel {
         name: "e9_n100k_sim",
-        desc: "E9 large: n=100k three-tier SPR round on the sharded kernel (one strip shard per --threads worker, unicast fast path on); before_s is the pre-sharding kernel (dense per-origin dedup tables) on this exact workload",
-        run: || {
-            e9_large(
-                100_000,
-                17,
-                N100K_SOURCES,
-                true,
-                Some(ParallelConfig::per_thread(bench_threads())),
-            )
-            .events as usize
-        },
+        desc: "E9 large: n=100k three-tier SPR round on the reference kernel, untraced",
+        run: || e9_large(100_000, 17, N100K_SOURCES).events as usize,
         stats: Some(|| {
-            let s = e9_large(
-                100_000,
-                17,
-                N100K_SOURCES,
-                true,
-                Some(ParallelConfig::per_thread(bench_threads())),
-            );
+            let s = e9_large(100_000, 17, N100K_SOURCES);
             RunStats {
                 events: s.events,
                 peak_queue_depth: s.peak_queue_depth,
-                ring: None,
-                capture: None,
+                monitored: None,
             }
         }),
     },
     Kernel {
         name: "e9_n100k_sim_monitored",
-        desc: "E9 large: the n=100k sharded round with full health monitoring and disk-streamed captures — per-shard ring pipelines hand (at,key,event) frames to per-shard CaptureSinks whose drain threads encode and write segmented capture files, then one monitor consumes the k-way merged on-disk stream (same causal order as the in-memory merge: deterministic, kernel-independent verdicts) with one segment per shard resident instead of every frame; before_s is the single-threaded reference kernel with the monitor inline as its trace sink (the sharded kernel cannot host an inline monitor)",
+        desc: "E9 large: the n=100k round on the reference kernel recorded through one CaptureSink, then one health monitor fed from a full scan of that capture (one segment resident at a time)",
         run: || n100k_monitored_captured().0.events as usize,
         stats: Some(|| {
-            let (s, ring, _alerts, capture) = n100k_monitored_captured();
+            let (s, alerts, capture) = n100k_monitored_captured();
             RunStats {
                 events: s.events,
                 peak_queue_depth: s.peak_queue_depth,
-                ring: Some(ring),
-                capture: Some(capture),
+                monitored: Some((alerts, capture)),
             }
         }),
     },
@@ -297,7 +253,7 @@ fn extract_string(doc: &str, key: &str) -> Option<String> {
 }
 
 /// `--check`: re-time the simulated E9 kernels (the n=800 round,
-/// untraced and with an inline monitor, and the n=100k sharded round)
+/// untraced and with an inline monitor, and the untraced n=100k round)
 /// and fail (exit 1) if any regressed more than 25% against the
 /// committed `BENCH_hotpath.json` baseline — the CI smoke gate for the
 /// simulator hot path. A kernel absent from the baseline fails the gate
@@ -362,7 +318,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut label = "after".to_string();
     let mut check = false;
-    let mut threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -370,29 +325,12 @@ fn main() {
                 label = args.get(i + 1).cloned().unwrap_or_default();
                 i += 2;
             }
-            "--threads" => {
-                threads = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t| t >= 1)
-                    .unwrap_or_else(|| {
-                        log_error(
-                            "hotpath_error",
-                            vec![(
-                                "bad_threads",
-                                Json::from(args.get(i + 1).cloned().unwrap_or_default()),
-                            )],
-                        );
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
             "--check" => {
                 check = true;
                 i += 1;
             }
             "--help" | "-h" => {
-                println!("usage: hotpath [--label before|after] [--threads N] [--check]");
+                println!("usage: hotpath [--label before|after] [--check]");
                 return;
             }
             other => {
@@ -404,7 +342,6 @@ fn main() {
             }
         }
     }
-    THREADS.store(threads, Ordering::Relaxed);
     let reps: usize = std::env::var("HOTPATH_REPS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -420,7 +357,6 @@ fn main() {
         vec![
             ("kernels", Json::from(KERNELS.len())),
             ("reps", Json::from(reps)),
-            ("threads", Json::from(threads)),
             ("label", Json::from(label.clone())),
         ],
     );
@@ -486,27 +422,18 @@ fn main() {
                     ("reps", Json::from(reps)),
                     ("after_s", Json::Num(*after_s)),
                 ];
-                if k.name.contains("n100k") {
-                    pairs.push(("threads", Json::from(threads)));
-                }
                 if let Some(stats) = k.stats {
                     let st = stats();
                     pairs.push(("events", Json::from(st.events)));
                     pairs.push(("events_per_sec", Json::Num(st.events as f64 / after_s)));
                     pairs.push(("peak_queue_depth", Json::from(st.peak_queue_depth)));
-                    if let Some(ring) = st.ring {
-                        pairs.push(("ring_frames_written", Json::from(ring.frames_written)));
-                        pairs.push(("ring_blocked_us", Json::from(ring.blocked_us)));
-                        pairs.push(("ring_peak_chunks", Json::from(ring.peak_chunks)));
-                        pairs.push(("ring_capacity_chunks", Json::from(ring.capacity_chunks)));
-                        pairs.push(("ring_chunk_frames", Json::from(ring.chunk_frames)));
-                    }
-                    if let Some(cap) = st.capture {
+                    if let Some((alerts, cap)) = st.monitored {
+                        pairs.push(("alerts", Json::from(alerts)));
                         pairs.push(("capture_bytes_written", Json::from(cap.bytes)));
                         pairs.push(("capture_segments", Json::from(cap.segments)));
                         pairs.push(("capture_frames", Json::from(cap.frames)));
                         // Effective write rate over the whole timed
-                        // round (sim + encode + write + merge), not a
+                        // round (sim + encode + write + scan), not a
                         // raw disk number.
                         pairs.push((
                             "capture_write_mb_per_s",

@@ -13,7 +13,7 @@ use crate::builder::{
 use crate::drivers::{
     Leach, LeachDriver, Mlr, MlrDriver, Protocol, RoundDriver, SecMlr, Spr, SprDriver,
 };
-use crate::params::{FieldParams, GatewayParams, ParallelConfig, TrafficParams};
+use crate::params::{FieldParams, GatewayParams, TrafficParams};
 use wmsn_attacks::announcer::{AnnounceTarget, FalseAnnouncer};
 use wmsn_attacks::sinkhole::TargetProtocol;
 use wmsn_attacks::{wormhole_pair, Replayer, SelectiveForwarder, Sinkhole};
@@ -23,14 +23,13 @@ use wmsn_routing::optimal_lifetime_rounds;
 
 use wmsn_routing::spr::{SprGateway, SprSensor};
 use wmsn_secure::{SecMlrGateway, SecMlrSensor};
-use wmsn_sim::{NodeConfig, PacketKind, ShardedWorld, SimHost, World};
+use wmsn_sim::{NodeConfig, PacketKind, SimHost, World};
 use wmsn_topology::connectivity::HopField;
 use wmsn_topology::paper::{
     fig2_single_sink, fig2_three_gateways, table1_topology, FIG2_NAMED, FIG2_SINGLE_SINK_HOPS,
     FIG2_THREE_GATEWAY_HOPS, PAPER_RANGE, TABLE1_HOPS, TABLE1_ROUNDS, TABLE1_SELECTED,
 };
 use wmsn_topology::places::FeasiblePlaces;
-use wmsn_topology::strip_shards;
 use wmsn_topology::{placement, Deployment, Topology};
 use wmsn_trace::{expect_sink, TraceSink};
 use wmsn_util::stats::ReportRow;
@@ -477,7 +476,8 @@ pub struct AttackOutcome {
 /// `sink`, when given, is installed as the world's trace sink before
 /// start and handed back flushed, for the caller to read through
 /// [`wmsn_trace::expect_sink`]. The sink only records: the outcome is
-/// the same whatever it is (an inline `HealthMonitor`, a `RingSink`, …).
+/// the same whatever it is (an inline `HealthMonitor`, a `CaptureSink`,
+/// …).
 pub fn run_attack_cell(
     protocol: TargetProtocol,
     attack: Attack,
@@ -841,9 +841,10 @@ pub fn e9_event_stats(
 ///
 /// The routing outcomes (`originated`, `unique_deliveries`,
 /// `delivery_ratio`, `mean_latency_us`) are bit-identical between the
-/// reference kernel and any sharded run; `events` and
-/// `peak_queue_depth` are per-kernel execution statistics and differ by
-/// construction (the sharded kernel re-schedules boundary arrivals).
+/// reference kernel and a sharded run of [`e9_large_round`]; `events`
+/// and `peak_queue_depth` are per-kernel execution statistics and
+/// differ by construction (the sharded kernel re-schedules boundary
+/// arrivals).
 #[derive(Clone, Copy, Debug)]
 pub struct E9LargeSummary {
     /// Sensor count.
@@ -934,41 +935,11 @@ pub fn e9_large_round<H: SimHost>(
     }
 }
 
-/// Cut a large-scale E9 scenario into `parallel.shards` strip shards
-/// along the sensor-range grid seam (the base station included) and
-/// host them on the sharded parallel kernel.
-pub fn e9_large_sharded(
-    scen: SprScenario,
-    base: NodeId,
-    parallel: ParallelConfig,
-) -> SprScenario<ShardedWorld> {
-    let mut positions = scen.sensor_positions.clone();
-    positions.extend_from_slice(&scen.gateway_positions);
-    positions.push(scen.world.node(base).pos);
-    let assignment = strip_shards(&positions, scen.range_m, parallel.shards);
-    scen.map_world(|w| ShardedWorld::from_world(w, assignment, parallel.threads))
-}
-
-/// The large-scale E9 entry point: one SPR round at `n`, on the
-/// single-threaded reference kernel (`parallel = None`) or on the
-/// sharded parallel kernel (`parallel = Some(_)`, see
-/// [`e9_large_sharded`]).
-///
-/// `fast_path = false` additionally disables the unicast fast-path
-/// delivery optimisation — the pre-optimisation medium path.
-pub fn e9_large(
-    n: usize,
-    seed: u64,
-    sources: usize,
-    fast_path: bool,
-    parallel: Option<ParallelConfig>,
-) -> E9LargeSummary {
+/// The large-scale E9 entry point: one SPR round at `n` on the
+/// reference kernel, untraced.
+pub fn e9_large(n: usize, seed: u64, sources: usize) -> E9LargeSummary {
     let (mut scen, base) = e9_large_scenario(n, seed);
-    scen.world.set_unicast_fast_path(fast_path);
-    match parallel {
-        None => e9_large_round(&mut scen, base, sources),
-        Some(p) => e9_large_round(&mut e9_large_sharded(scen, base, p), base, sources),
-    }
+    e9_large_round(&mut scen, base, sources)
 }
 
 // --------------------------------------------------------------- E10 --
@@ -1774,66 +1745,44 @@ pub fn e18_forensics_capture(
     (stats, f.monitor().alerts().len())
 }
 
-/// Monitored large-scale round on the sharded kernel. Each shard's
-/// frames travel through a [`wmsn_trace::RingSink`] — the ring's one
-/// production use, moving frame encoding and disk writes off the shard
-/// thread — into a segmented capture `shard-<i>.wcap` under
-/// `capture_dir`; after the run a single
-/// [`wmsn_health::HealthMonitor`] consumes the k-way
-/// [`wmsn_trace::merge_captures`] merge of those files. The merge order
-/// is the reference emission order, so the monitor's verdicts are
-/// deterministic and kernel-independent — the detector bank never has
-/// to reason about shard interleaving — and peak memory is one segment
-/// per shard rather than every frame.
+/// Monitored large-scale round: [`e9_large`] recorded through one
+/// [`wmsn_trace::CaptureSink`] at `dir/e9.wcap`, then one
+/// [`wmsn_health::HealthMonitor`] fed from a full scan of that capture.
+/// The capture holds the trace on disk, so the round needs no more
+/// memory for its tens of millions of frames than the unmonitored one;
+/// the scan holds one segment at a time.
 ///
-/// Returns the round summary, the aggregate ring telemetry, the total
-/// alerts the monitor raised, and the aggregate capture telemetry.
+/// Returns the round summary, the finalized monitor, and the capture
+/// telemetry.
 pub fn e9_large_monitored(
     n: usize,
     seed: u64,
     sources: usize,
-    parallel: ParallelConfig,
-    capture_dir: &std::path::Path,
+    dir: &std::path::Path,
 ) -> (
     E9LargeSummary,
-    wmsn_trace::RingStats,
-    u64,
+    wmsn_health::HealthMonitor,
     wmsn_trace::CaptureStats,
 ) {
-    let (scen, base) = e9_large_scenario(n, seed);
-    let mut scen = e9_large_sharded(scen, base, parallel);
-    let paths: Vec<_> = (0..scen.world.shard_count())
-        .map(|i| capture_dir.join(format!("shard-{i}.wcap")))
-        .collect();
-    scen.world.install_shard_sinks(|i| {
-        let sink = wmsn_trace::CaptureSink::create(&paths[i], wmsn_trace::CaptureConfig::default())
-            .expect("create shard capture file");
-        wmsn_trace::RingSink::boxed(wmsn_trace::RingConfig::default(), vec![Box::new(sink)])
-    });
+    let (mut scen, base) = e9_large_scenario(n, seed);
+    let path = dir.join("e9.wcap");
+    let sink = wmsn_trace::CaptureSink::create(&path, wmsn_trace::CaptureConfig::default())
+        .expect("create capture file");
+    scen.world.set_trace_sink(Box::new(sink));
     let summary = e9_large_round(&mut scen, base, sources);
-    let mut stats = wmsn_trace::RingStats::default();
-    let mut cap = wmsn_trace::CaptureStats::default();
-    for mut sink in scen
-        .world
-        .take_shard_sinks()
-        .expect("shard sinks installed")
-    {
-        let (s, c) = expect_sink::<wmsn_trace::RingSink>(Some(sink.as_mut()))
-            .finalize_capture()
-            .expect("each shard ring finalizes its capture");
-        stats.add(&s);
-        cap.add(&c);
-        // Dropping the sink closes the ring and joins its drain.
-    }
-    let readers = paths
-        .iter()
-        .map(wmsn_trace::CaptureReader::open)
-        .collect::<Result<Vec<_>, _>>()
-        .expect("open shard captures");
+    let mut sink = scen.world.take_trace_sink();
+    let cap = expect_sink::<wmsn_trace::CaptureSink>(sink.as_deref_mut())
+        .finalize()
+        .expect("capture written");
     let mut monitor = wmsn_health::HealthMonitor::with_config(wmsn_health::HealthConfig::default());
-    wmsn_trace::merge_captures(readers, |ev| monitor.observe(ev)).expect("merge shard captures");
+    let mut reader = wmsn_trace::CaptureReader::open(&path).expect("open capture");
+    reader
+        .scan(&wmsn_trace::ScanFilter::all(), |ev, _, _| {
+            monitor.observe(ev)
+        })
+        .expect("scan capture");
     monitor.finalize();
-    (summary, stats, monitor.alerts().len() as u64, cap)
+    (summary, monitor, cap)
 }
 
 #[cfg(test)]

@@ -134,31 +134,6 @@ impl GatewayParams {
     }
 }
 
-/// Parallel-kernel execution knobs for the large-scale scenarios.
-///
-/// The field is cut into `shards` vertical strips (see
-/// `wmsn_topology::strip_shards`) and driven by `threads` workers.
-/// `shards >= threads` keeps every worker busy; extra shards beyond the
-/// thread count only add boundary seams without adding parallelism.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelConfig {
-    /// Number of spatial shards.
-    pub shards: usize,
-    /// Worker threads driving the shards.
-    pub threads: usize,
-}
-
-impl ParallelConfig {
-    /// One shard per thread — the default cut.
-    pub fn per_thread(threads: usize) -> Self {
-        let threads = threads.max(1);
-        ParallelConfig {
-            shards: threads,
-            threads,
-        }
-    }
-}
-
 /// Traffic generation.
 #[derive(Clone, Copy, Debug)]
 pub struct TrafficParams {

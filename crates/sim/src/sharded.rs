@@ -4,10 +4,11 @@
 //! worlds and steps them on scoped worker threads, exchanging
 //! shard-crossing deliveries through per-shard mailboxes between
 //! *supersteps* (a conservative, window-synchronised parallel DES). The
-//! single-threaded [`World`] stays the bit-exact golden reference; this
-//! kernel exists to make very large fields (the `e9_n100k` workload —
-//! 100 000 sensors) turn around at interactive speed on multicore
-//! hardware.
+//! single-threaded [`World`] stays the bit-exact golden reference and
+//! the only kernel that hosts a trace sink. On a 2-core host this
+//! kernel measured slower than the reference in 8 of 8 n=100k runs; it
+//! remains, untraced, only as the subject of the `spr_flood_sharded`
+//! benchmark workload.
 //!
 //! # Why the schedule is reproduced exactly
 //!
@@ -27,12 +28,10 @@
 //!    mesh tier). Each superstep therefore executes the window
 //!    `[t_min, t_min + L)`: no event inside the window can schedule a
 //!    cross-shard delivery that lands inside the window.
-//! 3. **Stamped emission order.** Trace lines and delivery records are
-//!    stamped with the `(at, key)` of the event that produced them.
-//!    Per-shard streams merge back into the exact reference order by
-//!    sorting on `(at, key, capture index)` — a total order, because
-//!    `(at, key)` pairs are unique per event and all of one event's
-//!    emissions happen on one shard.
+//! 3. **Stamped delivery ledger.** Delivery records are stamped with
+//!    the `(at, key)` of the event that produced them, and
+//!    [`ShardedWorld::metrics`] merges the per-shard ledgers by sorting
+//!    on `(at, key, ledger index)`.
 //!
 //! # Gating: which workloads are equivalence-safe
 //!
@@ -44,6 +43,8 @@
 //!   medium RNG in delivery order and carrier sensing reads *other*
 //!   nodes' in-flight transmissions, both of which are global state the
 //!   shards do not share. [`ShardedWorld::from_world`] asserts this.
+//! * **Untraced.** A sharded world never hosts a trace sink;
+//!   [`ShardedWorld::from_world`] asserts the donor has none.
 //! * **Death-free runs.** A battery death re-orders every later event
 //!   involving that node; replicas on other shards would not observe
 //!   it. [`crate::world::WorldCore`]'s charge path panics if a node
@@ -53,13 +54,21 @@
 //! * **No cross-node shared behaviour state.** Behaviours that secretly
 //!   share `Rc` state across nodes (the E6 wormhole tunnel pair) must
 //!   be co-located or excluded — see the safety notes in [`cell`].
+//! * **No zero-delay deliveries.** A zero-delay timer set by a receiver
+//!   whose id is below the sender's gets a causal key below that of the
+//!   reception that set it. The reference kernel pops it right after
+//!   that reception, but the stamp-ordered ledger merge puts a delivery
+//!   it records *before* the deliveries of the reception's event, so
+//!   the merged delivery ledger can differ from the reference in order
+//!   (counters and sums are unaffected). SPR/MLR flood jitter can draw
+//!   0, so this is not excluded by construction.
 //!
 //! Queue-occupancy statistics ([`ShardedWorld::peak_queue_depth`],
 //! `events_processed`) are *not* bit-equivalent to the reference: the
 //! reference holds all shards' events in one queue (its peak is ≥ the
 //! max over shards), and the fast-unicast path plus windowing change
-//! what is resident when. Metrics and traces are the equivalence
-//! surface; the golden tests pin exactly that.
+//! what is resident when. Metrics are the equivalence surface; the
+//! shard-equivalence tests pin exactly that.
 //!
 //! [`MediumConfig::default`]: crate::medium::MediumConfig
 
@@ -68,7 +77,6 @@ use crate::node::{Ctx, NodeState};
 use crate::time::SimTime;
 use crate::world::{RemoteEvent, World};
 use std::sync::Mutex;
-use wmsn_trace::TraceSink;
 use wmsn_util::pool::bsp_run;
 use wmsn_util::{NodeId, NodeRole, Point};
 
@@ -158,10 +166,9 @@ impl ShardedWorld {
     /// on the calling thread (same windowed schedule, no thread pool).
     ///
     /// Panics if the world was already started, has pending events, has
-    /// a trace sink installed (install per-shard sinks afterwards via
-    /// [`ShardedWorld::install_shard_sinks`]), or uses a non-ideal
-    /// medium (see module docs for why loss/collisions/CSMA are outside
-    /// the equivalence envelope).
+    /// a trace sink installed (a sharded world is always untraced), or
+    /// uses a non-ideal medium (see module docs for why
+    /// loss/collisions/CSMA are outside the equivalence envelope).
     pub fn from_world(world: World, assignment: Vec<u16>, threads: usize) -> Self {
         assert!(
             !world.started,
@@ -173,7 +180,7 @@ impl ShardedWorld {
         );
         assert!(
             world.core.trace.is_none(),
-            "install per-shard sinks via ShardedWorld::install_shard_sinks, not on the donor world"
+            "a sharded world is always untraced: take the donor world's trace sink first"
         );
         assert_eq!(
             assignment.len(),
@@ -423,39 +430,39 @@ impl ShardedWorld {
     }
 
     /// Move a node. Replicated to every shard (positions feed each
-    /// shard's adjacency caches); only the owner emits the trace line.
+    /// shard's adjacency caches).
     pub fn set_position(&mut self, id: NodeId, pos: Point) {
         self.on_owner(id, |w| w.set_position(id, pos));
         let owner = self.assignment[id.index()] as usize;
         for (s, cell) in self.shards.iter_mut().enumerate() {
             if s != owner {
-                cell.0.set_position_inner(id, pos, false);
+                cell.0.set_position_inner(id, pos);
             }
         }
     }
 
-    /// Kill a node on every shard (owner records death + trace).
+    /// Kill a node on every shard.
     pub fn kill(&mut self, id: NodeId) {
         self.on_owner(id, |w| w.kill(id));
-        self.replicate_to_others(id, |w| w.kill_inner(id, false));
+        self.replicate_to_others(id, |w| w.kill_inner(id));
     }
 
     /// Put a node to sleep on every shard.
     pub fn sleep(&mut self, id: NodeId) {
         self.on_owner(id, |w| w.sleep(id));
-        self.replicate_to_others(id, |w| w.sleep_inner(id, false));
+        self.replicate_to_others(id, |w| w.sleep_inner(id));
     }
 
     /// Wake a sleeping node on every shard.
     pub fn wake(&mut self, id: NodeId) {
         self.on_owner(id, |w| w.wake(id));
-        self.replicate_to_others(id, |w| w.wake_inner(id, false));
+        self.replicate_to_others(id, |w| w.wake_inner(id));
     }
 
     /// Revive a node on every shard.
     pub fn revive(&mut self, id: NodeId) {
         self.on_owner(id, |w| w.revive(id));
-        self.replicate_to_others(id, |w| w.wake_inner(id, false));
+        self.replicate_to_others(id, |w| w.wake_inner(id));
     }
 
     /// Set promiscuous mode on every shard.
@@ -490,31 +497,6 @@ impl ShardedWorld {
         self.shards[self.assignment[id.index()] as usize]
             .0
             .behavior_as(id)
-    }
-
-    /// Install one trace sink per shard, built by `make(shard_index)`.
-    /// Each shard's world emits its own events, stamped with their
-    /// causal `(at, key)`, into its sink; a sink that keeps the stamps
-    /// (a `FrameBufferSink`, or a `CaptureSink` — typically behind a
-    /// per-shard `RingSink`, whose SPSC discipline holds because a
-    /// shard's world is its only producer) can be merged back into the
-    /// reference emission order with `wmsn_trace::merge_frame_buffers`
-    /// or `wmsn_trace::merge_captures`.
-    pub fn install_shard_sinks(&mut self, mut make: impl FnMut(usize) -> Box<dyn TraceSink>) {
-        for (i, cell) in self.shards.iter_mut().enumerate() {
-            cell.0.set_trace_sink(make(i));
-        }
-    }
-
-    /// Take the per-shard sinks back, in shard order. Each is flushed
-    /// on the way out — for a `RingSink` that is the drain barrier, so
-    /// its downstream sinks have seen every frame. `None` if
-    /// [`ShardedWorld::install_shard_sinks`] was never called.
-    pub fn take_shard_sinks(&mut self) -> Option<Vec<Box<dyn TraceSink>>> {
-        self.shards
-            .iter_mut()
-            .map(|cell| cell.0.take_trace_sink())
-            .collect()
     }
 
     /// Total events processed across all shards. **Not** equivalent to
@@ -566,8 +548,10 @@ impl ShardedWorld {
             node_tx: vec![0; n],
             ..Metrics::default()
         };
-        // (delivered_at, key, capture index) totally orders deliveries
-        // across shards for the same reason it orders trace lines.
+        // (delivered_at, key, ledger index) orders deliveries across
+        // shards: keys are unique per event and all of one event's
+        // deliveries are recorded on one shard (but see the zero-delay
+        // caveat in the module docs).
         let mut all: Vec<(SimTime, u64, usize, crate::metrics::Delivery)> = Vec::new();
         for cell in &self.shards {
             let m = cell.0.metrics();
@@ -707,39 +691,6 @@ mod tests {
                 assert_eq!(sw.now(), 1_000_000);
             }
         }
-    }
-
-    #[test]
-    fn sharded_trace_merges_to_reference_bytes() {
-        let mut reference = line_world(10);
-        reference.set_trace_sink(Box::new(wmsn_trace::BufferSink::new()));
-        reference.run_until(500_000);
-        let sink = reference.take_trace_sink().unwrap();
-        let want = &sink
-            .as_any()
-            .downcast_ref::<wmsn_trace::BufferSink>()
-            .unwrap()
-            .out;
-
-        let assignment: Vec<u16> = (0..10).map(|i| (i % 2) as u16).collect();
-        let mut sw = ShardedWorld::from_world(line_world(10), assignment, 2);
-        sw.install_shard_sinks(|_| Box::new(wmsn_trace::FrameBufferSink::new()));
-        sw.run_until(500_000);
-        let buffers = sw
-            .take_shard_sinks()
-            .unwrap()
-            .into_iter()
-            .map(|mut sink| {
-                let b = sink
-                    .as_any_mut()
-                    .downcast_mut::<wmsn_trace::FrameBufferSink>();
-                std::mem::take(&mut b.unwrap().entries)
-            })
-            .collect();
-        let mut got = String::new();
-        wmsn_trace::merge_frame_buffers(buffers, |ev| got.push_str(&format!("{}\n", ev.to_json())))
-            .unwrap();
-        assert_eq!(&got, want, "merged shard trace must be byte-identical");
     }
 
     #[test]

@@ -119,8 +119,8 @@ pub struct WorldCore {
     /// after every node-minted key at an equal timestamp).
     pub(crate) driver_counter: u64,
     /// Causal key of the currently executing event or driver entry —
-    /// stamped onto trace lines and delivery records so per-shard
-    /// streams merge back into reference emission order.
+    /// stamped onto trace frames and delivery records (the sharded
+    /// kernel merges per-shard delivery ledgers by it).
     pub(crate) exec_key: u64,
     /// Cross-shard routing state; `None` on the single-threaded
     /// reference path (see [`crate::sharded`]).
@@ -1216,19 +1216,18 @@ impl World {
     /// rows referencing it and its grid bucket are touched.
     pub fn set_position(&mut self, id: NodeId, pos: wmsn_util::Point) {
         self.core.begin_driver_op();
-        self.set_position_inner(id, pos, true);
+        self.set_position_inner(id, pos);
     }
 
-    /// [`World::set_position`] body; `emit = false` suppresses the trace
-    /// line (the sharded kernel replicates moves to every shard but only
-    /// the owner records them).
-    pub(crate) fn set_position_inner(&mut self, id: NodeId, pos: wmsn_util::Point, emit: bool) {
+    /// [`World::set_position`] without the driver-op key: the sharded
+    /// kernel replicates moves to every shard with it.
+    pub(crate) fn set_position_inner(&mut self, id: NodeId, pos: wmsn_util::Point) {
         let old_pos = self.core.nodes[id.index()].pos;
         self.core.nodes[id.index()].pos = pos;
         for ti in 0..2 {
             self.core.update_adjacency_for_move(ti, id, old_pos);
         }
-        if emit && self.core.trace.is_some() {
+        if self.core.trace.is_some() {
             self.core.emit(TraceEvent::NodeMove {
                 t: self.core.now,
                 node: id,
@@ -1251,14 +1250,13 @@ impl World {
     /// [`World::wake`].
     pub fn sleep(&mut self, id: NodeId) {
         self.core.begin_driver_op();
-        self.sleep_inner(id, true);
+        self.sleep_inner(id);
     }
 
-    /// [`World::sleep`] body with trace-emission control (see
-    /// [`World::set_position_inner`]).
-    pub(crate) fn sleep_inner(&mut self, id: NodeId, emit: bool) {
+    /// [`World::sleep`] body (see [`World::set_position_inner`]).
+    pub(crate) fn sleep_inner(&mut self, id: NodeId) {
         self.core.nodes[id.index()].alive = false;
-        if emit && self.core.trace.is_some() {
+        if self.core.trace.is_some() {
             self.core.emit(TraceEvent::NodeSleep {
                 t: self.core.now,
                 node: id,
@@ -1269,16 +1267,16 @@ impl World {
     /// Wake a sleeping node (no-op if its battery is spent).
     pub fn wake(&mut self, id: NodeId) {
         self.core.begin_driver_op();
-        self.wake_inner(id, true);
+        self.wake_inner(id);
     }
 
-    /// [`World::wake`] / [`World::revive`] body with trace-emission
-    /// control (see [`World::set_position_inner`]).
-    pub(crate) fn wake_inner(&mut self, id: NodeId, emit: bool) {
+    /// [`World::wake`] / [`World::revive`] body (see
+    /// [`World::set_position_inner`]).
+    pub(crate) fn wake_inner(&mut self, id: NodeId) {
         let state = &mut self.core.nodes[id.index()];
         if state.battery.alive() {
             state.alive = true;
-            if emit && self.core.trace.is_some() {
+            if self.core.trace.is_some() {
                 self.core.emit(TraceEvent::NodeWake {
                     t: self.core.now,
                     node: id,
@@ -1290,12 +1288,11 @@ impl World {
     /// Kill a node (fault injection / captured-node experiments).
     pub fn kill(&mut self, id: NodeId) {
         self.core.begin_driver_op();
-        self.kill_inner(id, true);
+        self.kill_inner(id);
     }
 
-    /// [`World::kill`] body with trace-emission control (see
-    /// [`World::set_position_inner`]).
-    pub(crate) fn kill_inner(&mut self, id: NodeId, emit: bool) {
+    /// [`World::kill`] body (see [`World::set_position_inner`]).
+    pub(crate) fn kill_inner(&mut self, id: NodeId) {
         let state = &mut self.core.nodes[id.index()];
         if state.alive {
             state.alive = false;
@@ -1303,7 +1300,7 @@ impl World {
                 self.core.metrics.first_death = Some(self.core.now);
                 self.core.metrics.first_death_node = Some(id);
             }
-            if emit && self.core.trace.is_some() {
+            if self.core.trace.is_some() {
                 self.core.emit(TraceEvent::NodeKill {
                     t: self.core.now,
                     node: id,
@@ -1315,7 +1312,7 @@ impl World {
     /// Revive a node (round-based protocols that model sleep).
     pub fn revive(&mut self, id: NodeId) {
         self.core.begin_driver_op();
-        self.wake_inner(id, true);
+        self.wake_inner(id);
     }
 
     /// Install a structured-trace sink. Every subsequent packet-
@@ -1339,14 +1336,10 @@ impl World {
     }
 
     /// Flush the installed trace sink in place (no-op when tracing is
-    /// disabled). For buffered sinks this drains buffers; for the ring
-    /// pipeline (`wmsn_trace::RingSink`) it is the **flush barrier**:
-    /// on return the drain thread has delivered every event emitted so
-    /// far, so a subsequent [`World::trace_sink_as_mut`] /
-    /// `RingSink::with_sink_mut` read observes exactly the inline-mode
-    /// state. Drivers call this at `run_until` boundaries; the world
-    /// never flushes mid-run on its own (some sinks treat a downstream
-    /// flush as end-of-trace finalisation).
+    /// disabled): a buffered sink writes out what it holds, so a
+    /// `CaptureSink`'s file then has every frame recorded so far. Call
+    /// it between `run_until` calls; the world never flushes mid-run on
+    /// its own.
     pub fn flush_trace(&mut self) {
         if let Some(sink) = self.core.trace.as_deref_mut() {
             sink.flush();
@@ -1383,10 +1376,10 @@ impl World {
 
     /// Toggle the unicast fast-path delivery optimisation.
     ///
-    /// Benchmark hook: lets the perf harness time the legacy
-    /// full-medium delivery path against the fast path on the same
-    /// build. Flip it before handing the world to the sharded kernel —
-    /// shard shells clone the configuration at construction.
+    /// Test hook: lets `shard_equivalence` check the legacy full-medium
+    /// delivery path against the fast path on the same build. Flip it
+    /// before handing the world to the sharded kernel — shard shells
+    /// clone the configuration at construction.
     pub fn set_unicast_fast_path(&mut self, on: bool) {
         self.core.cfg.medium.unicast_fast_path = on;
     }

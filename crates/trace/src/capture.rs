@@ -32,8 +32,7 @@
 //! directory and trailer are written only by [`CaptureWriter::finish`],
 //! a capture that was cut off mid-write fails validation loudly instead
 //! of silently truncating a forensic record. The writer is append-only
-//! (no seeks), so [`CaptureSink`] (also the per-shard sink on the ring
-//! pipeline's drain thread) gathers frames and blobs into
+//! (no seeks), so [`CaptureSink`] gathers frames and blobs into
 //! [`WRITE_CHUNK`]-byte chunks and hands the file one chunk per `write`;
 //! a slice of at least a chunk goes to the file directly.
 //! [`TraceSink::flush`] still puts everything pushed so far on disk. A
@@ -95,14 +94,14 @@
 //!
 //! The trailer carries a `frames_dropped` count
 //! ([`CaptureWriter::set_frames_dropped`]). Nothing in this crate drops
-//! frames — the ring blocks instead — so fresh captures record zero;
+//! frames — a sink records inline on the simulation thread — so fresh
+//! captures record zero;
 //! compaction carries an input capture's count forward, and `wmsn-trace`
 //! warns on stderr before answering queries from a file whose count is
 //! non-zero, because such a file is a sample, not a transcript.
 
 use crate::event::{DropCause, TraceEvent, TraceKind, TraceTier, Visit};
 use crate::frame::{decode_frame, encode_frame, event_tag, tag_name, FRAME_LEN, TAG_COUNT};
-use crate::merge::Frame;
 use crate::replay::EventSource;
 use crate::sink::TraceSink;
 use std::any::Any;
@@ -173,17 +172,6 @@ pub struct CaptureStats {
     pub bytes: u64,
     /// Dropped-frame count recorded in the trailer.
     pub frames_dropped: u64,
-}
-
-impl CaptureStats {
-    /// Fold another capture's telemetry into this aggregate (every
-    /// field sums).
-    pub fn add(&mut self, s: &CaptureStats) {
-        self.frames += s.frames;
-        self.segments += s.segments;
-        self.bytes += s.bytes;
-        self.frames_dropped += s.frames_dropped;
-    }
 }
 
 /// One segment's directory entry: where it is, what it spans, and
@@ -540,10 +528,10 @@ fn chunked<W: Write>(w: W) -> BufWriter<W> {
     BufWriter::with_capacity(WRITE_CHUNK, w)
 }
 
-/// File-backed capture sink, installable wherever a [`TraceSink`] goes
-/// (on the sharded kernel, behind a per-shard `RingSink`, so the
-/// segment bookkeeping and disk writes run on the drain thread). Like
-/// every other sink, write errors are swallowed — tracing must never
+/// File-backed capture sink, installed inline as a `World`'s
+/// [`TraceSink`]: frame encoding, segment bookkeeping and the chunked
+/// disk writes run on the simulation thread. Like every other sink,
+/// write errors are swallowed — tracing must never
 /// alter simulation behaviour — but a failed capture stops counting
 /// frames and [`CaptureSink::finalize`] reports `None`.
 #[derive(Debug)]
@@ -1151,8 +1139,8 @@ impl<R: Read + Seek> CaptureReader<R> {
         self.frames
     }
 
-    /// Producer-side ring drops recorded at capture time. Non-zero
-    /// means the capture is an incomplete sample of the trace stream.
+    /// Dropped-frame count recorded in the trailer. Non-zero means the
+    /// capture is an incomplete sample of the trace stream.
     pub fn frames_dropped(&self) -> u64 {
         self.frames_dropped
     }
@@ -1299,54 +1287,10 @@ impl<R: Read + Seek> EventSource for CaptureReader<R> {
     }
 }
 
-impl<R: Read + Seek> CaptureReader<R> {
-    /// Every frame in file order, one segment resident at a time — the
-    /// pull form of [`CaptureReader::scan`] that [`crate::merge`]
-    /// merges per-shard captures from.
-    pub(crate) fn into_frames(self) -> CaptureFrames<R> {
-        CaptureFrames {
-            reader: self,
-            seg: 0,
-            frame: 0,
-        }
-    }
-}
-
-/// Iterator returned by [`CaptureReader::into_frames`].
-pub(crate) struct CaptureFrames<R: Read + Seek> {
-    reader: CaptureReader<R>,
-    seg: usize,
-    frame: usize,
-}
-
-impl<R: Read + Seek> Iterator for CaptureFrames<R> {
-    type Item = Result<Frame, String>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while let Some(frames) = self.reader.dir.get(self.seg).map(|m| m.frames as usize) {
-            if self.frame == 0 {
-                if let Err(e) = self.reader.load_segment(self.seg) {
-                    return Some(Err(e));
-                }
-            }
-            if self.frame < frames {
-                let decoded = self.reader.decode_loaded(self.seg, self.frame);
-                self.frame += 1;
-                return Some(decoded);
-            }
-            self.seg += 1;
-            self.frame = 0;
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::tests::exhaustive_events;
-    use crate::merge::tests::oracle;
-    use crate::merge::{merge_captures, merge_frame_buffers};
     use crate::replay::{
         capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, Replay,
     };
@@ -1642,94 +1586,6 @@ mod tests {
                 "energy {node}"
             );
         }
-    }
-
-    #[test]
-    fn cursor_merge_matches_in_memory_merge() {
-        // Split a causally-stamped stream across two "shards" by key
-        // parity — each shard's stream stays (at, key)-sorted — and
-        // check the disk merge and the in-memory merge both equal the
-        // stable-sort oracle.
-        let frames = stream(3);
-        let (a, b): (Vec<_>, Vec<_>) = frames.iter().copied().partition(|(_, _, key)| key & 1 == 0);
-        let want = oracle(&[a.clone(), b.clone()]);
-        assert_eq!(want, frames.iter().map(|f| f.0).collect::<Vec<_>>());
-
-        let buffers = [&a, &b]
-            .iter()
-            .map(|s| s.iter().map(|&(ev, at, key)| (at, key, ev)).collect())
-            .collect();
-        let mut in_memory = Vec::new();
-        merge_frame_buffers(buffers, |ev| in_memory.push(*ev)).expect("merge");
-        assert_eq!(in_memory, want);
-
-        let readers = [&a, &b]
-            .iter()
-            .map(|s| CaptureReader::new(Cursor::new(write_capture(s, 4))).expect("open"))
-            .collect();
-        let mut got = Vec::new();
-        let n = merge_captures(readers, |ev| got.push(*ev)).expect("merge");
-        assert_eq!(n as usize, want.len());
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn cursor_rejects_unsorted_captures() {
-        let frames = vec![
-            (
-                TraceEvent::Rx {
-                    t: 9,
-                    seq: 0,
-                    node: NodeId(1),
-                },
-                9,
-                0,
-            ),
-            (
-                TraceEvent::Rx {
-                    t: 3,
-                    seq: 1,
-                    node: NodeId(1),
-                },
-                3,
-                0,
-            ),
-        ];
-        let r = CaptureReader::new(Cursor::new(write_capture(&frames, 8))).expect("open");
-        let err = merge_captures(vec![r], |_| {}).unwrap_err();
-        assert!(err.contains("`at` not monotone"), "{err}");
-    }
-
-    #[test]
-    fn cursor_key_sorts_equal_at_runs() {
-        // A shard wheel executes same-microsecond events in insertion
-        // order, so a shard capture can carry key inversions *within*
-        // an equal-`at` run. The merge must heal those into the
-        // (at, key, capture order) total order, while `at` regressions
-        // stay hard errors (previous test).
-        let rx = |t: u64, seq: u64| TraceEvent::Rx {
-            t,
-            seq,
-            node: NodeId(1),
-        };
-        // at=5 run arrives with keys 9, 2, 9 — unsorted, with a dup —
-        // and straddles a 2-frame segment boundary.
-        let frames = vec![
-            (rx(1, 0), 1, 7),
-            (rx(5, 1), 5, 9),
-            (rx(5, 2), 5, 2),
-            (rx(5, 3), 5, 9),
-            (rx(8, 4), 8, 1),
-        ];
-        let r = CaptureReader::new(Cursor::new(write_capture(&frames, 2))).expect("open");
-        let mut got = Vec::new();
-        merge_captures(vec![r], |ev| got.push(*ev)).expect("merge");
-        assert_eq!(got, oracle(&[frames]));
-        assert_eq!(
-            got.iter().map(|ev| ev.t()).collect::<Vec<_>>(),
-            vec![1, 5, 5, 5, 8]
-        );
-        assert_eq!(got[1], rx(5, 2));
     }
 
     #[test]

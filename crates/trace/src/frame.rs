@@ -6,16 +6,16 @@
 //! on. The binary frame is the cheap form: every event encodes to
 //! exactly [`FRAME_LEN`] bytes at fixed offsets (no varints, no length
 //! prefixes), so encoding is a handful of stores and decoding is a
-//! handful of loads — cheap enough for the ring pipeline's drain
-//! thread and compact enough that a capture is ~30–50% the size of
+//! handful of loads — cheap enough to run inline on the simulation
+//! thread, and compact enough that a capture is ~30–50% the size of
 //! its JSONL export.
 //!
 //! # Frame layout (version 1, little-endian)
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     at   — causal merge position: sim time of the emitting event
-//! 8       8     key  — causal merge position: event key (node<<32|counter)
+//! 0       8     at   — causal position: sim time of the emitting event
+//! 8       8     key  — causal position: event key (node<<32|counter)
 //! 16      1     tag  — variant discriminant (the event schema's row number)
 //! 17      7     zero padding
 //! 24      8     t    — the event's own timestamp (µs)
@@ -28,9 +28,10 @@
 //! its `ALL` table), `f64` as its IEEE-754 bits, and `Option<NodeId>`
 //! as a presence byte followed by a 4-byte id slot (zero when absent).
 //!
-//! `(at, key)` ride in the frame so per-shard capture streams can be
-//! merged back into reference emission order (see [`crate::merge`]).
-//! Packing JSONL (which carries neither) stamps `at = t, key = 0`.
+//! `(at, key)` ride in the frame so a capture names the simulation
+//! event each line came from (the event loop's causal order; see
+//! [`crate::TraceSink::record_keyed`]). Packing JSONL (which carries
+//! neither) stamps `at = t, key = 0`.
 //!
 //! Decoding is the *exact* inverse of encoding: `decode(encode(ev)) ==
 //! ev` bit-for-bit, which is what makes `.wcap`→JSONL conversion
@@ -200,7 +201,7 @@ impl Source for Rd<'_> {
     }
 }
 
-/// Encode one event (plus its causal merge position) into a frame.
+/// Encode one event (plus its causal position) into a frame.
 pub fn encode_frame(ev: &TraceEvent, at: u64, key: u64) -> [u8; FRAME_LEN] {
     let mut buf = [0u8; FRAME_LEN];
     buf[0..8].copy_from_slice(&at.to_le_bytes());

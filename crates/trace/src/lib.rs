@@ -30,10 +30,8 @@ pub mod capture;
 pub mod event;
 pub mod frame;
 pub mod hist;
-pub mod merge;
 pub mod parse;
 pub mod replay;
-pub mod ring;
 pub mod sink;
 pub mod structured;
 
@@ -45,11 +43,9 @@ pub use capture::{
 pub use event::{DropCause, TraceEvent, TraceKind, TraceTier};
 pub use frame::{decode_frame, encode_frame, event_tag, tag_name, FRAME_LEN, TAG_COUNT};
 pub use hist::Histogram;
-pub use merge::{merge_captures, merge_frame_buffers};
 pub use parse::{parse_line, Value};
 pub use replay::{
     capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, EventSource, Replay,
 };
-pub use ring::{FrameBufferSink, RingConfig, RingSink, RingStats};
 pub use sink::{expect_sink, BufferSink, CountingSink, JsonlSink, NullSink, TraceSink};
 pub use structured::{log_error, log_record, record_line, write_stdout};

@@ -21,11 +21,10 @@ pub trait TraceSink {
 
     /// Record one event together with its causal position: the `(at,
     /// key)` of the simulation event (or driver call) that emitted it.
-    /// `(at, key)` pairs are unique per emitting event and totally
-    /// ordered across an entire run, so sinks that retain them (see
-    /// [`crate::FrameBufferSink`]) can merge per-shard streams back into the
-    /// exact single-threaded emission order. The default forwards to
-    /// [`TraceSink::record`]; order-insensitive sinks need nothing more.
+    /// [`crate::CaptureSink`] stores the pair in each frame, so a query
+    /// can name the simulation event a line came from. The default
+    /// forwards to [`TraceSink::record`]; sinks that keep no stamps
+    /// need nothing more.
     fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
         let _ = (at, key);
         self.record(ev);

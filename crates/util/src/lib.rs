@@ -19,9 +19,6 @@
 //! * [`pool`] — scoped worker-pool helpers: index-ordered parallel
 //!   fan-out for seed sweeps and the bulk-synchronous loop driving the
 //!   sharded simulation kernel.
-//! * [`spsc`] — the bounded single-producer/single-consumer chunk ring
-//!   behind the off-thread trace drain, with occupancy and blocked-time
-//!   accounting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +30,6 @@ pub mod json;
 pub mod pool;
 pub mod rng;
 pub mod seen;
-pub mod spsc;
 pub mod stats;
 
 pub use geom::{Point, Rect};

@@ -1,10 +1,10 @@
 //! Segmented-capture parity suite: the disk-backed capture path is
 //! observationally identical to the in-memory one.
 //!
-//! The segmented capture format (PR 9) streams the ring pipeline's
-//! 64-byte frames to disk in indexed segments so queries run in
-//! O(one segment) memory. Its correctness claim, like the ring's, is
-//! *byte/structural* equality, not statistical similarity:
+//! The segmented capture format streams 64-byte trace frames to
+//! disk in indexed segments so queries run in O(one segment) memory.
+//! Its correctness claim is *byte/structural* equality, not
+//! statistical similarity:
 //!
 //! * every query (`capture_counts`, `capture_path_of`,
 //!   `capture_drops_of_seq`, `capture_energy_of`) over a recorded E1
@@ -12,34 +12,24 @@
 //!   over the in-memory `Replay` of the same events (every event
 //!   checked) — including the not-found cases;
 //! * the health monitor fed from a segment-at-a-time scan must produce
-//!   an alert stream byte-identical to the inline monitor's;
-//! * the sharded kernel's per-shard capture files, k-way merged with
-//!   `merge_captures`, must render to the reference JSONL bytes — the
-//!   same bar the in-memory per-shard ring merge clears.
+//!   an alert stream byte-identical to the inline monitor's, on an E1
+//!   run and on the large-scale E9 round (`e9_large_monitored`).
 
-use std::path::{Path, PathBuf};
-use wmsn::core::builder::{build_spr, SprScenario};
+use std::any::Any;
+use std::path::PathBuf;
+use wmsn::core::builder::build_spr;
 use wmsn::core::drivers::SprDriver;
-use wmsn::core::experiments::{e9_large_round, e9_large_scenario, e9_large_sharded};
-use wmsn::core::params::{FieldParams, GatewayParams, ParallelConfig, TrafficParams};
+use wmsn::core::experiments::{
+    e9_large, e9_large_monitored, e9_large_round, e9_large_scenario, E9LargeSummary,
+};
+use wmsn::core::params::{FieldParams, GatewayParams, TrafficParams};
 use wmsn::health::{HealthConfig, HealthMonitor};
-use wmsn::sim::ShardedWorld;
-use wmsn::topology::strip_shards;
 use wmsn::trace::{
     capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, expect_sink,
-    merge_captures, merge_frame_buffers, BufferSink, CaptureConfig, CaptureReader, CaptureSink,
-    CaptureStats, FrameBufferSink, Replay, RingConfig, RingSink, RingStats, ScanFilter, TraceEvent,
+    CaptureConfig, CaptureReader, CaptureSink, Replay, ScanFilter, TraceEvent, TraceSink,
 };
 
-fn test_threads() -> usize {
-    std::env::var("SHARD_TEST_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2)
-}
-
-/// E1-style field (40 sensors, 3 gateways), death-free batteries so
-/// the sharded arm can participate.
+/// E1-style field (40 sensors, 3 gateways) with death-free batteries.
 fn e1_field(seed: u64) -> (FieldParams, GatewayParams) {
     let field = FieldParams {
         battery_j: 10.0,
@@ -49,11 +39,7 @@ fn e1_field(seed: u64) -> (FieldParams, GatewayParams) {
 }
 
 /// Run `rounds` E1 rounds with `sink` installed and hand the sink back.
-fn traced_e1(
-    seed: u64,
-    rounds: u32,
-    sink: Box<dyn wmsn::trace::TraceSink>,
-) -> Box<dyn wmsn::trace::TraceSink> {
+fn traced_e1(seed: u64, rounds: u32, sink: Box<dyn TraceSink>) -> Box<dyn TraceSink> {
     let (field, gw) = e1_field(seed);
     let mut d = SprDriver::new(build_spr(&field, &gw, TrafficParams::default()));
     d.scenario.world.set_trace_sink(sink);
@@ -71,56 +57,30 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Host one ring per shard draining into `shard-<i>.wcap` under `dir`;
-/// returns the capture paths in shard order.
-fn install_shard_captures(
-    world: &mut ShardedWorld,
-    ring: RingConfig,
-    cfg: CaptureConfig,
-    dir: &Path,
-) -> Vec<PathBuf> {
-    let paths: Vec<PathBuf> = (0..world.shard_count())
-        .map(|i| dir.join(format!("shard-{i}.wcap")))
-        .collect();
-    world.install_shard_sinks(|i| {
-        let sink = CaptureSink::create(&paths[i], cfg).expect("create shard capture");
-        RingSink::boxed(ring, vec![Box::new(sink)])
-    });
-    paths
-}
+/// Keeps every event with its causal `(at, key)` stamp, in emission
+/// order.
+#[derive(Default)]
+struct StampedFrames(Vec<(u64, u64, TraceEvent)>);
 
-/// Take the shard rings back and finalize their captures; aggregate
-/// ring and capture telemetry.
-fn finish_shard_captures(world: &mut ShardedWorld) -> (RingStats, CaptureStats) {
-    let mut stats = RingStats::default();
-    let mut cap = CaptureStats::default();
-    for mut sink in world.take_shard_sinks().expect("shard sinks installed") {
-        let (s, c) = expect_sink::<RingSink>(Some(sink.as_mut()))
-            .finalize_capture()
-            .expect("shard capture finalizes");
-        stats.add(&s);
-        cap.add(&c);
+impl TraceSink for StampedFrames {
+    fn record(&mut self, ev: &TraceEvent) {
+        self.record_keyed(ev, ev.t(), 0);
     }
-    (stats, cap)
-}
-
-/// Open every shard capture and merge them into one event sequence.
-fn merge_shard_captures(paths: &[PathBuf], f: impl FnMut(&TraceEvent)) -> u64 {
-    let readers = paths
-        .iter()
-        .map(|p| CaptureReader::open(p).expect("open shard capture"))
-        .collect();
-    merge_captures(readers, f).expect("merge shard captures")
+    fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
+        self.0.push((at, key, *ev));
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
 }
 
 /// The reference `(at, key, event)` stream of a 2-round E1 run.
 fn reference_frames(seed: u64) -> Vec<(u64, u64, TraceEvent)> {
-    let sink = traced_e1(seed, 2, Box::new(FrameBufferSink::new()));
-    sink.as_any()
-        .downcast_ref::<FrameBufferSink>()
-        .expect("FrameBufferSink")
-        .entries
-        .clone()
+    let mut sink = traced_e1(seed, 2, Box::<StampedFrames>::default());
+    std::mem::take(&mut expect_sink::<StampedFrames>(Some(sink.as_mut())).0)
 }
 
 #[test]
@@ -147,8 +107,7 @@ fn streaming_queries_match_replay_on_a_recorded_e1_capture() {
     assert_eq!(capture_counts(&r), capture_counts(&replay));
 
     // A full scan reproduces the reference frames, causal stamps
-    // included (the inline CaptureSink sees the same record_keyed
-    // stream the FrameBufferSink does).
+    // included (the CaptureSink sees the same record_keyed stream).
     let mut scanned = Vec::new();
     r.scan(&ScanFilter::all(), |ev, at, key| {
         scanned.push((at, key, *ev))
@@ -220,142 +179,46 @@ fn monitor_fed_from_a_capture_scan_matches_the_inline_monitor() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn sharded_capture_files_merge_to_the_reference_trace_bytes() {
-    let (field, gw) = e1_field(11);
-    let inline = traced_e1(11, 1, Box::new(BufferSink::new()));
-    let want = &inline
-        .as_any()
-        .downcast_ref::<BufferSink>()
-        .expect("BufferSink")
-        .out;
-    assert!(!want.is_empty());
+/// The routing outcome of a large-scale round, bit-cast for equality.
+fn outcome(s: &E9LargeSummary) -> (usize, u64, u64, u64, u64) {
+    (
+        s.n,
+        s.originated,
+        s.unique_deliveries,
+        s.delivery_ratio.to_bits(),
+        s.mean_latency_us.to_bits(),
+    )
+}
 
-    let dir = scratch("sharded");
-    let scen = build_spr(&field, &gw, TrafficParams::default());
-    let mut positions = scen.sensor_positions.clone();
-    positions.extend_from_slice(&scen.gateway_positions);
-    let assignment = strip_shards(&positions, scen.range_m, 4);
-    let sharded: SprScenario<ShardedWorld> =
-        scen.map_world(|w| ShardedWorld::from_world(w, assignment, test_threads()));
-    let mut d = SprDriver::new(sharded);
-    let paths = install_shard_captures(
-        &mut d.scenario.world,
-        RingConfig {
-            chunk_frames: 7,
-            capacity_chunks: 3,
-        },
-        CaptureConfig { segment_frames: 32 },
-        &dir,
-    );
-    assert_eq!(paths.len(), 4);
-    d.run_round();
-    let (stats, cap) = finish_shard_captures(&mut d.scenario.world);
-    assert_eq!(cap.frames, stats.frames_written);
+#[test]
+fn e9_large_monitored_matches_the_untraced_round_and_the_inline_monitor() {
+    // The shard-equivalence E9 round: small, yet its floods raise an
+    // alert, so the alert streams compared below are not empty.
+    let (n, seed, sources) = (1200, 17, 12);
+    let dir = scratch("e9");
+    let (summary, scanned, cap) = e9_large_monitored(n, seed, sources, &dir);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Recording never changes the round.
+    let untraced = e9_large(n, seed, sources);
+    assert_eq!(outcome(&summary), outcome(&untraced));
+    assert_eq!(summary.events, untraced.events);
+    assert!(summary.unique_deliveries > 0, "workload must deliver");
+
+    // The monitor fed from the capture equals one inline on the round.
+    let (mut scen, base) = e9_large_scenario(n, seed);
+    scen.world
+        .set_trace_sink(HealthMonitor::boxed(HealthConfig::default()));
+    e9_large_round(&mut scen, base, sources);
+    let mut sink = scen.world.take_trace_sink();
+    let inline = expect_sink::<HealthMonitor>(sink.as_deref_mut());
+    assert!(!inline.alerts().is_empty(), "the round must raise an alert");
+    assert_eq!(scanned.alerts_jsonl(), inline.alerts_jsonl());
+    // Every record the inline sink saw is one frame of the capture.
+    assert_eq!(cap.frames, inline.net().events);
+    assert_eq!(scanned.net().events, inline.net().events);
     assert_eq!(cap.frames_dropped, 0);
-    assert!(cap.segments > 0 && cap.bytes > 0);
-
-    let mut got = String::new();
-    let merged = merge_shard_captures(&paths, |ev| {
-        got.push_str(&ev.to_json().to_string());
-        got.push('\n');
-    });
-    assert_eq!(merged, cap.frames);
-    assert_eq!(
-        &got, want,
-        "k-way merged shard captures must render to the reference JSONL"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// An E9 n=3000 three-tier sharded scenario (seed 17, 4 shards).
-fn sharded_e9() -> (
-    SprScenario<ShardedWorld>,
-    wmsn::util::NodeId,
-    usize, // source count
-) {
-    let (scen, base) = e9_large_scenario(3000, 17);
-    let parallel = ParallelConfig {
-        shards: 4,
-        threads: test_threads(),
-    };
-    (e9_large_sharded(scen, base, parallel), base, 3)
-}
-
-#[test]
-fn capture_merge_heals_same_at_key_inversions_at_scale() {
-    // A shard's event wheel executes same-microsecond events in
-    // insertion order, not key order, so at E9 scale the per-shard
-    // streams carry (at, key) inversions inside equal-`at` runs. The
-    // merge heals them run by run; the in-memory frames and the
-    // capture files must produce the *same* healed total order, equal
-    // to a plain stable sort on (at, key, capture index).
-    // (The E1 tests above never trip this — their shard streams happen
-    // to arrive fully sorted — so this scenario is the regression pin.)
-    let (mut scen, base, sources) = sharded_e9();
-    scen.world.install_shard_sinks(|_| {
-        RingSink::boxed(
-            RingConfig::default(),
-            vec![Box::new(FrameBufferSink::new())],
-        )
-    });
-    e9_large_round(&mut scen, base, sources);
-    let frames: Vec<Vec<(u64, u64, TraceEvent)>> = scen
-        .world
-        .take_shard_sinks()
-        .expect("shard sinks installed")
-        .iter_mut()
-        .map(|sink| {
-            expect_sink::<RingSink>(Some(sink.as_mut()))
-                .with_sink_mut::<FrameBufferSink, _>(|b| std::mem::take(&mut b.entries))
-                .expect("ring drains into FrameBufferSink")
-        })
-        .collect();
-    let inverted = frames
-        .iter()
-        .any(|s| s.windows(2).any(|w| (w[1].0, w[1].1) < (w[0].0, w[0].1)));
-    assert!(
-        inverted,
-        "scenario must exercise the key-inversion healing path"
-    );
-    let mut oracle: Vec<(u64, u64, usize, TraceEvent)> = frames
-        .iter()
-        .flat_map(|s| {
-            s.iter()
-                .enumerate()
-                .map(|(i, &(at, key, ev))| (at, key, i, ev))
-        })
-        .collect();
-    oracle.sort_by_key(|e| (e.0, e.1, e.2));
-    let want: Vec<TraceEvent> = oracle.into_iter().map(|e| e.3).collect();
-    let mut in_memory = Vec::with_capacity(want.len());
-    merge_frame_buffers(frames, |ev| in_memory.push(*ev)).expect("merge frame buffers");
-    assert!(
-        in_memory == want,
-        "in-memory merge must equal the stable-sort order"
-    );
-
-    let dir = scratch("inversions");
-    let (mut scen, base, sources) = sharded_e9();
-    let paths = install_shard_captures(
-        &mut scen.world,
-        RingConfig::default(),
-        CaptureConfig::default(),
-        &dir,
-    );
-    e9_large_round(&mut scen, base, sources);
-    let (stats, cap) = finish_shard_captures(&mut scen.world);
-    assert_eq!(cap.frames, stats.frames_written);
-
-    let mut got = Vec::with_capacity(want.len());
-    let merged = merge_shard_captures(&paths, |ev| got.push(*ev));
-    assert_eq!(merged, cap.frames);
-    assert_eq!(got.len(), want.len());
-    assert!(
-        got == want,
-        "disk merge must equal the in-memory merged event order"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(cap.segments > 1, "the capture spans several segments");
 }
 
 /// Property: the segment node-bloom never produces a false negative —

@@ -11,14 +11,12 @@
 //! * E1-style SPR rounds across 4 seeds × {2, 4, 8} shards: the full
 //!   metric fingerprint (ratios, counters, per-node energy, and the
 //!   per-delivery ledger) must equal the reference run's exactly;
-//! * the merged per-shard trace must be byte-identical to the
-//!   reference `BufferSink` JSONL;
 //! * an E6-style attack rig (sinkhole / blackhole / replayer on the
 //!   MLR line world) must fingerprint identically — adversarial
 //!   behaviours ride the same envelope. The wormhole arms are excluded
 //!   by design: the endpoint pair shares state through an `Rc`, which
 //!   the shard cells' disjointness rule forbids;
-//! * the large-scale E9 round (`e9_large`) must report identical
+//! * the large-scale E9 round (`e9_large_round`) must report identical
 //!   routing outcomes for every shard count;
 //! * the unicast fast path must be observationally inert (same
 //!   fingerprint with the optimisation forced off).
@@ -30,12 +28,11 @@ use wmsn::attacks::sinkhole::TargetProtocol;
 use wmsn::attacks::{Replayer, SelectiveForwarder, Sinkhole};
 use wmsn::core::builder::{build_spr, SprScenario};
 use wmsn::core::drivers::SprDriver;
-use wmsn::core::experiments::e9_large;
-use wmsn::core::params::{FieldParams, GatewayParams, ParallelConfig, TrafficParams};
+use wmsn::core::experiments::{e9_large, e9_large_round, e9_large_scenario};
+use wmsn::core::params::{FieldParams, GatewayParams, TrafficParams};
 use wmsn::routing::mlr::{MlrConfig, MlrGateway, MlrSensor};
 use wmsn::sim::{Behavior, NodeConfig, PacketKind, ShardedWorld, SimHost, World, WorldConfig};
 use wmsn::topology::strip_shards;
-use wmsn::trace::{merge_frame_buffers, BufferSink, FrameBufferSink};
 use wmsn::util::{NodeId, Point};
 
 fn test_threads() -> usize {
@@ -138,50 +135,6 @@ fn e1_rounds_match_reference_bit_for_bit_across_seeds_and_shard_counts() {
     }
 }
 
-#[test]
-fn merged_shard_trace_is_byte_identical_to_the_reference_trace() {
-    let (field, gw) = e1_field(11);
-    let mut reference = SprDriver::new(build_spr(&field, &gw, TrafficParams::default()));
-    reference
-        .scenario
-        .world
-        .set_trace_sink(Box::new(BufferSink::new()));
-    reference.run_round();
-    let want = reference
-        .scenario
-        .world
-        .take_trace_sink()
-        .expect("sink installed")
-        .as_any()
-        .downcast_ref::<BufferSink>()
-        .expect("BufferSink")
-        .out
-        .clone();
-
-    let scen = build_spr(&field, &gw, TrafficParams::default());
-    let mut d = SprDriver::new(shard_scenario(scen, 4, test_threads()));
-    d.scenario
-        .world
-        .install_shard_sinks(|_| Box::new(FrameBufferSink::new()));
-    d.run_round();
-    let buffers = d
-        .scenario
-        .world
-        .take_shard_sinks()
-        .expect("sinks installed")
-        .into_iter()
-        .map(|mut sink| {
-            let buf = sink.as_any_mut().downcast_mut::<FrameBufferSink>();
-            std::mem::take(&mut buf.expect("FrameBufferSink").entries)
-        })
-        .collect();
-    let mut got = String::new();
-    merge_frame_buffers(buffers, |ev| got.push_str(&format!("{}\n", ev.to_json())))
-        .expect("shard streams are at-monotone");
-    assert!(!want.is_empty(), "reference trace must not be empty");
-    assert_eq!(got, want, "merged shard trace != reference trace bytes");
-}
-
 // ------------------------------------------------------------ E6 arm --
 
 /// The E6 rig minus the wormhole arms: 10 MLR sensors on a line, a
@@ -269,23 +222,23 @@ fn e6_attack_worlds_match_reference_bit_for_bit() {
 
 #[test]
 fn e9_large_round_matches_reference_across_shard_counts() {
-    let reference = e9_large(1200, 17, 12, true, None);
+    let reference = e9_large(1200, 17, 12);
     assert!(reference.originated > 0, "workload must originate traffic");
     assert!(
         reference.unique_deliveries > 0,
         "workload must deliver traffic"
     );
     for shards in [2, 4, 8] {
-        let got = e9_large(
-            1200,
-            17,
-            12,
-            true,
-            Some(ParallelConfig {
-                shards,
-                threads: test_threads(),
-            }),
-        );
+        // Cut the scenario into strips along the sensor-range grid seam,
+        // the base station included.
+        let (scen, base) = e9_large_scenario(1200, 17);
+        let mut positions = scen.sensor_positions.clone();
+        positions.extend_from_slice(&scen.gateway_positions);
+        positions.push(scen.world.node(base).pos);
+        let assignment = strip_shards(&positions, scen.range_m, shards);
+        let mut sharded =
+            scen.map_world(|w| ShardedWorld::from_world(w, assignment, test_threads()));
+        let got = e9_large_round(&mut sharded, base, 12);
         assert_eq!(got.originated, reference.originated, "{shards} shards");
         assert_eq!(
             got.unique_deliveries, reference.unique_deliveries,
