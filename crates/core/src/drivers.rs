@@ -101,7 +101,7 @@ pub trait Protocol {
         for _ in 0..msgs {
             let mut used = 0;
             for &sensor in &s.sensors {
-                if !s.world.node(sensor).alive {
+                if !s.world.is_alive(sensor) {
                     continue;
                 }
                 if fraction >= 1.0 || rng.chance(fraction) {

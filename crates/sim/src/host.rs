@@ -46,6 +46,9 @@ pub trait SimHost {
     /// Immutable node state.
     fn node(&self, id: NodeId) -> &NodeState;
 
+    /// Whether a node is operational (not dead, not asleep).
+    fn is_alive(&self, id: NodeId) -> bool;
+
     /// Ids of all nodes with `role`.
     fn nodes_with_role(&self, role: NodeRole) -> Vec<NodeId>;
 
@@ -101,6 +104,9 @@ impl SimHost for World {
     fn node(&self, id: NodeId) -> &NodeState {
         World::node(self, id)
     }
+    fn is_alive(&self, id: NodeId) -> bool {
+        World::is_alive(self, id)
+    }
     fn nodes_with_role(&self, role: NodeRole) -> Vec<NodeId> {
         World::nodes_with_role(self, role)
     }
@@ -149,6 +155,9 @@ impl SimHost for ShardedWorld {
     }
     fn node(&self, id: NodeId) -> &NodeState {
         ShardedWorld::node(self, id)
+    }
+    fn is_alive(&self, id: NodeId) -> bool {
+        ShardedWorld::is_alive(self, id)
     }
     fn nodes_with_role(&self, role: NodeRole) -> Vec<NodeId> {
         ShardedWorld::nodes_with_role(self, role)

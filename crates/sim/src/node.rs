@@ -1,6 +1,6 @@
 //! Node state and the protocol behaviour interface.
 //!
-//! A node is state (role, position, battery, liveness) plus a
+//! A node is state (role, position, battery) plus a
 //! [`Behavior`] — the protocol running on it. Behaviours are event-driven:
 //! they react to packet arrivals and timer expiries through a [`Ctx`]
 //! handle that exposes exactly the operations a real mote has (transmit,
@@ -15,7 +15,10 @@ use crate::world::WorldCore;
 use std::any::Any;
 use wmsn_util::{NodeId, NodeRole, Point, SplitMix64};
 
-/// Static + dynamic state of one node.
+/// Static + dynamic state of one node. Liveness is not here: the
+/// world keeps it in one dense vector (see [`World::is_alive`]).
+///
+/// [`World::is_alive`]: crate::world::World::is_alive
 #[derive(Clone, Debug)]
 pub struct NodeState {
     /// Identifier (index into the world's node table).
@@ -26,9 +29,6 @@ pub struct NodeState {
     pub pos: Point,
     /// Battery.
     pub battery: Battery,
-    /// Whether the node is operational. Nodes die when the battery drains
-    /// or when an experiment kills them (fault injection).
-    pub alive: bool,
     /// Promiscuous radio: receive frames regardless of their link-layer
     /// destination. Off for honest nodes (address-filtering radios);
     /// adversaries turn it on to eavesdrop unicast traffic.

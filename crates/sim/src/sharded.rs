@@ -414,9 +414,17 @@ impl ShardedWorld {
     }
 
     /// Immutable node state (from the owning shard — the replica whose
-    /// battery and liveness are authoritative).
+    /// battery is authoritative).
     pub fn node(&self, id: NodeId) -> &NodeState {
         self.shards[self.assignment[id.index()] as usize].0.node(id)
+    }
+
+    /// Whether `id` is operational (read on its owning shard; every
+    /// shard holds the same replicated flag).
+    pub fn is_alive(&self, id: NodeId) -> bool {
+        self.shards[self.assignment[id.index()] as usize]
+            .0
+            .is_alive(id)
     }
 
     /// Ids of all nodes with `role`.
@@ -707,7 +715,7 @@ mod tests {
         sw.kill(NodeId(5));
         sw.run_until(1_000_000);
         assert_eq!(fingerprint(sw.metrics()), want);
-        assert!(!sw.node(NodeId(5)).alive);
+        assert!(!sw.is_alive(NodeId(5)));
         // Replicas observe the kill too: no shard ever delivered to 5.
         assert_eq!(sw.metrics().first_death, reference.metrics().first_death);
     }

@@ -1,8 +1,8 @@
 //! The world: nodes, event loop, radio medium, metrics.
 //!
 //! [`World`] owns everything. Protocol behaviours are stored beside (not
-//! inside) the core state so a behaviour can be temporarily taken out
-//! while it runs against a [`Ctx`] borrowing the core — the standard
+//! inside) the core state so a behaviour can be borrowed in place while
+//! it runs against a [`Ctx`] borrowing the core — the standard
 //! split-borrow pattern for callback-driven simulators.
 
 use crate::energy::{Battery, EnergyModel};
@@ -99,6 +99,13 @@ pub(crate) struct RemoteEvent {
 pub struct WorldCore {
     pub(crate) cfg: WorldConfig,
     pub(crate) nodes: Vec<NodeState>,
+    /// Liveness per node index — the only store of it. A node is dead
+    /// when its battery drains or an experiment kills it, and off while
+    /// it sleeps. Kept dense, apart from [`NodeState`], because every
+    /// fan-out build and every delivery reads one flag per receiver: at
+    /// one byte a node, a neighbourhood's flags share a cache line or
+    /// two instead of one 40-byte node record each.
+    pub(crate) alive: Vec<bool>,
     pub(crate) queue: EventQueue,
     pub(crate) now: SimTime,
     pub(crate) metrics: Metrics,
@@ -412,7 +419,7 @@ impl WorldCore {
         cache.adj[slot]
             .iter()
             .map(|&s| cache.members[s])
-            .filter(|id| self.nodes[id.index()].alive)
+            .filter(|id| self.alive[id.index()])
             .collect()
     }
 
@@ -420,10 +427,10 @@ impl WorldCore {
     /// Returns `false` if the node is (now) dead.
     fn charge(&mut self, node: NodeId, joules: f64) -> bool {
         let idx = node.index();
-        let state = &mut self.nodes[idx];
-        if !state.alive {
+        if !self.alive[idx] {
             return false;
         }
+        let state = &mut self.nodes[idx];
         let survived = state.battery.spend(joules);
         // Track consumption (finite batteries only; unlimited report 0).
         let consumed = state.battery.consumed_j();
@@ -431,7 +438,7 @@ impl WorldCore {
             *slot = consumed;
         }
         if !survived {
-            state.alive = false;
+            self.alive[idx] = false;
             // A battery death would desynchronise the replicated
             // liveness flags the shards share — the parallel kernel is
             // gated to death-free workloads and must fail loudly, not
@@ -466,6 +473,17 @@ impl WorldCore {
         self.charge(node, joules)
     }
 
+    /// Whether `src` is alive and has a radio on `tier`.
+    #[inline]
+    fn can_transmit(&self, src: NodeId, tier: Tier) -> bool {
+        let role = self.nodes[src.index()].role;
+        self.alive[src.index()]
+            && match tier {
+                Tier::Sensor => role.in_sensor_tier(),
+                Tier::Mesh => role.in_mesh_tier(),
+            }
+    }
+
     pub(crate) fn transmit(
         &mut self,
         src: NodeId,
@@ -496,18 +514,8 @@ impl WorldCore {
         payload: Rc<[u8]>,
         attempt: u8,
     ) -> bool {
-        {
-            let s = &self.nodes[src.index()];
-            if !s.alive {
-                return false;
-            }
-            let has_tier = match tier {
-                Tier::Sensor => s.role.in_sensor_tier(),
-                Tier::Mesh => s.role.in_mesh_tier(),
-            };
-            if !has_tier {
-                return false;
-            }
+        if !self.can_transmit(src, tier) {
+            return false;
         }
         // CSMA: defer while the channel is audibly busy, with binary
         // exponential backoff; give up after 6 attempts (counted).
@@ -612,7 +620,7 @@ impl WorldCore {
             let mut remote_payload: Option<std::sync::Arc<[u8]>> = None;
             for &s in &cache.adj[slot] {
                 let rx = cache.members[s];
-                if !self.nodes[rx.index()].alive {
+                if !self.alive[rx.index()] {
                     continue;
                 }
                 if fast_unicast && link_dst != Some(rx) && !self.nodes[rx.index()].promiscuous {
@@ -689,18 +697,8 @@ impl WorldCore {
         payload: Rc<[u8]>,
         range_m: f64,
     ) -> bool {
-        {
-            let s = &self.nodes[src.index()];
-            if !s.alive {
-                return false;
-            }
-            let has_tier = match tier {
-                Tier::Sensor => s.role.in_sensor_tier(),
-                Tier::Mesh => s.role.in_mesh_tier(),
-            };
-            if !has_tier {
-                return false;
-            }
+        if !self.can_transmit(src, tier) {
+            return false;
         }
         let seq = self.next_seq(src);
         let packet = Packet {
@@ -818,7 +816,7 @@ impl WorldCore {
     /// receive energy. Returns `true` if the behaviour should see the
     /// packet.
     fn resolve_delivery(&mut self, to: NodeId, packet: &Packet) -> bool {
-        if !self.nodes[to.index()].alive {
+        if !self.alive[to.index()] {
             self.metrics.dead_receiver += 1;
             if self.trace.is_some() {
                 self.emit(TraceEvent::Drop {
@@ -914,6 +912,7 @@ impl World {
             core: WorldCore {
                 cfg,
                 nodes: Vec::new(),
+                alive: Vec::new(),
                 queue: EventQueue::new(),
                 now: 0,
                 metrics: Metrics::default(),
@@ -945,9 +944,9 @@ impl World {
             role: cfg.role,
             pos: cfg.pos,
             battery: Battery::new(cfg.battery_j),
-            alive: true,
             promiscuous: false,
         });
+        self.core.alive.push(true);
         let rng = SplitMix64::new(self.core.cfg.seed).split(0x4E0D_E000 + id.0 as u64);
         self.core.node_rngs.push(rng);
         self.core.packet_seqs.push(0);
@@ -990,6 +989,7 @@ impl World {
             core: WorldCore {
                 cfg: self.core.cfg.clone(),
                 nodes: self.core.nodes.clone(),
+                alive: self.core.alive.clone(),
                 queue: EventQueue::new(),
                 now: self.core.now,
                 metrics: Metrics {
@@ -1067,14 +1067,12 @@ impl World {
         id: NodeId,
         f: impl FnOnce(&mut Box<dyn Behavior>, &mut Ctx<'_>) -> R,
     ) -> Option<R> {
-        let mut behavior = self.behaviors[id.index()].take()?;
+        let behavior = self.behaviors[id.index()].as_mut()?;
         let mut ctx = Ctx {
             core: &mut self.core,
             node: id,
         };
-        let r = f(&mut behavior, &mut ctx);
-        self.behaviors[id.index()] = Some(behavior);
-        Some(r)
+        Some(f(behavior, &mut ctx))
     }
 
     /// Process events until the queue is empty or `deadline` is passed.
@@ -1092,7 +1090,7 @@ impl World {
             match ev.kind {
                 EventKind::Fanout { packet, rxs, pos } => self.fan_out(ev.at, packet, rxs, pos),
                 EventKind::Timer { node, tag } => {
-                    if self.core.nodes[node.index()].alive {
+                    if self.core.alive[node.index()] {
                         self.dispatch(node, |b, ctx| b.on_timer(ctx, tag));
                     }
                 }
@@ -1196,6 +1194,12 @@ impl World {
         &self.core.nodes[id.index()]
     }
 
+    /// Whether `id` is operational: not dead (drained battery or
+    /// killed) and not asleep.
+    pub fn is_alive(&self, id: NodeId) -> bool {
+        self.core.alive[id.index()]
+    }
+
     /// Ids of all nodes with `role`.
     pub fn nodes_with_role(&self, role: NodeRole) -> Vec<NodeId> {
         self.nodes_with_role_iter(role).collect()
@@ -1255,7 +1259,7 @@ impl World {
 
     /// [`World::sleep`] body (see [`World::set_position_inner`]).
     pub(crate) fn sleep_inner(&mut self, id: NodeId) {
-        self.core.nodes[id.index()].alive = false;
+        self.core.alive[id.index()] = false;
         if self.core.trace.is_some() {
             self.core.emit(TraceEvent::NodeSleep {
                 t: self.core.now,
@@ -1273,9 +1277,8 @@ impl World {
     /// [`World::wake`] / [`World::revive`] body (see
     /// [`World::set_position_inner`]).
     pub(crate) fn wake_inner(&mut self, id: NodeId) {
-        let state = &mut self.core.nodes[id.index()];
-        if state.battery.alive() {
-            state.alive = true;
+        if self.core.nodes[id.index()].battery.alive() {
+            self.core.alive[id.index()] = true;
             if self.core.trace.is_some() {
                 self.core.emit(TraceEvent::NodeWake {
                     t: self.core.now,
@@ -1293,10 +1296,11 @@ impl World {
 
     /// [`World::kill`] body (see [`World::set_position_inner`]).
     pub(crate) fn kill_inner(&mut self, id: NodeId) {
-        let state = &mut self.core.nodes[id.index()];
-        if state.alive {
-            state.alive = false;
-            if state.role == NodeRole::Sensor && self.core.metrics.first_death.is_none() {
+        if self.core.alive[id.index()] {
+            self.core.alive[id.index()] = false;
+            if self.core.nodes[id.index()].role == NodeRole::Sensor
+                && self.core.metrics.first_death.is_none()
+            {
                 self.core.metrics.first_death = Some(self.core.now);
                 self.core.metrics.first_death_node = Some(id);
             }
@@ -1415,16 +1419,15 @@ impl World {
     ) -> Option<R> {
         self.start();
         self.core.begin_driver_op();
-        let mut behavior = self.behaviors[id.index()].take()?;
-        let result = behavior.as_any_mut().downcast_mut::<T>().map(|typed| {
-            let mut ctx = Ctx {
-                core: &mut self.core,
-                node: id,
-            };
-            f(typed, &mut ctx)
-        });
-        self.behaviors[id.index()] = Some(behavior);
-        result
+        let typed = self.behaviors[id.index()]
+            .as_mut()?
+            .as_any_mut()
+            .downcast_mut::<T>()?;
+        let mut ctx = Ctx {
+            core: &mut self.core,
+            node: id,
+        };
+        Some(f(typed, &mut ctx))
     }
 
     /// Ids of sensors (the subset lifetime/energy metrics range over).
@@ -1689,7 +1692,7 @@ mod tests {
                 ctx.send(None, Tier::Sensor, PacketKind::Data, vec![]);
             });
         }
-        assert!(!w.node(a).alive);
+        assert!(!w.is_alive(a));
         assert_eq!(w.metrics().first_death, Some(0));
         assert_eq!(w.metrics().first_death_node, Some(a));
     }
@@ -1714,6 +1717,133 @@ mod tests {
             ctx.send(None, Tier::Sensor, PacketKind::Data, vec![])
         });
         assert_eq!(sent, Some(false));
+    }
+
+    /// Counts receptions and timers. Timer tag [`DRAIN`] drains the
+    /// node's battery; `drain_on_rx` drains it on the first reception.
+    #[derive(Default)]
+    struct Life {
+        heard: u32,
+        timers: Vec<u64>,
+        drain_on_rx: bool,
+    }
+
+    const DRAIN: u64 = 2;
+
+    impl Behavior for Life {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _pkt: &Packet) {
+            self.heard += 1;
+            if self.drain_on_rx {
+                assert!(!ctx.consume_energy(10.0));
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            self.timers.push(tag);
+            if tag == DRAIN {
+                assert!(!ctx.consume_energy(10.0));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn liveness_follows_kill_sleep_wake_revive_and_battery_death() {
+        // Five sensors in one another's range; node 2 broadcasts.
+        let mut w = World::new(WorldConfig::ideal(1));
+        let ids: Vec<NodeId> = (0..5)
+            .map(|i| {
+                let b = Box::new(Life {
+                    drain_on_rx: i == 0,
+                    ..Default::default()
+                });
+                w.add_node(NodeConfig::sensor(Point::new(i as f64, 0.0), 1.0), b)
+            })
+            .collect();
+        let live = |w: &World| -> Vec<bool> { ids.iter().map(|&i| w.is_alive(i)).collect() };
+        let heard = |w: &World| -> Vec<u32> {
+            ids.iter()
+                .map(|&i| w.behavior_as::<Life>(i).unwrap().heard)
+                .collect()
+        };
+        let broadcast = |w: &mut World, from: NodeId| {
+            let sent = w.with_behavior::<Life, _>(from, |_, ctx| {
+                ctx.send(None, Tier::Sensor, PacketKind::Data, vec![0])
+            });
+            assert_eq!(sent, Some(true));
+        };
+        let neighbors_of_2 = |w: &mut World| -> Vec<u32> {
+            w.neighbors(ids[2], Tier::Sensor)
+                .iter()
+                .map(|n| n.0)
+                .collect()
+        };
+        w.start();
+        assert_eq!(live(&w), [true; 5]);
+        // A timer node 0 never sees: it is dead when the timer fires.
+        w.with_behavior::<Life, _>(ids[0], |_, ctx| ctx.set_timer(500_000, 7));
+
+        // A fan-out built for 0, 1, 3 and 4. Node 4 is killed in flight
+        // and counted dead at delivery; node 0, served first, drains its
+        // battery mid-fan-out and the rest of the fan-out goes on.
+        broadcast(&mut w, ids[2]);
+        w.kill(ids[4]);
+        assert_eq!(live(&w), [true, true, true, true, false]);
+        w.run_until(1_000_000);
+        assert_eq!(heard(&w), [1, 1, 0, 1, 0]);
+        assert_eq!(w.metrics().received, 3);
+        assert_eq!(w.metrics().dead_receiver, 1);
+        assert_eq!(live(&w), [false, true, true, true, false]);
+        assert!(w.behavior_as::<Life>(ids[0]).unwrap().timers.is_empty());
+        assert_eq!(w.metrics().first_death_node, Some(ids[4]));
+
+        // Dead and sleeping receivers are left out when the fan-out is
+        // built: one reception is served, none is counted dead.
+        w.sleep(ids[3]);
+        assert_eq!(live(&w), [false, true, true, false, false]);
+        assert_eq!(neighbors_of_2(&mut w), [1]);
+        let events = w.events_processed();
+        broadcast(&mut w, ids[2]);
+        w.run_until(2_000_000);
+        assert_eq!(w.events_processed() - events, 1);
+        assert_eq!(heard(&w), [1, 2, 0, 1, 0]);
+        assert_eq!(w.metrics().dead_receiver, 1);
+
+        // Wake and revive bring back a node whose battery holds charge,
+        // never a drained one.
+        w.wake(ids[3]);
+        w.revive(ids[4]);
+        w.revive(ids[0]);
+        assert_eq!(live(&w), [false, true, true, true, true]);
+        assert_eq!(neighbors_of_2(&mut w), [1, 3, 4]);
+        let sent = w.with_behavior::<Life, _>(ids[0], |_, ctx| {
+            ctx.send(None, Tier::Sensor, PacketKind::Data, vec![0])
+        });
+        assert_eq!(sent, Some(false), "a dead node cannot transmit");
+
+        // A fan-out built for 1, 3 and 4: node 4 falls asleep and node
+        // 3's battery dies (its own timer) while the frame is in flight.
+        broadcast(&mut w, ids[2]);
+        w.sleep(ids[4]);
+        w.with_behavior::<Life, _>(ids[3], |_, ctx| ctx.set_timer(1, DRAIN));
+        let events = w.events_processed();
+        w.run_until(3_000_000);
+        assert_eq!(
+            w.events_processed() - events,
+            4,
+            "the timer and 3 receptions"
+        );
+        assert_eq!(heard(&w), [1, 3, 0, 1, 0]);
+        assert_eq!(w.metrics().dead_receiver, 3);
+        assert_eq!(live(&w), [false, true, true, false, false]);
+        assert_eq!(w.behavior_as::<Life>(ids[3]).unwrap().timers, [DRAIN]);
+        w.wake(ids[3]);
+        w.wake(ids[4]);
+        assert_eq!(live(&w), [false, true, true, false, true]);
     }
 
     #[test]

@@ -12,29 +12,93 @@
 //! exact for every realistic arrival pattern: per-origin sequences are
 //! issued monotonically, and stale copies (late deliveries, replay
 //! attacks) trail the newest flood by far less than 64 sequence
-//! numbers. Slots live in a small open-addressed table keyed by
-//! originator id (deterministic Fibonacci hashing, linear probing), so
-//! a node's table is sized by the *distinct originators it has heard*,
-//! not by the deployment's id space — at n = 100k every node hears a
-//! few dozen flood sources, and a dense origin-indexed array would cost
-//! O(n) memory per node (O(n²) across the field) and blow the cache on
-//! the hottest lookup. Clearing is O(1): the generation stamp is
-//! bumped; a stale slot is reclaimed in place when its originator is
-//! heard again, and dropped at the next rehash otherwise. The rehash
+//! numbers.
+//!
+//! The first originator inserted in a generation is held inline, in
+//! the table itself (`key = origin + 1`, `max`, `bits`). A node that
+//! hears one flood source per generation — every SPR sensor between
+//! round resets — never touches or allocates anything else, and its
+//! duplicate check is one compare on the struct the caller already
+//! holds. Clearing zeroes the inline key, so the inline slot needs no
+//! generation stamp.
+//!
+//! Every later originator goes to a small open-addressed heap table
+//! keyed by originator id (deterministic Fibonacci hashing, linear
+//! probing), so a node's table is sized by the *distinct originators it
+//! has heard*, not by the deployment's id space — at n = 100k every node
+//! hears a few dozen flood sources, and a dense origin-indexed array
+//! would cost O(n) memory per node (O(n²) across the field) and blow the
+//! cache on the hottest lookup. Forged origin ids therefore cost one
+//! heap slot each, never more. Clearing is O(1): the generation stamp is
+//! bumped; a stale heap slot is reclaimed in place when its originator
+//! is heard again, and dropped at the next rehash otherwise. The rehash
 //! sizes the table from the current generation's entries alone, so a
 //! node that hears new originators every round keeps a table sized by
 //! one round's originators, not by how long the run has gone on.
 
-/// One originator's duplicate-suppression state.
+/// One originator's sequence window: the highest sequence inserted and
+/// a membership bitmap over `[max - 63, max]` (bit `k` set means
+/// `max - k` has been seen). Anything further behind counts as seen.
+#[derive(Clone, Copy, Debug, Default)]
+struct Window {
+    max: u64,
+    bits: u64,
+}
+
+impl Window {
+    /// A window holding `seq` alone.
+    #[inline]
+    fn new(seq: u64) -> Self {
+        Window { max: seq, bits: 1 }
+    }
+
+    #[inline]
+    fn contains(&self, seq: u64) -> bool {
+        if seq > self.max {
+            return false;
+        }
+        let back = self.max - seq;
+        // Ancient sequences below the bitmap window count as seen.
+        back >= 64 || self.bits & (1u64 << back) != 0
+    }
+
+    /// Record `seq`; `true` if it was not yet in the window.
+    #[inline]
+    fn insert(&mut self, seq: u64) -> bool {
+        if seq > self.max {
+            let shift = seq - self.max;
+            self.bits = if shift >= 64 { 0 } else { self.bits << shift };
+            self.bits |= 1;
+            self.max = seq;
+            return true;
+        }
+        let back = self.max - seq;
+        if back >= 64 {
+            return false; // ancient: conservatively already-seen
+        }
+        let mask = 1u64 << back;
+        if self.bits & mask != 0 {
+            return false;
+        }
+        self.bits |= mask;
+        true
+    }
+}
+
+/// One heap-table originator's state.
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
     /// Generation this slot was last written in; mismatches mean empty.
     gen: u64,
-    /// Highest sequence inserted for this originator.
-    max: u64,
-    /// Membership bitmap over `[max - 63, max]`; bit `k` set means
-    /// `max - k` has been seen.
-    bits: u64,
+    win: Window,
+}
+
+/// The inline slot: the current generation's first originator.
+#[derive(Clone, Copy, Debug, Default)]
+struct Inline {
+    /// `origin + 1`; 0 = unclaimed in this generation.
+    key: u64,
+    win: Window,
 }
 
 /// Compact generation-stamped `(originator, sequence)` membership table.
@@ -49,6 +113,9 @@ struct Slot {
 /// large allocation.
 #[derive(Clone, Debug)]
 pub struct SeenTable {
+    /// The generation's first originator; it is never also live in the
+    /// heap table.
+    first: Inline,
     gen: u64,
     /// `origin + 1` per table slot; 0 = never used. Stale keys (older
     /// generation) stay until the next rehash.
@@ -72,6 +139,7 @@ impl SeenTable {
     /// Empty table.
     pub fn new() -> Self {
         SeenTable {
+            first: Inline::default(),
             gen: 1,
             keys: Vec::new(),
             slots: Vec::new(),
@@ -81,6 +149,7 @@ impl SeenTable {
 
     /// O(1) clear: forget every recorded pair.
     pub fn clear(&mut self) {
+        self.first.key = 0;
         self.gen += 1;
     }
 
@@ -94,6 +163,17 @@ impl SeenTable {
     /// Whether `(origin, seq)` has been recorded since the last clear.
     #[inline]
     pub fn contains(&self, origin: u32, seq: u64) -> bool {
+        let key = u64::from(origin) + 1;
+        if self.first.key == key {
+            return self.first.win.contains(seq);
+        }
+        // With the inline slot unclaimed nothing was inserted since the
+        // last clear, so the heap table holds stale entries only.
+        self.first.key != 0 && self.contains_heap(origin, seq)
+    }
+
+    #[inline(never)]
+    fn contains_heap(&self, origin: u32, seq: u64) -> bool {
         if self.keys.is_empty() {
             return false;
         }
@@ -107,12 +187,7 @@ impl SeenTable {
             }
             if k == key {
                 let slot = &self.slots[i];
-                if slot.gen != self.gen || seq > slot.max {
-                    return false;
-                }
-                let back = slot.max - seq;
-                // Ancient sequences below the bitmap window count as seen.
-                return back >= 64 || slot.bits & (1u64 << back) != 0;
+                return slot.gen == self.gen && slot.win.contains(seq);
             }
             i = (i + 1) & mask;
         }
@@ -120,7 +195,24 @@ impl SeenTable {
 
     /// Record `(origin, seq)`; returns `true` if it was newly inserted
     /// (mirrors `HashSet::insert`).
+    #[inline]
     pub fn insert(&mut self, origin: u32, seq: u64) -> bool {
+        let key = u64::from(origin) + 1;
+        if self.first.key == key {
+            return self.first.win.insert(seq);
+        }
+        if self.first.key == 0 {
+            self.first = Inline {
+                key,
+                win: Window::new(seq),
+            };
+            return true;
+        }
+        self.insert_heap(origin, seq)
+    }
+
+    #[inline(never)]
+    fn insert_heap(&mut self, origin: u32, seq: u64) -> bool {
         // Keep at least one slot in four vacant so probes stay short;
         // the rehash keeps live entries only, dropping stale generations.
         if self.keys.is_empty() || (self.used + 1) * 4 > self.keys.len() * 3 {
@@ -136,8 +228,7 @@ impl SeenTable {
                 self.keys[i] = key;
                 self.slots[i] = Slot {
                     gen,
-                    max: seq,
-                    bits: 1,
+                    win: Window::new(seq),
                 };
                 self.used += 1;
                 return true;
@@ -152,31 +243,15 @@ impl SeenTable {
             // Stale slot from a cleared generation: reclaim in place.
             *slot = Slot {
                 gen,
-                max: seq,
-                bits: 1,
+                win: Window::new(seq),
             };
             return true;
         }
-        if seq > slot.max {
-            let shift = seq - slot.max;
-            slot.bits = if shift >= 64 { 0 } else { slot.bits << shift };
-            slot.bits |= 1;
-            slot.max = seq;
-            return true;
-        }
-        let back = slot.max - seq;
-        if back >= 64 {
-            return false; // ancient: conservatively already-seen
-        }
-        let mask = 1u64 << back;
-        if slot.bits & mask != 0 {
-            return false;
-        }
-        slot.bits |= mask;
-        true
+        slot.win.insert(seq)
     }
 
-    /// Slots allocated (a power of two, or 0 before the first insert).
+    /// Heap-table slots allocated (a power of two, or 0 while every
+    /// generation has held one originator, the inline one).
     pub fn capacity(&self) -> usize {
         self.keys.len()
     }
@@ -344,6 +419,102 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_first_origin_of_every_generation_is_claimed_inline() {
+        let mut t = SeenTable::new();
+        for gen in 0..100u32 {
+            let origin = gen.wrapping_mul(7919) % 1000;
+            assert_eq!(t.first.key, 0, "generation {gen} starts unclaimed");
+            assert!(t.insert(origin, u64::from(gen)));
+            assert_eq!(t.first.key, u64::from(origin) + 1, "generation {gen}");
+            assert!(t.contains(origin, u64::from(gen)));
+            assert!(!t.insert(origin, u64::from(gen)));
+            assert!(
+                t.insert(origin, u64::from(gen) + 1),
+                "same origin stays inline"
+            );
+            assert_eq!(t.capacity(), 0, "generation {gen} touched the heap table");
+            t.clear();
+        }
+    }
+
+    #[test]
+    fn later_and_stale_origins_go_to_the_heap_table() {
+        let mut t = SeenTable::new();
+        assert!(t.insert(1, 10));
+        assert!(t.insert(2, 20), "a second origin is new");
+        assert_eq!(
+            t.first.key, 2,
+            "the second origin leaves the inline slot alone"
+        );
+        assert!(
+            t.capacity() > 0,
+            "the second origin lives in the heap table"
+        );
+        assert!(t.contains(1, 10) && t.contains(2, 20));
+        assert!(!t.contains(1, 20) && !t.contains(2, 10));
+        assert!(!t.insert(1, 10) && !t.insert(2, 20));
+        t.clear();
+        // Origin 2's heap slot is now stale: it must read as unseen
+        // behind a new inline origin and be reclaimed on insert.
+        assert!(t.insert(3, 5));
+        assert!(!t.contains(2, 20), "stale heap entry reads as unseen");
+        assert!(t.insert(2, 21));
+        assert!(t.contains(2, 21));
+        assert!(
+            !t.contains(2, 20),
+            "the reclaimed slot starts a fresh window"
+        );
+        assert!(t.contains(3, 5));
+        assert!(!t.insert(2, 21) && !t.insert(3, 5));
+        t.clear();
+        // An origin stale in the heap may be the next generation's
+        // inline origin; the heap copy must not shadow it.
+        assert!(t.insert(2, 40));
+        assert_eq!(t.first.key, 3);
+        assert!(t.contains(2, 40) && !t.contains(2, 21));
+        assert!(t.insert(4, 1));
+        assert!(t.contains(2, 40) && t.contains(4, 1));
+    }
+
+    #[test]
+    fn clear_forgets_the_inline_origin() {
+        let mut t = SeenTable::new();
+        assert!(t.insert(9, 3));
+        t.clear();
+        assert!(!t.contains(9, 3));
+        assert!(t.insert(9, 3), "re-inserted after a clear");
+        t.clear();
+        // Another origin claims the slot; 9 reads as unseen even though
+        // its old window would cover the sequence.
+        assert!(t.insert(5, 3));
+        assert!(!t.contains(9, 3));
+        assert!(!t.contains(9, 0));
+    }
+
+    #[test]
+    fn the_inline_slot_keeps_the_window_rules() {
+        let mut t = SeenTable::new();
+        assert!(!t.contains(u32::MAX, 0));
+        assert!(t.insert(u32::MAX, 1_000));
+        assert_eq!(t.first.key, 1u64 << 32);
+        assert_eq!(t.capacity(), 0);
+        assert!(t.contains(u32::MAX, 1_000));
+        assert!(!t.contains(u32::MAX, 1_001));
+        assert!(!t.contains(u32::MAX, 999), "within the window, unseen");
+        assert!(t.insert(u32::MAX, 999));
+        assert!(t.contains(u32::MAX, 999));
+        assert!(!t.contains(u32::MAX, 937), "63 behind: inside the bitmap");
+        assert!(t.contains(u32::MAX, 936), "64 behind: ancient, seen");
+        assert!(!t.insert(u32::MAX, 936));
+        assert!(t.insert(u32::MAX, 1_100), "a jump of 64+ drops the bitmap");
+        assert!(t.contains(u32::MAX, 1_000), "now ancient");
+        assert!(!t.contains(u32::MAX, 1_099));
+        assert!(!t.contains(u32::MAX - 1, 1_100));
+        assert!(!t.contains(0, 1_100));
+        assert_eq!(t.capacity(), 0, "probes never allocate");
+    }
+
     /// Reference semantics: a `HashSet` of pairs plus each origin's
     /// highest sequence, with anything 64 or more behind it seen.
     #[derive(Default)]
@@ -443,6 +614,43 @@ mod tests {
                 "seed {seed}: quiet tail kept {}",
                 t.capacity()
             );
+        }
+    }
+
+    #[test]
+    fn one_origin_per_generation_matches_the_model_without_a_heap_table() {
+        use crate::rng::SplitMix64;
+        for seed in 0..20u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut t = SeenTable::new();
+            let mut m = Model::default();
+            for gen in 0..400u32 {
+                // Origins repeat across generations, as SPR's sources
+                // do over many rounds, and include forged extremes.
+                let origin = match rng.next_below(10) {
+                    0 => u32::MAX,
+                    1 => 0,
+                    _ => rng.next_below(50) as u32,
+                };
+                for _ in 0..1 + rng.next_below(40) {
+                    let seq = u64::from(gen) * 3 + rng.next_below(200);
+                    if rng.chance(0.6) {
+                        assert_eq!(t.insert(origin, seq), m.insert(origin, seq), "seed {seed}");
+                    } else {
+                        assert_eq!(
+                            t.contains(origin, seq),
+                            m.contains(origin, seq),
+                            "seed {seed} probe"
+                        );
+                    }
+                    // Other origins were never inserted this generation.
+                    let other = origin.wrapping_add(1 + rng.next_below(5) as u32);
+                    assert!(!t.contains(other, seq), "seed {seed} gen {gen}");
+                    assert_eq!(t.capacity(), 0, "seed {seed} gen {gen}");
+                }
+                t.clear();
+                m.clear();
+            }
         }
     }
 }

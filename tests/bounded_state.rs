@@ -8,8 +8,10 @@
 //!
 //! * an SPR field with one flood from a new origin per round keeps every
 //!   sensor's RREQ dedup table within a constant factor of the origins
-//!   live in the current round, and its outcomes stay those of a second
-//!   run of the same seed checked round by round;
+//!   live in the current round — with one origin per round, the dedup
+//!   table's inline slot holds it and no sensor allocates a heap table
+//!   at all — and its outcomes stay those of a second run of the same
+//!   seed checked round by round;
 //! * MLR's place-keyed table holds at most one entry per feasible place
 //!   (`|P|`, Table 1), and its RREP relay-damping map stays at one
 //!   round's size, even when every round rediscovers (the E5 ablation).
@@ -97,6 +99,12 @@ fn spr_dedup_tables_stay_sized_by_the_live_round_over_1000_floods() {
                 b.seen_rreq_capacity() <= 4 * live.max(8),
                 "round {round}: sensor {s:?} RREQ table holds {} slots",
                 b.seen_rreq_capacity()
+            );
+            // The one origin sits in the table's inline slot.
+            assert_eq!(
+                b.seen_rreq_capacity(),
+                0,
+                "round {round}: sensor {s:?} allocated a heap RREQ table"
             );
             // RREP damping keys are (origin, req, gateway): one origin,
             // at most 1 + max_retries requests, three gateways.
